@@ -1,26 +1,25 @@
 // Ingest-path throughput: per-tuple Consume(Packet) vs batched columnar
-// Consume(PacketBatch) vs ShardedQueryExecution (mutex router) vs
-// PipelinedQueryExecution (shared-nothing SPSC pipeline) at 1/2/4/8
-// shards, over a flow-structured netgen trace and the paper-style
-// two-level query
+// Consume(PacketBatch) vs PipelinedQueryExecution (shared-nothing SPSC
+// pipeline) at 1/2/4/8 shards, over a flow-structured netgen trace and
+// the paper-style two-level query
 //
 //   select destPort, count(*), sum(len), avg(len) from TCP
 //   group by destPort
 //
 // Every mode runs the same trace and must produce the same groups; the
 // harness cross-checks the result tables before reporting numbers
-// (batched vs per-tuple bit-identical; sharded/pipeline checked on the
-// integer-exact columns, DESIGN.md §8).
+// (batched vs per-tuple bit-identical; pipeline checked on the
+// integer-exact columns, DESIGN.md §14.4).
 //
 // Results append to BENCH_ingest.json as one JSON object per line so CI
 // runs accumulate. Records carry no wall-clock timestamps — machine
 // identity and run ordering are the log file's job — but do record
-// hardware concurrency: on a single-core runner the sharded/pipeline
-// rows measure router + handoff overhead, not parallel speedup, and
-// must be read alongside the "nproc" field. Parallel rows also carry a
-// "pipeline" generation tag ("router-v1" mutex router, "spsc-v2"
-// shared-nothing pipeline) so scripts/check_bench.py never gates one
-// generation against the other.
+// hardware concurrency: on a single-core runner the pipeline rows
+// measure router + handoff overhead, not parallel speedup, and must be
+// read alongside the "nproc" field. Pipeline rows also carry a
+// "pipeline" generation tag ("spsc-v2"; older rows in the file also
+// hold the retired "router-v1" mutex router) so scripts/check_bench.py
+// never gates one generation against another.
 
 #include <unistd.h>
 
@@ -56,7 +55,7 @@ constexpr std::size_t kBatchCapacity = dsms::PacketBatch::kDefaultCapacity;
 
 struct ModeResult {
   std::string mode;
-  std::string pipeline;     // parallel rows: "router-v1" | "spsc-v2"
+  std::string pipeline;     // pipeline rows: "spsc-v2"
   std::size_t shards = 0;   // 0 = unsharded
   std::size_t threads = 1;
   double ns_per_packet = 0.0;
@@ -133,36 +132,6 @@ ModeResult RunBatched(const dsms::CompiledQuery& plan,
   return r;
 }
 
-ModeResult RunSharded(const dsms::CompiledQuery& plan,
-                      const std::vector<dsms::PacketBatch>& batches,
-                      std::size_t n_packets, std::size_t num_shards) {
-  ModeResult r;
-  r.mode = "sharded";
-  r.pipeline = "router-v1";
-  r.shards = num_shards;
-  r.threads = num_shards;  // one ingest thread per shard count
-  dsms::ShardedQueryExecution sharded(plan, num_shards);
-  Timer timer;
-  std::vector<std::thread> threads;
-  threads.reserve(num_shards);
-  for (std::size_t t = 0; t < num_shards; ++t) {
-    threads.emplace_back([&sharded, &batches, t, num_shards] {
-      // Static round-robin split of the batch list across ingest
-      // threads; every thread routes its own batches through the
-      // lock-free filter/hash stage.
-      for (std::size_t b = t; b < batches.size(); b += num_shards) {
-        sharded.Consume(batches[b]);
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  r.ns_per_packet = static_cast<double>(timer.ElapsedNanos()) /
-                    static_cast<double>(n_packets);
-  r.tuples_aggregated = sharded.tuples_aggregated();
-  r.result = sharded.Finish();
-  return r;
-}
-
 ModeResult RunPipeline(const dsms::CompiledQuery& plan,
                        const std::vector<dsms::PacketBatch>& batches,
                        std::size_t n_packets, std::size_t num_shards,
@@ -179,8 +148,7 @@ ModeResult RunPipeline(const dsms::CompiledQuery& plan,
   options.pin_cores = pin_cores;
   dsms::PipelinedQueryExecution pipeline(plan, options);
   // The timer covers routing + the full drain (Quiesce), so the number
-  // is end-to-end ingest; the merge stays off the clock, matching how
-  // the sharded mode times ingest and merges in Finish() afterwards.
+  // is end-to-end ingest; the merge in Finish() stays off the clock.
   Timer timer;
   for (const dsms::PacketBatch& b : batches) pipeline.Consume(b);
   pipeline.Quiesce();
@@ -218,7 +186,7 @@ void AppendJson(const std::string& path, const ModeResult& r,
     std::fprintf(stderr, "cannot open %s for append\n", path.c_str());
     return;
   }
-  // Parallel rows carry the pipeline-generation tag; unsharded rows
+  // Pipeline rows carry the generation tag; unsharded rows
   // omit the field (check_bench.py treats absence as its own key).
   char pipeline_field[48] = "";
   if (!r.pipeline.empty()) {
@@ -287,8 +255,7 @@ int main(int argc, char** argv) {
   }
 
   PrintHeader("Ingest throughput",
-              "per-tuple vs batched vs sharded vs pipeline "
-              "(DESIGN.md §8, §14)");
+              "per-tuple vs batched vs pipeline (DESIGN.md §8, §14)");
   std::printf("trace: %zu flow-structured packets; query: %s\n", n_packets,
               kQuery);
   std::printf("hardware_concurrency: %u  cache_line: %ld  simd: %s  "
@@ -313,9 +280,6 @@ int main(int argc, char** argv) {
   results.push_back(RunPerTuple(*plan, trace));
   results.push_back(RunBatched(*plan, batches, trace.size()));
   for (std::size_t shards = 1; shards <= max_shards; shards *= 2) {
-    results.push_back(RunSharded(*plan, batches, trace.size(), shards));
-  }
-  for (std::size_t shards = 1; shards <= max_shards; shards *= 2) {
     results.push_back(RunPipeline(*plan, batches, trace.size(), shards,
                                   ring_capacity, pin_cores));
   }
@@ -323,7 +287,7 @@ int main(int argc, char** argv) {
   const ModeResult& reference = results.front();
   CheckAgainstReference(results[1], reference, /*all_columns=*/true);
   for (std::size_t i = 2; i < results.size(); ++i) {
-    // Sharded/pipeline two-level runs evict at different points, so only
+    // Pipeline two-level runs evict at different points, so only
     // the integer-exact columns are compared (avg differs in the last
     // ulp).
     CheckAgainstReference(results[i], reference, /*all_columns=*/false);

@@ -7,7 +7,7 @@
 // background rescaling thread.
 //
 // This example runs the ingest pipeline end to end (batched ingest,
-// sharded ingest, checkpoint + restore), lets a StatsReporter thread
+// pipelined ingest, checkpoint + restore), lets a StatsReporter thread
 // emit periodic reports, registers an application-level metric of its
 // own, and finally scrapes the registry the way a Prometheus /metrics
 // endpoint would.
@@ -112,14 +112,17 @@ int main() {
   restored->Finish();
   std::remove(ckpt.c_str());
 
-  // Sharded ingest: per-shard counters land in labelled families
+  // Pipelined ingest: per-shard counters land in labelled families
   // (fwdecay_shard_tuples_total{shard="0"} etc.).
-  ShardedQueryExecution sharded(*plan, /*num_shards=*/2);
-  for (const PacketBatch& b : batches) sharded.Consume(b);
-  std::printf("sharded execution: %llu tuples across %zu shards\n",
-              static_cast<unsigned long long>(sharded.tuples_aggregated()),
-              sharded.num_shards());
-  sharded.Finish();
+  PipelinedQueryExecution::Options pipeline_options;
+  pipeline_options.num_shards = 2;
+  PipelinedQueryExecution pipeline(*plan, pipeline_options);
+  for (const PacketBatch& b : batches) pipeline.Consume(b);
+  pipeline.Quiesce();
+  std::printf("pipelined execution: %llu tuples across %zu shards\n",
+              static_cast<unsigned long long>(pipeline.tuples_aggregated()),
+              pipeline.num_shards());
+  pipeline.Finish();
 
   demo_runs->Increment();
 

@@ -250,9 +250,6 @@ RELAXED_ALLOWED = {
     # §14.1) and tests/spsc_ring_test.cc explores them under the
     # weak-memory model in every build.
     "src/util/spsc_ring.h",
-    # Router-level offered-packet counter.
-    "src/dsms/engine.h",
-    "src/dsms/engine.cc",
     # UDAF state-seed allocator (uniqueness needs only RMW atomicity).
     "src/dsms/udafs.cc",
 }

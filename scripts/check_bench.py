@@ -4,16 +4,16 @@
 `bench_ingest` appends one JSON object per line to BENCH_ingest.json,
 and the file is committed — so after a CI run the file is the committed
 baseline rows followed by the rows this run just measured. This gate
-compares each *fresh* `"mode":"batched"`, `"mode":"sharded"` or
-`"mode":"pipeline"` row against the most recent *committed* row
-measured under the same conditions — same mode, same `"shards"` count,
-same `"simd"` dispatch arm, same `"metrics"` setting, same
-`"pipeline"` generation ("router-v1" mutex router vs "spsc-v2"
-shared-nothing pipeline — a generation switch is a rewrite, not a
-regression), and same `"nproc"` (a 2-shard run on a 1-core box and on
-an 8-core box measure different machines, not a regression) — and
-fails when ns/packet regressed by more than --max-regression
-(default 10%).
+compares each *fresh* `"mode":"batched"` or `"mode":"pipeline"` row
+against the most recent *committed* row measured under the same
+conditions — same mode, same `"shards"` count, same `"simd"` dispatch
+arm, same `"metrics"` setting, same `"pipeline"` generation (a
+generation switch is a rewrite, not a regression), and same `"nproc"`
+(a 2-shard run on a 1-core box and on an 8-core box measure different
+machines, not a regression) — and fails when ns/packet regressed by
+more than --max-regression (default 10%). Committed `"mode":"sharded"`
+rows ("router-v1", the retired mutex router) stay in the file as
+history; no fresh row can match them.
 
 Rows without a `"simd"` field (measured before the dispatch layer
 existed) are never used as baselines: the gate arms itself the first
@@ -64,7 +64,7 @@ def main():
     committed = parse_rows(show.stdout) if show.returncode == 0 else []
 
     fresh = current[len(committed):]
-    gated_modes = ("batched", "sharded", "pipeline")
+    gated_modes = ("batched", "pipeline")
     fresh_gated = [r for r in fresh if r.get("mode") in gated_modes]
     if not fresh_gated:
         print("check_bench.py: no fresh gated rows to gate [OK]")

@@ -9,10 +9,9 @@
 #   FWDECAY_AUDIT     ON enables the invariant-contract layer: the fuzz
 #                     and property suites then run a full CheckInvariants
 #                     audit after every mutating op   [default: OFF]
-#   FWDECAY_SHARDS    max shard count for the bench_ingest sweep (powers
-#                     of two, 1..N); forwarded as --shards — covers both
-#                     the mutex-router ("router-v1") and shared-nothing
-#                     pipeline ("spsc-v2") arms        [default: 8]
+#   FWDECAY_SHARDS    max shard count for the bench_ingest pipeline
+#                     sweep (powers of two, 1..N); forwarded as
+#                     --shards                          [default: 8]
 #   FWDECAY_RING      per-shard SPSC ring capacity in batches (power of
 #                     two >= 2); forwarded as --ring      [default: 64]
 #   FWDECAY_PIN_CORES ON pins pipeline threads round-robin to cores
@@ -67,8 +66,9 @@ FWDECAY_METRICS="${FWDECAY_METRICS:-ON}"
 FWDECAY_SIMD="${FWDECAY_SIMD:-on}"
 FWDECAY_SCHED="${FWDECAY_SCHED:-OFF}"
 FWDECAY_SERVER="${FWDECAY_SERVER:-OFF}"
-# FWDECAY_SCHED_SEED / FWDECAY_SCHED_REPLAY are read by sched_test at
-# runtime; being exported here is all the passthrough they need.
+# FWDECAY_SCHED_SEED / FWDECAY_SCHED_REPLAY are read by sched_test and
+# spsc_ring_test at runtime; being exported here is all the passthrough
+# they need.
 export FWDECAY_SCHED_SEED="${FWDECAY_SCHED_SEED:-}"
 export FWDECAY_SCHED_REPLAY="${FWDECAY_SCHED_REPLAY:-}"
 FWDECAY_ANALYZE="${FWDECAY_ANALYZE:-}"
@@ -115,8 +115,8 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure 2>&1 | tee test_output.txt
 {
   for b in "${BUILD_DIR}"/bench/bench_fig*; do "$b"; done
   "./${BUILD_DIR}/bench/bench_micro"
-  # Ingest-path throughput sweep (per-tuple / batched / sharded /
-  # pipeline); appends a JSON line per mode+shard-count to
+  # Ingest-path throughput sweep (per-tuple / batched / pipeline);
+  # appends a JSON line per mode+shard-count to
   # BENCH_ingest.json at the repo root.
   INGEST_ARGS=("--shards=${FWDECAY_SHARDS}" "--ring=${FWDECAY_RING}")
   if [[ "${FWDECAY_PIN_CORES}" == "ON" ]]; then

@@ -1,6 +1,7 @@
 #include "dsms/engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <cmath>
 #include <cstring>
@@ -33,12 +34,6 @@ std::string Lower(std::string s) {
   return s;
 }
 
-// Seed of the group-key hash. util/simd.h's GroupHashI64 kernel bakes
-// the same seed/combine algebra into its folded constants, so changing
-// either side alone breaks the batched/per-tuple equivalence
-// (simd_test covers the pairing).
-constexpr std::uint64_t kGroupHashSeed = 0x12345678abcdef01ULL;
-
 std::uint64_t HashKey(const std::vector<Value>& key) {
   std::uint64_t h = kGroupHashSeed;
   for (const Value& v : key) h = HashCombine(h, v.Hash());
@@ -64,6 +59,31 @@ void ComputeGroupHashes(const std::vector<ValueColumn>& key_cols,
     }
     out[i] = h;
   }
+}
+
+// The filter stage: the protocol filter (a vectorized byte compare over
+// the column; 0 keeps every row), then WHERE (null keeps every row).
+// Writes the surviving rows of `batch`, ascending, to (*sel)[0..n) and
+// returns n. QueryExecution and the pipeline router both select through
+// here, so they keep exactly the same rows.
+std::size_t SelectRows(const PacketBatch& batch, std::uint8_t protocol_filter,
+                       const Expr* where, std::vector<std::uint32_t>* sel,
+                       BatchEvalScratch* scratch) {
+  const std::size_t n_in = batch.size();
+  sel->resize(n_in);
+  std::size_t n = n_in;
+  if (protocol_filter != 0) {
+    n = simd::FilterByteEq(batch.protocol(), protocol_filter, n_in,
+                           sel->data());
+  } else {
+    for (std::size_t i = 0; i < n_in; ++i) {
+      (*sel)[i] = static_cast<std::uint32_t>(i);
+    }
+  }
+  if (where != nullptr && n > 0) {
+    n = EvalPredicateBatch(*where, batch, sel->data(), n, scratch);
+  }
+  return n;
 }
 
 bool KeysEqual(const std::vector<Value>& a, const std::vector<Value>& b) {
@@ -731,6 +751,12 @@ void QueryExecution::Consume(const Packet& p) {
 }
 
 void QueryExecution::Consume(const PacketBatch& batch) {
+  ConsumeFiltered(batch, plan_->protocol_filter_, plan_->where_.get());
+}
+
+void QueryExecution::ConsumeFiltered(const PacketBatch& batch,
+                                     std::uint8_t protocol_filter,
+                                     const Expr* where) {
   // 1-in-kMetricsSamplePeriod batches get a wall-clock sample into the
   // decayed ns-per-batch reservoir; a null handle means the clock is
   // never read. The periodic FlushMetrics() below publishes counter
@@ -752,58 +778,10 @@ void QueryExecution::Consume(const PacketBatch& batch) {
     FlushMetrics();
   }
 
-  const std::size_t n_in = batch.size();
-  packets_consumed_ += n_in;
-  if (n_in == 0) return;
-
-  // Selection vector over the batch: start from the protocol filter
-  // (vectorized byte compare over the column), then narrow by WHERE.
-  sel_.resize(n_in);
-  std::size_t n = 0;
-  if (plan_->protocol_filter_ != 0) {
-    n = simd::FilterByteEq(batch.protocol(), plan_->protocol_filter_, n_in,
-                           sel_.data());
-  } else {
-    for (std::size_t i = 0; i < n_in; ++i) {
-      sel_[i] = static_cast<std::uint32_t>(i);
-    }
-    n = n_in;
-  }
-  if (plan_->where_ != nullptr && n > 0) {
-    n = EvalPredicateBatch(*plan_->where_, batch, sel_.data(), n,
-                           &batch_scratch_);
-  }
-  AggregateSelection(batch, n);
-}
-
-void QueryExecution::ConsumeFiltered(const PacketBatch& batch,
-                                     const std::uint32_t* rows,
-                                     std::size_t n) {
-  // Same sampling/flush cadence as Consume(batch) — this is the
-  // per-shard hot path (caller holds the shard lock).
-  metrics::LatencyReservoir* sampled_reservoir =
-      (FWDECAY_METRICS_ENABLED &&
-       metrics_batch_seq_ % kMetricsSamplePeriod == 0)
-          ? metrics_.batch_ns
-          : nullptr;
-  metrics::ScopedTimerSample batch_timer(
-      sampled_reservoir,
-      sampled_reservoir != nullptr
-          // fwdecay: hotpath-cold(1-in-64 sampled batch timer reads the clock)
-          ? metrics::MetricsRegistry::Instance().NowSeconds()
-          : 0.0);
-  if (FWDECAY_METRICS_ENABLED &&
-      ++metrics_batch_seq_ % kMetricsFlushPeriod == 0) {
-    // fwdecay: hotpath-cold(1-in-64 periodic metrics flush)
-    FlushMetrics();
-  }
-
-  // The router already applied protocol + WHERE; count only the rows
-  // this shard owns so tuples_aggregated_ <= packets_consumed_ holds
-  // per shard.
-  packets_consumed_ += n;
-  sel_.assign(rows, rows + n);
-  AggregateSelection(batch, n);
+  packets_consumed_ += batch.size();
+  if (batch.empty()) return;
+  AggregateSelection(
+      batch, SelectRows(batch, protocol_filter, where, &sel_, &batch_scratch_));
 }
 
 void QueryExecution::AggregateSelection(const PacketBatch& batch,
@@ -1424,191 +1402,6 @@ bool QueryExecution::RestoreBytes(const std::uint8_t* data, std::size_t size,
 }
 
 // ---------------------------------------------------------------------------
-// Sharded execution
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// Seed for remixing the group hash into a shard index. Must be a
-// *different* function of the key than the group hash itself: the
-// low-level table indexes by `hash % slots`, so routing by `hash % N`
-// would correlate shard choice with slot index and skew low-table
-// occupancy per shard.
-constexpr std::uint64_t kShardRouteSeed = 0x5ca1ab1e0ddba11ULL;
-
-// Per-ingest-thread router scratch for ShardedQueryExecution::Consume.
-// Capacity is retained across batches, so steady-state routing
-// allocates nothing; thread_local (not members) because Consume() is
-// documented safe from any number of ingest threads concurrently.
-struct RouterScratch {
-  BatchEvalScratch eval;
-  std::vector<std::uint32_t> sel;
-  std::vector<ValueColumn> key_cols;
-  std::vector<std::uint64_t> hashes;
-  std::vector<std::uint32_t> shard_ids;
-  std::vector<std::vector<std::uint32_t>> shard_rows;
-};
-
-}  // namespace
-
-ShardedQueryExecution::ShardedQueryExecution(const CompiledQuery& plan,
-                                             std::size_t num_shards)
-    : plan_(&plan) {
-  FWDECAY_CHECK_MSG(num_shards > 0,
-                    "ShardedQueryExecution needs at least one shard");
-  shards_.reserve(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    {
-      MutexLock lock(shard->mu);
-      shard->exec = plan.NewExecution();
-      shard->exec->UseShardMetrics(s);
-    }
-    shards_.push_back(std::move(shard));
-  }
-}
-
-void ShardedQueryExecution::Consume(const PacketBatch& batch) {
-  // fwdecay: relaxed-ok(independent monotone cell; RMW atomicity alone prevents lost counts)
-  packets_offered_.fetch_add(batch.size(), std::memory_order_relaxed);
-  // Router-level offered-packet count goes to the engine-wide family;
-  // the per-shard fwdecay_shard_* counters only see post-filter rows.
-  EngineMetrics::Get().packets->Increment(batch.size());
-  const std::size_t n_in = batch.size();
-  if (n_in == 0) return;
-
-  // Router state is thread-local (see RouterScratch): filtering and
-  // hashing run lock-free on each ingest thread against capacity-
-  // retained scratch; only the per-shard application takes that
-  // shard's lock.
-  thread_local RouterScratch rs;
-  rs.sel.resize(n_in);
-  std::size_t n = 0;
-  if (plan_->protocol_filter_ != 0) {
-    n = simd::FilterByteEq(batch.protocol(), plan_->protocol_filter_, n_in,
-                           rs.sel.data());
-  } else {
-    for (std::size_t i = 0; i < n_in; ++i) {
-      rs.sel[i] = static_cast<std::uint32_t>(i);
-    }
-    n = n_in;
-  }
-  if (plan_->where_ != nullptr && n > 0) {
-    n = EvalPredicateBatch(*plan_->where_, batch, rs.sel.data(), n,
-                           &rs.eval);
-  }
-  if (n == 0) return;
-
-  const std::size_t num_groups = plan_->group_exprs_.size();
-  if (rs.key_cols.size() < num_groups) rs.key_cols.resize(num_groups);
-  for (std::size_t g = 0; g < num_groups; ++g) {
-    EvalExprBatch(*plan_->group_exprs_[g], batch, rs.sel.data(), n,
-                  &rs.eval, &rs.key_cols[g]);
-  }
-
-  if (rs.shard_rows.size() < shards_.size()) {
-    rs.shard_rows.resize(shards_.size());
-  }
-  for (std::size_t s = 0; s < shards_.size(); ++s) rs.shard_rows[s].clear();
-  rs.hashes.resize(n);
-  ComputeGroupHashes(rs.key_cols, num_groups, n, rs.hashes.data());
-  rs.shard_ids.resize(n);
-  simd::ShardIndexU64(rs.hashes.data(), n, kShardRouteSeed,
-                      static_cast<std::uint32_t>(shards_.size()),
-                      rs.shard_ids.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    rs.shard_rows[rs.shard_ids[i]].push_back(rs.sel[i]);
-  }
-
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (rs.shard_rows[s].empty()) continue;
-    Shard& shard = *shards_[s];
-    // fwdecay: hotpath-lock-ok(per-shard lock amortized over the shard's whole row slice)
-    MutexLock lock(shard.mu);
-    shard.exec->ConsumeFiltered(batch, rs.shard_rows[s].data(),
-                                rs.shard_rows[s].size());
-  }
-}
-
-ResultSet ShardedQueryExecution::Finish() {
-  // Each shard flushes its low level under its own policy (so per-shard
-  // shedding bounds apply through the flush, exactly as in the
-  // non-sharded Finish), then donates its groups to a fresh policy-free
-  // execution. Shard key spaces are disjoint, so the donation is a pure
-  // move — no aggregate Merge, no FP reassociation, no re-shedding.
-  std::unique_ptr<QueryExecution> merged = plan_->NewExecution();
-  for (auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    shard->exec->FlushLowLevel();
-    // Publish the tail deltas now that the shard has quiesced, so a
-    // scrape right after Finish() sees counts matching the result set
-    // instead of lagging by up to kMetricsFlushPeriod batches.
-    shard->exec->FlushMetrics();
-    merged->MergeFrom(*shard->exec);
-  }
-  return merged->Finish();
-}
-
-void ShardedQueryExecution::SetOverloadPolicy(const OverloadPolicy& policy) {
-  for (auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    shard->exec->SetOverloadPolicy(policy);
-  }
-}
-
-std::uint64_t ShardedQueryExecution::tuples_aggregated() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    total += shard->exec->tuples_aggregated();
-  }
-  return total;
-}
-
-std::uint64_t ShardedQueryExecution::low_level_evictions() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    total += shard->exec->low_level_evictions();
-  }
-  return total;
-}
-
-std::uint64_t ShardedQueryExecution::groups_shed() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    total += shard->exec->groups_shed();
-  }
-  return total;
-}
-
-std::uint64_t ShardedQueryExecution::tuples_shed() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    total += shard->exec->tuples_shed();
-  }
-  return total;
-}
-
-std::size_t ShardedQueryExecution::GroupCount() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    total += shard->exec->GroupCount();
-  }
-  return total;
-}
-
-void ShardedQueryExecution::CheckInvariants() const {
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    shard->exec->CheckInvariants();
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Pipelined execution (shared-nothing, DESIGN.md §14)
 // ---------------------------------------------------------------------------
 
@@ -1686,31 +1479,15 @@ void PipelinedQueryExecution::Consume(const PacketBatch& batch) {
   FWDECAY_DCHECK(!quiesced_);
   packets_offered_ += batch.size();
   // Router-level offered-packet count goes to the engine-wide family;
-  // the per-shard fwdecay_shard_* counters only see post-filter rows
-  // (same split as the sharded router).
+  // the per-shard fwdecay_shard_* counters only see post-filter rows.
   EngineMetrics::Get().packets->Increment(batch.size());
-  const std::size_t n_in = batch.size();
-  if (n_in == 0) return;
+  if (batch.empty()) return;
 
-  // Stage 1 — filter + hash on the router thread, identical algebra to
-  // ShardedQueryExecution::Consume (and therefore to the single-thread
-  // reference): protocol filter, WHERE, group-key columns, group hash,
-  // remixed shard index.
-  sel_.resize(n_in);
-  std::size_t n = 0;
-  if (plan_->protocol_filter_ != 0) {
-    n = simd::FilterByteEq(batch.protocol(), plan_->protocol_filter_, n_in,
-                           sel_.data());
-  } else {
-    for (std::size_t i = 0; i < n_in; ++i) {
-      sel_[i] = static_cast<std::uint32_t>(i);
-    }
-    n = n_in;
-  }
-  if (plan_->where_ != nullptr && n > 0) {
-    n = EvalPredicateBatch(*plan_->where_, batch, sel_.data(), n,
-                           &eval_scratch_);
-  }
+  // Stage 1 — filter + hash on the router thread, the same algebra as
+  // the single-thread engine: the shared filter stage, group-key
+  // columns, group hash, remixed shard index.
+  const std::size_t n = SelectRows(batch, plan_->protocol_filter_,
+                                   plan_->where_.get(), &sel_, &eval_scratch_);
   if (n == 0) return;
 
   const std::size_t num_groups = plan_->group_exprs_.size();
@@ -1773,8 +1550,6 @@ void PipelinedQueryExecution::WorkerLoop(Shard& shard, std::size_t index) {
     // Core 0 is left to the router (the caller's thread).
     PinCallingThreadToCore(index + 1);
   }
-  std::vector<std::uint32_t> rows;
-  rows.reserve(options_.batch_capacity);
   PacketBatch batch(1);
   for (;;) {
     if (!shard.to_worker.TryPop(&batch)) {
@@ -1792,12 +1567,9 @@ void PipelinedQueryExecution::WorkerLoop(Shard& shard, std::size_t index) {
         continue;
       }
     }
-    const std::size_t n = batch.size();
-    rows.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      rows[i] = static_cast<std::uint32_t>(i);
-    }
-    shard.exec->ConsumeFiltered(batch, rows.data(), n);
+    // The router already applied the plan's filter to every row.
+    shard.exec->ConsumeFiltered(batch, /*protocol_filter=*/0,
+                                /*where=*/nullptr);
     batch.Clear();
     // Offer the cleared batch back to the router; dropping it when the
     // recycle ring is full is fine (the router allocates a fresh one).
@@ -1826,14 +1598,18 @@ ResultSet PipelinedQueryExecution::Finish() {
                     "PipelinedQueryExecution::Finish is one-shot");
   Quiesce();
   finished_ = true;
-  // Identical merge contract to ShardedQueryExecution::Finish: each
-  // shard flushes its low level under its own policy, then donates its
-  // groups to a fresh policy-free execution. Shard key spaces are
-  // disjoint, so the donation is a pure move — no aggregate Merge, no
-  // FP reassociation, no re-shedding (Section VI-B).
+  // Each shard flushes its low level under its own policy (so per-shard
+  // shedding bounds apply through the flush, exactly as in the
+  // single-thread Finish), then donates its groups to a fresh
+  // policy-free execution. Shard key spaces are disjoint, so the
+  // donation is a pure move — no aggregate Merge, no FP reassociation,
+  // no re-shedding (Section VI-B).
   std::unique_ptr<QueryExecution> merged = plan_->NewExecution();
   for (auto& shard : shards_) {
     shard->exec->FlushLowLevel();
+    // Publish the tail deltas now that the shard has quiesced, so a
+    // scrape right after Finish() sees counts matching the result set
+    // instead of lagging by up to kMetricsFlushPeriod batches.
     shard->exec->FlushMetrics();
     merged->MergeFrom(*shard->exec);
   }

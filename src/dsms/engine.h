@@ -1,7 +1,6 @@
 #ifndef FWDECAY_DSMS_ENGINE_H_
 #define FWDECAY_DSMS_ENGINE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -20,7 +19,6 @@
 #include "util/bytes.h"
 #include "util/metrics.h"
 #include "util/sched.h"
-#include "util/thread_annotations.h"
 
 // Query compilation and execution for the mini DSMS.
 //
@@ -104,8 +102,7 @@ class CompiledQuery {
 
  private:
   friend class QueryExecution;
-  friend class ShardedQueryExecution;   // router reads filter + group exprs
-  friend class PipelinedQueryExecution;  // same router, async shard stage
+  friend class PipelinedQueryExecution;  // router reads filter + group exprs
 
   struct OutputItem {
     // Bound post-aggregation expression: kGroupRef/kAggRef placeholders
@@ -230,7 +227,6 @@ class QueryExecution {
   void Reset();
 
  private:
-  friend class ShardedQueryExecution;
   friend class PipelinedQueryExecution;
 
   struct Group;
@@ -252,10 +248,13 @@ class QueryExecution {
   // surviving batch rows; key/argument columns are evaluated densely
   // over it and applied run by run.
   void AggregateSelection(const PacketBatch& batch, std::size_t n);
-  // Sharded entry point (router already applied protocol + WHERE):
-  // `rows[0..n)` are ascending batch rows this execution owns.
-  void ConsumeFiltered(const PacketBatch& batch, const std::uint32_t* rows,
-                       std::size_t n);
+  // The batch ingest behind Consume(batch): counts the batch, selects
+  // its rows through `protocol_filter` (0 keeps every row) and `where`
+  // (null keeps every row), then groups and aggregates them. Consume()
+  // passes the plan's filter; a pipeline shard passes none, because its
+  // router already applied it.
+  void ConsumeFiltered(const PacketBatch& batch, std::uint8_t protocol_filter,
+                       const Expr* where);
   // Evicts every occupied low-level slot to the high level (the first
   // phase of Finish(); shards flush before merging).
   void FlushLowLevel();
@@ -277,7 +276,7 @@ class QueryExecution {
   void FlushMetrics();
   // Rebinds the counter/gauge handles to the per-shard labelled
   // families (fwdecay_shard_*{shard="i"}); called once per shard by
-  // ShardedQueryExecution before any ingest.
+  // PipelinedQueryExecution before any ingest.
   void UseShardMetrics(std::size_t shard_index);
   bool SerializeGroup(const Group& group, ByteWriter* writer,
                       std::string* error) const;
@@ -349,185 +348,51 @@ class QueryExecution {
   PacketBatch single_{1};                 // Consume(Packet) wrapper
 };
 
-/// Thread-safe facade over QueryExecution — the deployment shape where
-/// several ingest threads feed one standing query and a control thread
-/// checkpoints or reads stats. A single mutex suffices for the same
-/// reason as ConcurrentDecayingReservoir: each Consume() is dominated by
-/// expression evaluation and aggregate updates, not by the lock.
-///
-/// The lock discipline is declared with thread-safety annotations: the
-/// wrapped execution is PT_GUARDED_BY(mu_), so a clang build with
-/// -DFWDECAY_THREAD_SAFETY=ON proves at compile time that no code path
-/// reaches the underlying (thread-compatible) QueryExecution without
-/// holding the lock.
-class ConcurrentQueryExecution {
- public:
-  /// The plan must outlive this object (as with NewExecution()).
-  explicit ConcurrentQueryExecution(const CompiledQuery& plan)
-      : exec_(plan.NewExecution()) {}
+/// Seed of the group-key hash. util/simd.h's GroupHashI64 kernel takes
+/// it as its seed and must reproduce the per-Value combine exactly, so
+/// changing the algebra on either side alone breaks the batched /
+/// per-tuple equivalence (simd_test covers the pairing).
+inline constexpr std::uint64_t kGroupHashSeed = 0x12345678abcdef01ULL;
 
-  /// Processes one packet; safe to call from any thread.
-  void Consume(const Packet& p) FWDECAY_EXCLUDES(mu_) {
-    // fwdecay: hotpath-lock-ok(this facade's whole contract is serializing ingest behind one lock)
-    MutexLock lock(mu_);
-    exec_->Consume(p);
-  }
+/// Seed that remixes the group hash into a pipeline shard index
+/// (simd::ShardIndexU64). It must be a *different* function of the key
+/// than the group hash itself: the low-level table indexes by
+/// `hash % slots`, so routing by `hash % N` would correlate shard choice
+/// with slot index and skew low-table occupancy per shard.
+inline constexpr std::uint64_t kShardRouteSeed = 0x5ca1ab1e0ddba11ULL;
 
-  /// Processes a columnar batch under the lock; safe from any thread.
-  /// Amortizes the lock acquisition over the whole batch.
-  void Consume(const PacketBatch& batch) FWDECAY_EXCLUDES(mu_) {
-    // fwdecay: hotpath-lock-ok(one acquisition amortized over the whole batch)
-    MutexLock lock(mu_);
-    exec_->Consume(batch);
-  }
-
-  /// Flushes and produces the final result table (serializes against
-  /// concurrent Consume() calls; results reflect a consistent cut).
-  ResultSet Finish() FWDECAY_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return exec_->Finish();
-  }
-
-  std::uint64_t packets_consumed() const FWDECAY_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return exec_->packets_consumed();
-  }
-
-  std::uint64_t tuples_aggregated() const FWDECAY_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return exec_->tuples_aggregated();
-  }
-
-  std::size_t GroupCount() const FWDECAY_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return exec_->GroupCount();
-  }
-
-  void SetOverloadPolicy(const OverloadPolicy& policy)
-      FWDECAY_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    exec_->SetOverloadPolicy(policy);
-  }
-
-  /// Consistent snapshot concurrent with ingest (the snapshot is taken
-  /// under the lock; the write itself is the usual atomic-rename).
-  bool Checkpoint(const std::string& path, std::string* error) const
-      FWDECAY_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return exec_->Checkpoint(path, error);
-  }
-
-  bool Restore(const std::string& path, std::string* error)
-      FWDECAY_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return exec_->Restore(path, error);
-  }
-
-  /// Group-table audit under the lock, so stress tests can interleave
-  /// audits with concurrent ingest.
-  void CheckInvariants() const FWDECAY_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    exec_->CheckInvariants();
-  }
-
- private:
-  mutable Mutex mu_;
-  std::unique_ptr<QueryExecution> exec_ FWDECAY_PT_GUARDED_BY(mu_);
-};
-
-/// Hash-partitioned parallel execution: N independent per-shard
-/// QueryExecutions, each behind its own mutex. The caller's thread acts
-/// as the router — it filters the batch and computes group-key hashes
-/// lock-free, partitions the surviving rows by a *remixed* group hash
-/// (independent of the low-level table's `hash % slots` indexing, so
-/// shard routing does not bias slot occupancy), and applies each
-/// shard's rows under that shard's lock only. Ingest threads working on
-/// different shards never contend.
-///
-/// Because a group's key always hashes to the same shard, every group
-/// is owned wholly by one shard. Finish() flushes each shard's low
-/// level and moves the disjoint group sets into one merged execution —
-/// forward decay makes this exact: group state is a sum of static
-/// weights g(t_i - L), so a partitioned sum equals the stream's sum
-/// (Section VI-B). With an OverloadPolicy installed, each shard
-/// enforces `max_groups` on its own table, so the sharded execution
-/// retains at most num_shards * max_groups groups (DESIGN.md §8).
-class ShardedQueryExecution {
- public:
-  /// The plan must outlive this object (as with NewExecution()).
-  ShardedQueryExecution(const CompiledQuery& plan, std::size_t num_shards);
-
-  ShardedQueryExecution(const ShardedQueryExecution&) = delete;
-  ShardedQueryExecution& operator=(const ShardedQueryExecution&) = delete;
-
-  /// Routes one batch across the shards; safe to call concurrently from
-  /// any number of ingest threads.
-  void Consume(const PacketBatch& batch);
-
-  /// Flushes and merges every shard, then finalizes. Call once, after
-  /// ingest has quiesced: the merge moves group state out of the shards.
-  ResultSet Finish();
-
-  /// Installs the policy on every shard; each shard bounds its own
-  /// group table, so the total bound is num_shards * max_groups.
-  void SetOverloadPolicy(const OverloadPolicy& policy);
-
-  /// Packets offered to Consume() (router-level, pre-filter).
-  std::uint64_t packets_consumed() const {
-    // fwdecay: relaxed-ok(independent monotone cell; readers need a recent count, not an ordering)
-    return packets_offered_.load(std::memory_order_relaxed);
-  }
-
-  // Shard-summed counters (each shard read under its lock).
-  std::uint64_t tuples_aggregated() const;
-  std::uint64_t low_level_evictions() const;
-  std::uint64_t groups_shed() const;
-  std::uint64_t tuples_shed() const;
-  std::size_t GroupCount() const;
-
-  std::size_t num_shards() const { return shards_.size(); }
-
-  /// Runs the group-table audit on every shard, each under its lock.
-  void CheckInvariants() const;
-
- private:
-  struct Shard {
-    mutable Mutex mu;
-    std::unique_ptr<QueryExecution> exec FWDECAY_PT_GUARDED_BY(mu);
-  };
-
-  const CompiledQuery* plan_;
-  std::vector<std::unique_ptr<Shard>> shards_;  // Mutex is not movable
-  sched::Atomic<std::uint64_t> packets_offered_{0};
-};
-
-/// Shared-nothing pipelined execution (DESIGN.md §14) — the scaling
-/// successor to ShardedQueryExecution's mutex-per-shard router
-/// ("router-v1" in BENCH_ingest.json; this class is "spsc-v2").
+/// Shared-nothing pipelined execution (DESIGN.md §14) — the engine's
+/// parallel-ingest path ("spsc-v2" in BENCH_ingest.json).
 ///
 /// One routing stage (the caller's thread) filters each batch, hashes
 /// the group keys, partitions the surviving rows by the remixed group
-/// hash (simd::ShardIndexU64), gathers each shard's rows into a
-/// per-shard sub-batch, and transfers that batch *whole* — by move,
-/// through a bounded SPSC ring — to the shard's worker thread. Each
-/// worker owns its QueryExecution outright: after construction no shard
-/// state is touched by two threads, so the ingest path has no locks at
-/// all. Consumed batches flow back to the router on a second SPSC ring
-/// for reuse, making the steady state allocation-free end to end.
+/// hash (simd::ShardIndexU64 under kShardRouteSeed), gathers each
+/// shard's rows into a per-shard sub-batch, and transfers that batch
+/// *whole* — by move, through a bounded SPSC ring — to the shard's
+/// worker thread. Each worker owns its QueryExecution outright: after
+/// construction no shard state is touched by two threads, so the ingest
+/// path has no locks at all. Consumed batches flow back to the router
+/// on a second SPSC ring for reuse, making the steady state
+/// allocation-free end to end.
 ///
-/// Finish() runs off the hot path: it quiesces the pipeline (flush
-/// partial sub-batches, signal stop, join workers) and then performs
-/// the same FlushLowLevel + whole-group MergeFrom merge as the sharded
-/// router. Shard key spaces are disjoint and forward decay needs no
-/// rescaling on merge (Section VI-B), so the merged result is
-/// bit-identical to the mutex'd router's — and, for single-level
-/// plans, to the single-threaded reference (tests/spsc_ring_test.cc
-/// asserts both, including under schedule exploration).
+/// Because a group's key always hashes to the same shard, every group
+/// is owned wholly by one shard and receives its updates in stream
+/// order. Finish() runs off the hot path: it quiesces the pipeline
+/// (flush partial sub-batches, signal stop, join workers), flushes each
+/// shard's low level and moves the disjoint group sets into one merged
+/// execution. Forward decay needs no rescaling on merge (Section VI-B),
+/// so for single-level plans the result is bit-identical to the
+/// single-threaded reference, and for two-level plans to single-thread
+/// runs over the per-shard streams (tests/spsc_ring_test.cc asserts
+/// both, the first also under schedule exploration). With an
+/// OverloadPolicy installed each shard bounds its own table, so the
+/// pipeline retains at most num_shards * max_groups groups.
 ///
-/// Threading contract: Consume() from ONE router thread (the SPSC rings
-/// are single-producer/single-consumer by construction); Quiesce(),
-/// Finish() and the stat accessors from that same thread after ingest
-/// stops. packets_consumed() alone is safe at any time.
+/// Threading contract: Consume(), Quiesce(), Finish() and every
+/// accessor, packets_consumed() included, belong to ONE router thread
+/// (the SPSC rings are single-producer/single-consumer by construction,
+/// and the offered-packet count is a plain router-thread counter); the
+/// shard-summed stats are valid once Quiesce() has run.
 class PipelinedQueryExecution {
  public:
   struct Options {
@@ -570,7 +435,8 @@ class PipelinedQueryExecution {
   /// Call once, after ingest has stopped.
   ResultSet Finish();
 
-  /// Packets offered to Consume() (router-level, pre-filter).
+  /// Packets offered to Consume() (router-level, pre-filter). Router
+  /// thread only.
   std::uint64_t packets_consumed() const { return packets_offered_; }
 
   // Shard-summed counters; valid once Quiesce() has run.

@@ -56,11 +56,11 @@
 // tests can explore fixtures in any build. The FWDECAY_SCHED compile
 // definition additionally reroutes the library's own primitives —
 // fwdecay::Mutex (util/thread_annotations.h) and the sched::Atomic<T>
-// alias adopted by util/metrics.h and the sharded engine — through the
-// model, so Explore() can drive real library paths (the DecayedRate
-// delta-flush publish, ShardedQueryExecution's router -> shard ->
-// Finish() merge) through interleavings and reorderings TSan never
-// executes. With FWDECAY_SCHED off (the default), sched::Atomic is a
+// alias adopted by util/metrics.h and the pipelined engine — through
+// the model, so Explore() can drive real library paths (the DecayedRate
+// delta-flush publish, PipelinedQueryExecution's router -> ring ->
+// worker -> Finish() merge) through interleavings and reorderings TSan
+// never executes. With FWDECAY_SCHED off (the default), sched::Atomic is a
 // zero-cost transparent std::atomic wrapper and fwdecay::Mutex is a
 // plain std::mutex: the hot path is byte-for-byte unaffected.
 //

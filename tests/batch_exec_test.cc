@@ -1,9 +1,9 @@
-// Differential tests for the batched columnar ingest path and the
-// sharded parallel execution (DESIGN.md §8): the batched and sharded
-// engines must reproduce the per-tuple reference *bit for bit* — same
-// result values (double bit patterns included), same counters, same
-// shedding decisions — because the batch path reorders no FP operation
-// and shard routing keeps every group's update sequence intact.
+// Differential tests for the batched columnar ingest path (DESIGN.md §8)
+// and the sharded pipeline (DESIGN.md §14): both must reproduce the
+// per-tuple reference *bit for bit* — same result values (double bit
+// patterns included), same counters, same shedding decisions — because
+// the batch path reorders no FP operation and shard routing keeps every
+// group's update sequence intact.
 
 #include <bit>
 #include <cstdint>
@@ -353,21 +353,22 @@ TEST(BatchDifferentialTest, OddBatchSizesAndPartialTails) {
   }
 }
 
-TEST(BatchDifferentialTest, ConcurrentFacadeBatchEntryPoint) {
-  auto plan = MustCompile(kBuiltinsQuery, {});
-  ASSERT_NE(plan, nullptr);
-  const std::vector<Packet> trace = MakeTrace(5000);
+// --- Sharded pipeline -------------------------------------------------------
 
-  auto reference = plan->NewExecution();
-  for (const Packet& p : trace) reference->Consume(p);
-
-  ConcurrentQueryExecution concurrent(*plan);
-  for (const PacketBatch& b : Rebatch(trace, 256)) concurrent.Consume(b);
-  EXPECT_EQ(concurrent.packets_consumed(), trace.size());
-  ExpectBitIdentical(concurrent.Finish(), reference->Finish());
+// Runs `batches` through a pipeline of `shards` workers and quiesces it,
+// so the shard-summed stats are readable.
+std::unique_ptr<PipelinedQueryExecution> RunPipeline(
+    const CompiledQuery& plan, std::size_t shards,
+    const std::vector<PacketBatch>& batches,
+    const OverloadPolicy* policy = nullptr) {
+  PipelinedQueryExecution::Options options;
+  options.num_shards = shards;
+  auto pipeline = std::make_unique<PipelinedQueryExecution>(plan, options);
+  if (policy != nullptr) pipeline->SetOverloadPolicy(*policy);
+  for (const PacketBatch& b : batches) pipeline->Consume(b);
+  pipeline->Quiesce();
+  return pipeline;
 }
-
-// --- Sharded execution ------------------------------------------------------
 
 // One-level sharding is bit-exact even for fractional doubles: every
 // group lives wholly in one shard and receives its updates in stream
@@ -385,13 +386,11 @@ TEST(ShardedDifferentialTest, OneLevelBitIdenticalAcrossShardCounts) {
 
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
                                    std::size_t{4}}) {
-    ShardedQueryExecution sharded(*plan, shards);
-    for (const PacketBatch& b : batches) sharded.Consume(b);
-    EXPECT_EQ(sharded.packets_consumed(), trace.size());
-    sharded.CheckInvariants();
-    const std::uint64_t tuples = sharded.tuples_aggregated();
-    ExpectBitIdentical(sharded.Finish(), want);
-    EXPECT_EQ(tuples, reference->tuples_aggregated());
+    auto pipeline = RunPipeline(*plan, shards, batches);
+    EXPECT_EQ(pipeline->packets_consumed(), trace.size());
+    pipeline->CheckInvariants();
+    EXPECT_EQ(pipeline->tuples_aggregated(), reference->tuples_aggregated());
+    ExpectBitIdentical(pipeline->Finish(), want);
   }
 }
 
@@ -399,7 +398,7 @@ TEST(ShardedDifferentialTest, OneLevelBitIdenticalAcrossShardCounts) {
 // (partial-group merge) points differ from the single-table run. For
 // integer-exact aggregates every addition is exact, so the results are
 // still identical; fractional doubles would differ in the last ulp and
-// are deliberately excluded (DESIGN.md §8).
+// are deliberately excluded (DESIGN.md §14.4).
 TEST(ShardedDifferentialTest, TwoLevelIntegerExactAggregates) {
   CompiledQuery::Options options;
   options.two_level = true;
@@ -412,13 +411,12 @@ TEST(ShardedDifferentialTest, TwoLevelIntegerExactAggregates) {
   for (const Packet& p : trace) reference->Consume(p);
   const ResultSet want = reference->Finish();
 
-  ShardedQueryExecution sharded(*plan, 4);
-  for (const PacketBatch& b : Rebatch(trace, 256)) sharded.Consume(b);
-  sharded.CheckInvariants();
-  ExpectBitIdentical(sharded.Finish(), want);
+  auto pipeline = RunPipeline(*plan, 4, Rebatch(trace, 256));
+  pipeline->CheckInvariants();
+  ExpectBitIdentical(pipeline->Finish(), want);
 }
 
-// A single shard is the non-sharded engine behind a router: with a
+// A single shard is the single-thread engine behind a router: with a
 // shedding policy installed it must make byte-for-byte the same
 // decisions (including shedding during the Finish() flush).
 TEST(ShardedDifferentialTest, SingleShardWithPolicyMatchesPerTuple) {
@@ -436,14 +434,14 @@ TEST(ShardedDifferentialTest, SingleShardWithPolicyMatchesPerTuple) {
   reference->SetOverloadPolicy(policy);
   for (const Packet& p : trace) reference->Consume(p);
 
-  ShardedQueryExecution sharded(*plan, 1);
-  sharded.SetOverloadPolicy(policy);
-  for (const PacketBatch& b : Rebatch(trace, 256)) sharded.Consume(b);
-
-  EXPECT_EQ(sharded.tuples_aggregated(), reference->tuples_aggregated());
-  EXPECT_EQ(sharded.groups_shed(), reference->groups_shed());
-  EXPECT_EQ(sharded.tuples_shed(), reference->tuples_shed());
-  ExpectBitIdentical(sharded.Finish(), reference->Finish());
+  auto pipeline = RunPipeline(*plan, 1, Rebatch(trace, 256), &policy);
+  EXPECT_EQ(pipeline->tuples_aggregated(), reference->tuples_aggregated());
+  EXPECT_EQ(pipeline->low_level_evictions(),
+            reference->low_level_evictions());
+  EXPECT_EQ(pipeline->groups_shed(), reference->groups_shed());
+  EXPECT_EQ(pipeline->tuples_shed(), reference->tuples_shed());
+  EXPECT_EQ(pipeline->GroupCount(), reference->GroupCount());
+  ExpectBitIdentical(pipeline->Finish(), reference->Finish());
 }
 
 // With N shards each shard bounds its own table, so the documented
@@ -459,14 +457,11 @@ TEST(ShardedDifferentialTest, PerShardSheddingBound) {
   policy.max_groups = 10;
   policy.decay_alpha = 0.05;
 
-  ShardedQueryExecution sharded(*plan, 4);
-  sharded.SetOverloadPolicy(policy);
-  for (const PacketBatch& b : Rebatch(MakeTrace(20000), 256)) {
-    sharded.Consume(b);
-  }
-  sharded.CheckInvariants();  // audits <= max_groups per shard
-  EXPECT_LE(sharded.GroupCount(), 4 * policy.max_groups);
-  EXPECT_GT(sharded.groups_shed(), 0u);
+  auto pipeline =
+      RunPipeline(*plan, 4, Rebatch(MakeTrace(20000), 256), &policy);
+  pipeline->CheckInvariants();  // audits <= max_groups per shard
+  EXPECT_LE(pipeline->GroupCount(), 4 * policy.max_groups);
+  EXPECT_GT(pipeline->groups_shed(), 0u);
 }
 
 // --- Batch producers --------------------------------------------------------

@@ -1,5 +1,5 @@
-// TSan-targeted stress tests for the annotated concurrency facades:
-// ConcurrentDecayingReservoir and ConcurrentQueryExecution.
+// TSan-targeted stress tests for the annotated concurrency facade
+// ConcurrentDecayingReservoir.
 //
 // These tests are about *interleavings*, not statistics: many threads
 // hammer Update/Snapshot/size/alpha concurrently, and a sharded
@@ -18,8 +18,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -27,8 +25,6 @@
 
 #include "core/concurrent_reservoir.h"
 #include "core/decaying_reservoir.h"
-#include "dsms/engine.h"
-#include "dsms/packet.h"
 #include "util/audit.h"
 
 namespace fwdecay {
@@ -125,13 +121,22 @@ TEST(ConcurrentReservoirStressTest, ShardedMergeWhileWriting) {
   }
 
   std::atomic<bool> done{false};
+  std::atomic<bool> merging{false};
   std::atomic<int> merges{0};
   std::vector<std::thread> threads;
   threads.reserve(kShards + 1);
 
   for (int s = 0; s < kShards; ++s) {
-    threads.emplace_back([&shards, s] {
+    threads.emplace_back([&shards, &merging, s] {
       for (int i = 0; i < kUpdatesPerShard; ++i) {
+        if (i == kUpdatesPerShard / 2) {
+          // Hold the second half until the merger is inside a merge, so
+          // at least one merge always overlaps live writes — even when
+          // a loaded host starts the merger after the writers.
+          while (!merging.load(std::memory_order_acquire)) {
+            std::this_thread::yield();
+          }
+        }
         const double t = static_cast<double>(i) * 0.02;
         const double frac =
             static_cast<double>((i * 40503u + s * 997u) % 1000) / 1000.0;
@@ -139,8 +144,9 @@ TEST(ConcurrentReservoirStressTest, ShardedMergeWhileWriting) {
       }
     });
   }
-  threads.emplace_back([&shards, &done, &merges] {  // merger
+  threads.emplace_back([&shards, &done, &merging, &merges] {  // merger
     while (!done.load(std::memory_order_acquire)) {
+      merging.store(true, std::memory_order_release);
       std::vector<ReservoirSnapshot> snaps;
       snaps.reserve(kShards);
       for (auto& shard : shards) {
@@ -166,159 +172,6 @@ TEST(ConcurrentReservoirStressTest, ShardedMergeWhileWriting) {
   const ReservoirSnapshot combined = MergeSnapshots(snaps);
   EXPECT_EQ(combined.size, static_cast<std::size_t>(kShards) * kCapacity);
   CheckSnapshotInvariants(combined, kShards * kCapacity);
-}
-
-// 4 ingest threads feed one standing two-level query through the
-// ConcurrentQueryExecution facade while an auditor thread interleaves
-// stats reads (and, under -DFWDECAY_AUDIT=ON, full group-table audits)
-// with the writers. Two-level mode with few slots forces continuous
-// low->high evictions under contention.
-TEST(ConcurrentQueryExecutionStressTest, IngestersVsAuditorTwoLevelQuery) {
-  static constexpr int kIngesters = 4;
-  static constexpr int kPacketsPerThread = 20000;
-  static constexpr std::uint32_t kDestPorts = 64;
-
-  static constexpr std::size_t kLowSlots = 16;  // << groups: evict a lot
-
-  std::string error;
-  dsms::CompiledQuery::Options options;
-  options.two_level = true;
-  options.low_level_slots = kLowSlots;
-  const std::unique_ptr<dsms::CompiledQuery> plan = dsms::CompiledQuery::Compile(
-      "select destPort, count(*) from TCP group by destPort", &error, options);
-  ASSERT_NE(plan, nullptr) << error;
-  dsms::ConcurrentQueryExecution exec(*plan);
-
-  std::atomic<bool> done{false};
-  std::vector<std::thread> threads;
-  threads.reserve(kIngesters + 1);
-  for (int u = 0; u < kIngesters; ++u) {
-    threads.emplace_back([&exec, u] {
-      for (int i = 0; i < kPacketsPerThread; ++i) {
-        dsms::Packet p;
-        p.time = static_cast<double>(i) * 0.001;
-        p.src_ip = static_cast<std::uint32_t>(u + 1);
-        p.dest_ip = 0x0a000001u;
-        p.src_port = static_cast<std::uint16_t>(1024 + u);
-        p.dest_port =
-            static_cast<std::uint16_t>((i * 2654435761u + u) % kDestPorts);
-        p.len = 64;
-        // Every fifth packet is UDP: the TCP filter must drop it, so
-        // tuples_aggregated stays strictly below packets_consumed.
-        p.protocol = (i % 5 == 0) ? dsms::kProtoUdp : dsms::kProtoTcp;
-        exec.Consume(p);
-      }
-    });
-  }
-  threads.emplace_back([&exec, &done] {  // auditor / stats reader
-    while (!done.load(std::memory_order_acquire)) {
-      FWDECAY_AUDIT_INVARIANTS(exec);
-      // GroupCount spans both levels; an evicted key can re-enter the
-      // low table, so each of the kLowSlots may hold one duplicate of a
-      // group already promoted to the high table.
-      ASSERT_LE(exec.GroupCount(),
-                static_cast<std::size_t>(kDestPorts) + kLowSlots);
-      // tuples first: ASSERT_LE's argument evaluation order is
-      // unspecified, and reading packets_consumed() before the tuple
-      // count races with concurrent ingest between the two reads.
-      const std::uint64_t tuples = exec.tuples_aggregated();
-      ASSERT_LE(tuples, exec.packets_consumed());
-    }
-  });
-
-  for (int i = 0; i < kIngesters; ++i) threads[i].join();
-  done.store(true, std::memory_order_release);
-  threads.back().join();
-
-  EXPECT_EQ(exec.packets_consumed(),
-            static_cast<std::uint64_t>(kIngesters) * kPacketsPerThread);
-  exec.CheckInvariants();  // direct call: audits in every build, not just AUDIT
-  const dsms::ResultSet result = exec.Finish();
-  EXPECT_EQ(result.rows.size(), static_cast<std::size_t>(kDestPorts));
-}
-
-// 4 ingest threads each build their own PacketBatches and feed one
-// ShardedQueryExecution (4 shards) while an auditor thread interleaves
-// shard-summed stats reads and (under -DFWDECAY_AUDIT=ON) full
-// per-shard group-table audits. The router runs lock-free on every
-// ingest thread; only the per-shard apply takes a lock, so this is the
-// contention pattern the shard layer exists for. Two-level mode with
-// few slots keeps eviction traffic flowing inside every shard.
-TEST(ShardedQueryExecutionStressTest, MultiIngesterShardedTwoLevelQuery) {
-  static constexpr int kIngesters = 4;
-  static constexpr std::size_t kShards = 4;
-  static constexpr int kBatchesPerThread = 100;
-  static constexpr std::size_t kBatchSize = 256;
-  static constexpr std::uint32_t kDestPorts = 64;
-  static constexpr std::size_t kLowSlots = 16;  // << groups: evict a lot
-
-  std::string error;
-  dsms::CompiledQuery::Options options;
-  options.two_level = true;
-  options.low_level_slots = kLowSlots;
-  const std::unique_ptr<dsms::CompiledQuery> plan =
-      dsms::CompiledQuery::Compile(
-          "select destPort, count(*), sum(len) from TCP group by destPort",
-          &error, options);
-  ASSERT_NE(plan, nullptr) << error;
-  dsms::ShardedQueryExecution sharded(*plan, kShards);
-
-  std::atomic<bool> done{false};
-  std::vector<std::thread> threads;
-  threads.reserve(kIngesters + 1);
-  for (int u = 0; u < kIngesters; ++u) {
-    threads.emplace_back([&sharded, u] {
-      dsms::PacketBatch batch(kBatchSize);
-      for (int b = 0; b < kBatchesPerThread; ++b) {
-        batch.Clear();
-        for (std::size_t i = 0; i < kBatchSize; ++i) {
-          const std::size_t seq = b * kBatchSize + i;
-          dsms::Packet p;
-          p.time = static_cast<double>(seq) * 0.001;
-          p.src_ip = static_cast<std::uint32_t>(u + 1);
-          p.dest_ip = 0x0a000001u;
-          p.src_port = static_cast<std::uint16_t>(1024 + u);
-          p.dest_port =
-              static_cast<std::uint16_t>((seq * 2654435761u + u) % kDestPorts);
-          p.len = 64 + static_cast<std::uint32_t>(seq % 1400);
-          // Every fifth packet is UDP so the router's protocol filter
-          // drops rows before they ever reach a shard.
-          p.protocol = (seq % 5 == 0) ? dsms::kProtoUdp : dsms::kProtoTcp;
-          batch.Append(p);
-        }
-        sharded.Consume(batch);
-      }
-    });
-  }
-  threads.emplace_back([&sharded, &done] {  // auditor / stats reader
-    while (!done.load(std::memory_order_acquire)) {
-      FWDECAY_AUDIT_INVARIANTS(sharded);
-      // Each destPort group lives wholly in one shard; per shard an
-      // evicted key can re-enter that shard's low table, so each shard
-      // may hold up to kLowSlots duplicates of promoted groups.
-      ASSERT_LE(sharded.GroupCount(),
-                static_cast<std::size_t>(kDestPorts) + kShards * kLowSlots);
-      // Read tuples BEFORE packets: every tuple observed in a shard had
-      // its batch counted by the router first (mutex release/acquire
-      // orders the router's fetch_add before the shard apply), so a
-      // later packets_consumed() read can only be larger. The reverse
-      // order — which ASSERT_LE's unspecified argument evaluation could
-      // pick — races: ingest between the two reads inverts the bound.
-      const std::uint64_t tuples = sharded.tuples_aggregated();
-      ASSERT_LE(tuples, sharded.packets_consumed());
-    }
-  });
-
-  for (int i = 0; i < kIngesters; ++i) threads[i].join();
-  done.store(true, std::memory_order_release);
-  threads.back().join();
-
-  EXPECT_EQ(sharded.packets_consumed(),
-            static_cast<std::uint64_t>(kIngesters) * kBatchesPerThread *
-                kBatchSize);
-  sharded.CheckInvariants();  // direct call: audits in every build
-  const dsms::ResultSet result = sharded.Finish();
-  EXPECT_EQ(result.rows.size(), static_cast<std::size_t>(kDestPorts));
 }
 
 }  // namespace

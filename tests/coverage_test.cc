@@ -1,7 +1,7 @@
 // Coverage for paths the focused suites leave untouched: TablePrinter's
 // rendered output, deterministic arrival spacing in the generator,
-// sliding windows under out-of-order delivery, query bundles holding
-// UDAFs, EhSum value bounds, and the Cohen–Strauss grid contract.
+// sliding windows under out-of-order delivery, a UDAF query beside a
+// built-in one, EhSum value bounds, and the Cohen–Strauss grid contract.
 
 #include <cstdio>
 #include <map>
@@ -10,7 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include "dsms/bundle.h"
+#include "dsms/engine.h"
 #include "dsms/netgen.h"
 #include "dsms/udafs.h"
 #include "dsms/windows.h"
@@ -102,7 +102,9 @@ TEST(SlidingRunnerTest, JitteredTraceWithSlackLosesNothing) {
   EXPECT_EQ(total, static_cast<std::int64_t>(packets.size()));
 }
 
-TEST(QueryBundleTest, UdafAndBuiltinSideBySide) {
+// A built-in and a UDAF query run side by side over one trace, each as
+// its own single-thread execution.
+TEST(MultiQueryTest, UdafAndBuiltinSideBySide) {
   dsms::RegisterPaperUdafs();
   dsms::TraceConfig cfg;
   cfg.rate_pps = 2000.0;
@@ -110,23 +112,25 @@ TEST(QueryBundleTest, UdafAndBuiltinSideBySide) {
   dsms::PacketGenerator gen(cfg);
 
   std::string error;
-  dsms::QueryBundle bundle;
-  ASSERT_GE(bundle.Add("select destPort, count(*) from TCP group by destPort",
-                       &error),
-            0)
-      << error;
-  ASSERT_GE(bundle.Add(
-                "select tb, FDHH(destIP, (time % 60)*(time % 60) + 1, 0.1, "
-                "0.02) from TCP group by time/60 as tb",
-                &error),
-            0)
-      << error;
-  for (const auto& p : gen.Generate(20000)) bundle.Consume(p);
-  const auto results = bundle.FinishAll();
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_FALSE(results[0].rows.empty());
-  ASSERT_FALSE(results[1].rows.empty());
-  EXPECT_NE(results[1].rows[0][1].AsString().find(':'), std::string::npos);
+  auto counts = dsms::CompiledQuery::Compile(
+      "select destPort, count(*) from TCP group by destPort", &error);
+  ASSERT_NE(counts, nullptr) << error;
+  auto heavy = dsms::CompiledQuery::Compile(
+      "select tb, FDHH(destIP, (time % 60)*(time % 60) + 1, 0.1, 0.02) "
+      "from TCP group by time/60 as tb",
+      &error);
+  ASSERT_NE(heavy, nullptr) << error;
+  auto counts_exec = counts->NewExecution();
+  auto heavy_exec = heavy->NewExecution();
+  for (const auto& p : gen.Generate(20000)) {
+    counts_exec->Consume(p);
+    heavy_exec->Consume(p);
+  }
+  EXPECT_FALSE(counts_exec->Finish().rows.empty());
+  const dsms::ResultSet heavy_rows = heavy_exec->Finish();
+  ASSERT_FALSE(heavy_rows.rows.empty());
+  // FDHH renders its heavy hitters as key:weight pairs.
+  EXPECT_NE(heavy_rows.rows[0][1].AsString().find(':'), std::string::npos);
 }
 
 TEST(EhSumTest, ValueAtBitBoundary) {

@@ -406,10 +406,13 @@ TEST(EngineIntegrationTest, ShardedIngestPopulatesShardFamilies) {
     before[static_cast<std::size_t>(s)] = std::isnan(v) ? 0.0 : v;
   }
 
-  dsms::ShardedQueryExecution sharded(*plan, 2);
-  sharded.Consume(batch);
-  const std::uint64_t aggregated = sharded.tuples_aggregated();
-  sharded.Finish();  // quiesce point: shard deltas publish here
+  dsms::PipelinedQueryExecution::Options options;
+  options.num_shards = 2;
+  dsms::PipelinedQueryExecution pipeline(*plan, options);
+  pipeline.Consume(batch);
+  pipeline.Quiesce();
+  const std::uint64_t aggregated = pipeline.tuples_aggregated();
+  pipeline.Finish();  // shard deltas publish here
 
   metrics::MetricsRegistry::Instance().RenderPrometheus(&text);
   double delta = 0.0;

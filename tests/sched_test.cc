@@ -7,19 +7,14 @@
 //     must survive full bounded exploration;
 //   * replay-token determinism: a failing schedule's token re-executes
 //     the same interleaving and reports the same failure;
-//   * a schedule-explored differential test: two ingester threads feed
-//     a ShardedQueryExecution and Finish() must stay bit-exact against
-//     the single-threaded reference on every explored schedule.
+//   * a library fixture: concurrent DecayedRate marks stay bit-exact
+//     against the single-threaded reference on every explored schedule.
 //
 // The fixtures use sched::Model* types directly, so they run the real
-// model in EVERY build. The engine differential additionally routes
-// fwdecay::Mutex / sched::Atomic through the model when the binary is
-// built with -DFWDECAY_SCHED=ON (the CI sched-explore job); in the
-// default build it degrades to near-sequential schedules around the
-// explicit Yield() points, which still exercises spawn/join ordering.
+// model in EVERY build. The pipeline's schedule-explored differential
+// lives with the ring it drives, in tests/spsc_ring_test.cc.
 //
-// Env knobs (scripts/reproduce.sh passes both through):
-//   FWDECAY_SCHED_SEED    seed for the random-mode differential walk
+// Env knob (scripts/reproduce.sh passes it through):
 //   FWDECAY_SCHED_REPLAY  FWSCHED1 token: deterministically re-run that
 //                         schedule against the fixture it names
 
@@ -27,30 +22,17 @@
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
-#include <memory>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "dsms/batch.h"
-#include "dsms/engine.h"
-#include "dsms/packet.h"
-#include "dsms/udafs.h"
-#include "dsms/value.h"
 #include "util/metrics.h"
-#include "util/random.h"
 #include "util/sched.h"
 
 namespace fwdecay {
 namespace {
-
-using dsms::CompiledQuery;
-using dsms::Packet;
-using dsms::PacketBatch;
-using dsms::ResultSet;
-using dsms::ShardedQueryExecution;
-using dsms::Value;
 
 // --------------------------------------------------------------------
 // Fixture 1: torn two-word publish. The writer fills two data words and
@@ -376,137 +358,6 @@ TEST(SchedReplayTest, PassingScheduleReplaysClean) {
       [] { TornPublishBody(true); });
   EXPECT_EQ(replay.schedules_run, 1u);
   EXPECT_FALSE(replay.failed) << replay.failure;
-}
-
-// --------------------------------------------------------------------
-// Schedule-explored engine differential: two ingesters feed disjoint
-// group-key ranges (so every group's update sequence is fixed no matter
-// the interleaving) into a 2-shard execution, and the merged Finish()
-// must be bit-identical to the single-threaded reference on EVERY
-// explored schedule. Under -DFWDECAY_SCHED=ON the shard mutexes and the
-// router counter run through the model, so this explores real
-// router -> shard -> Finish() merge interleavings; in the default build
-// it still explores spawn/join orderings around the Yield() points.
-
-constexpr char kShardQuery[] =
-    "select srcPort, count(*), sum(len) from TCP group by srcPort";
-
-std::vector<PacketBatch> MakeDisjointBatches(std::uint16_t port_base,
-                                             std::size_t n_packets,
-                                             std::size_t batch_capacity) {
-  Rng rng(0x5eedULL + port_base);
-  std::vector<PacketBatch> batches;
-  PacketBatch batch(batch_capacity);
-  double t = 0.0;
-  for (std::size_t i = 0; i < n_packets; ++i) {
-    t += 0.001;
-    Packet p;
-    p.time = t;
-    p.src_ip = 0x0a000001u + static_cast<std::uint32_t>(i % 5);
-    p.dest_ip = 0x0a00ff01u;
-    p.src_port = static_cast<std::uint16_t>(port_base + i % 4);
-    p.dest_port = 443;
-    p.len = 40 + static_cast<std::uint32_t>(rng.NextBounded(1400));
-    p.protocol = dsms::kProtoTcp;
-    batch.Append(p);
-    if (batch.full()) {
-      batches.push_back(std::move(batch));
-      batch = PacketBatch(batch_capacity);
-    }
-  }
-  if (!batch.empty()) batches.push_back(std::move(batch));
-  return batches;
-}
-
-bool BitIdentical(const ResultSet& got, const ResultSet& want) {
-  if (got.columns != want.columns || got.rows.size() != want.rows.size()) {
-    return false;
-  }
-  for (std::size_t r = 0; r < got.rows.size(); ++r) {
-    if (got.rows[r].size() != want.rows[r].size()) return false;
-    for (std::size_t c = 0; c < got.rows[r].size(); ++c) {
-      const Value& a = got.rows[r][c];
-      const Value& b = want.rows[r][c];
-      if (a.is_double() != b.is_double()) return false;
-      if (a.is_double()) {
-        if (std::bit_cast<std::uint64_t>(a.AsDouble()) !=
-            std::bit_cast<std::uint64_t>(b.AsDouble())) {
-          return false;
-        }
-      } else if (!(a == b)) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-TEST(SchedShardedDifferentialTest, FinishBitExactUnderTwoIngesterExploration) {
-  dsms::RegisterPaperUdafs();
-  std::string error;
-  auto plan = CompiledQuery::Compile(kShardQuery, &error, {});
-  ASSERT_NE(plan, nullptr) << error;
-
-  const std::vector<PacketBatch> feed_a =
-      MakeDisjointBatches(/*port_base=*/1000, /*n_packets=*/32, 16);
-  const std::vector<PacketBatch> feed_b =
-      MakeDisjointBatches(/*port_base=*/2000, /*n_packets=*/32, 16);
-
-  // Single-threaded reference: feed order across ingesters is
-  // irrelevant because the port ranges are disjoint — each group sees
-  // exactly one ingester's update sequence.
-  auto reference = plan->NewExecution();
-  for (const PacketBatch& b : feed_a) reference->Consume(b);
-  for (const PacketBatch& b : feed_b) reference->Consume(b);
-  const ResultSet want = reference->Finish();
-  const std::uint64_t want_offered = 64;
-
-  const auto body = [&] {
-    ShardedQueryExecution sharded(*plan, /*num_shards=*/2);
-    sched::Thread ingester_a([&] {
-      for (const PacketBatch& b : feed_a) {
-        sharded.Consume(b);
-        sched::Yield();
-      }
-    });
-    sched::Thread ingester_b([&] {
-      for (const PacketBatch& b : feed_b) {
-        sharded.Consume(b);
-        sched::Yield();
-      }
-    });
-    ingester_a.Join();
-    ingester_b.Join();
-    sched::Expect(sharded.packets_consumed() == want_offered,
-                  "sharded merge: router dropped or double-counted packets");
-    sched::Expect(BitIdentical(sharded.Finish(), want),
-                  "sharded merge: Finish() diverged from the "
-                  "single-threaded reference under this schedule");
-  };
-
-  // Seeded random walk (FWDECAY_SCHED_SEED reproduces CI locally), plus
-  // a small exhaustive prefix of the schedule tree.
-  sched::ExploreOptions random_options;
-  random_options.name = "sharded_merge";
-  random_options.mode = sched::Mode::kRandom;
-  random_options.max_schedules = 32;
-  random_options.seed = 0xf00dULL;
-  if (const char* env = std::getenv("FWDECAY_SCHED_SEED");
-      env != nullptr && env[0] != '\0') {
-    random_options.seed = std::strtoull(env, nullptr, 0);
-  }
-  const sched::ExploreResult random_result =
-      sched::Explore(random_options, body);
-  EXPECT_FALSE(random_result.failed)
-      << random_result.failure << "\nseed: " << random_options.seed
-      << "\nreplay: " << random_result.replay_token;
-
-  sched::ExploreOptions dfs_options;
-  dfs_options.name = "sharded_merge";
-  dfs_options.max_schedules = 48;
-  const sched::ExploreResult dfs_result = sched::Explore(dfs_options, body);
-  EXPECT_FALSE(dfs_result.failed)
-      << dfs_result.failure << "\nreplay: " << dfs_result.replay_token;
 }
 
 // --------------------------------------------------------------------

@@ -11,15 +11,17 @@
 //     mutation the explorer must catch — plus wraparound and full/empty
 //     ABA exploration of the actual SpscRing;
 //   * pipeline differentials: Finish() bit-identical to the
-//     single-threaded reference (single-level plans) and to the
-//     mutex-router ShardedQueryExecution (two-level plans), with tiny
-//     rings/batches so backpressure and wraparound are on the path —
+//     single-threaded reference (single-level plans) and to a serial
+//     partitioned reference — single-thread runs over the pipeline's
+//     own per-shard streams (two-level plans, shedding policies) — with
+//     tiny rings/batches so backpressure and wraparound are on the path,
 //     including under schedule exploration.
 //
 // Replay: FWDECAY_SCHED_REPLAY tokens naming ring_publish[_fixed] /
 // ring_wrap / ring_full_empty re-run that schedule here (this binary's
 // EnvTokenReplay skips tokens owned by other fixtures).
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
@@ -39,6 +41,7 @@
 #include "dsms/value.h"
 #include "util/random.h"
 #include "util/sched.h"
+#include "util/simd.h"
 #include "util/spsc_ring.h"
 
 namespace fwdecay {
@@ -49,8 +52,8 @@ using dsms::OverloadPolicy;
 using dsms::Packet;
 using dsms::PacketBatch;
 using dsms::PipelinedQueryExecution;
+using dsms::QueryExecution;
 using dsms::ResultSet;
-using dsms::ShardedQueryExecution;
 using dsms::Value;
 
 // --------------------------------------------------------------------
@@ -341,10 +344,68 @@ TEST(PipelinedExecutionTest, FinishBitIdenticalToSingleThreadReference) {
   }
 }
 
-// Two-level plans: per-shard streams are identical between the mutex'd
-// router and the pipeline (same remixed hash, same stream order), and
-// aggregation state is invariant to batch segmentation — so the two
-// executions stay bit-identical even through low-level evictions.
+// Serial partitioned reference for a pipeline of `num_shards` over
+// kPipelineQuery: splits the feed by the pipeline's own routing — the
+// srcPort group hash (simd::GroupHashI64 under kGroupHashSeed) remixed
+// into a shard index (simd::ShardIndexU64 under kShardRouteSeed) — and
+// feeds each part, in stream order, to its own single-thread execution
+// of `plan` under `policy`. Rows the plan's filter drops may land in any
+// part; each part drops them again.
+std::vector<std::unique_ptr<QueryExecution>> RunPartitioned(
+    const CompiledQuery& plan, const std::vector<PacketBatch>& feed,
+    std::size_t num_shards, const OverloadPolicy& policy) {
+  std::vector<std::unique_ptr<QueryExecution>> parts;
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    parts.push_back(plan.NewExecution());
+    parts.back()->SetOverloadPolicy(policy);
+  }
+  std::vector<std::int64_t> keys;
+  std::vector<std::uint64_t> hashes;
+  std::vector<std::uint32_t> shard_of;
+  for (const PacketBatch& b : feed) {
+    const std::size_t n = b.size();
+    keys.assign(b.src_port(), b.src_port() + n);
+    hashes.resize(n);
+    shard_of.resize(n);
+    simd::GroupHashI64(keys.data(), n, dsms::kGroupHashSeed, hashes.data());
+    simd::ShardIndexU64(hashes.data(), n, dsms::kShardRouteSeed,
+                        static_cast<std::uint32_t>(num_shards),
+                        shard_of.data());
+    for (std::size_t i = 0; i < n; ++i) parts[shard_of[i]]->Consume(b.Get(i));
+  }
+  return parts;
+}
+
+// The parts' results merged in key order (column 0 is the srcPort key;
+// the parts' key spaces are disjoint).
+ResultSet MergeInKeyOrder(
+    const std::vector<std::unique_ptr<QueryExecution>>& parts) {
+  ResultSet merged;
+  for (const auto& part : parts) {
+    ResultSet rs = part->Finish();
+    merged.columns = rs.columns;
+    for (auto& row : rs.rows) merged.rows.push_back(std::move(row));
+  }
+  std::sort(merged.rows.begin(), merged.rows.end(),
+            [](const std::vector<Value>& a, const std::vector<Value>& b) {
+              return a[0].AsInt() < b[0].AsInt();
+            });
+  return merged;
+}
+
+template <typename Getter>
+std::uint64_t SumParts(const std::vector<std::unique_ptr<QueryExecution>>& parts,
+                       Getter getter) {
+  std::uint64_t total = 0;
+  for (const auto& part : parts) total += getter(*part);
+  return total;
+}
+
+// Two-level plans: each shard sees exactly its part of the stream, in
+// stream order, and aggregation state is invariant to batch
+// segmentation — so the pipeline stays bit-identical to the serial
+// partitioned reference even through low-level evictions (the tiny
+// 64-slot low table keeps eviction points on the path).
 TEST(PipelinedExecutionTest, MatchesMutexRouterBitExactTwoLevel) {
   dsms::RegisterPaperUdafs();
   std::string error;
@@ -357,10 +418,10 @@ TEST(PipelinedExecutionTest, MatchesMutexRouterBitExactTwoLevel) {
   const std::vector<PacketBatch> feed =
       MakeFeed(/*n_packets=*/4096, /*batch_capacity=*/128,
                /*port_spread=*/251);
-
-  ShardedQueryExecution sharded(*plan, /*num_shards=*/4);
-  for (const PacketBatch& b : feed) sharded.Consume(b);
-  const ResultSet want = sharded.Finish();
+  const auto parts = RunPartitioned(*plan, feed, /*num_shards=*/4, {});
+  const std::uint64_t want_evictions = SumParts(
+      parts, [](const QueryExecution& e) { return e.low_level_evictions(); });
+  ASSERT_GT(want_evictions, 0u);
 
   PipelinedQueryExecution::Options options;
   options.num_shards = 4;
@@ -368,15 +429,19 @@ TEST(PipelinedExecutionTest, MatchesMutexRouterBitExactTwoLevel) {
   options.batch_capacity = 64;
   PipelinedQueryExecution pipeline(*plan, options);
   for (const PacketBatch& b : feed) pipeline.Consume(b);
+  pipeline.Quiesce();
+  EXPECT_EQ(pipeline.low_level_evictions(), want_evictions);
   const ResultSet got = pipeline.Finish();
+  const ResultSet want = MergeInKeyOrder(parts);
   EXPECT_TRUE(BitIdentical(got, want))
       << "--- got ---\n" << got.ToString()
       << "--- want ---\n" << want.ToString();
 }
 
 // Overload shedding is a per-shard decision on the per-shard stream, so
-// the pipeline and the mutex'd router shed the same groups; the frozen
-// post-Quiesce stats and the group-table audit must agree.
+// the pipeline sheds exactly the groups the serial partitioned
+// reference sheds; the frozen post-Quiesce stats must equal the parts'
+// sums and the group-table audit must pass.
 TEST(PipelinedExecutionTest, OverloadPolicyStatsAndAuditAfterQuiesce) {
   dsms::RegisterPaperUdafs();
   std::string error;
@@ -388,10 +453,7 @@ TEST(PipelinedExecutionTest, OverloadPolicyStatsAndAuditAfterQuiesce) {
   OverloadPolicy policy;
   policy.max_groups = 4;
   policy.decay_alpha = 0.01;
-
-  ShardedQueryExecution sharded(*plan, /*num_shards=*/2);
-  sharded.SetOverloadPolicy(policy);
-  for (const PacketBatch& b : feed) sharded.Consume(b);
+  const auto parts = RunPartitioned(*plan, feed, /*num_shards=*/2, policy);
 
   PipelinedQueryExecution::Options options;
   options.num_shards = 2;
@@ -406,12 +468,23 @@ TEST(PipelinedExecutionTest, OverloadPolicyStatsAndAuditAfterQuiesce) {
   EXPECT_EQ(pipeline.packets_consumed(), 2048u);
   EXPECT_LE(pipeline.GroupCount(), 2u * policy.max_groups);
   EXPECT_GT(pipeline.groups_shed(), 0u);
-  EXPECT_EQ(pipeline.tuples_aggregated(), sharded.tuples_aggregated());
-  EXPECT_EQ(pipeline.groups_shed(), sharded.groups_shed());
-  EXPECT_EQ(pipeline.tuples_shed(), sharded.tuples_shed());
+  EXPECT_EQ(pipeline.GroupCount(),
+            SumParts(parts, [](const QueryExecution& e) {
+              return std::uint64_t{e.GroupCount()};
+            }));
+  EXPECT_EQ(pipeline.tuples_aggregated(),
+            SumParts(parts, [](const QueryExecution& e) {
+              return e.tuples_aggregated();
+            }));
+  EXPECT_EQ(pipeline.groups_shed(),
+            SumParts(parts,
+                     [](const QueryExecution& e) { return e.groups_shed(); }));
+  EXPECT_EQ(pipeline.tuples_shed(),
+            SumParts(parts,
+                     [](const QueryExecution& e) { return e.tuples_shed(); }));
   pipeline.CheckInvariants();
 
-  EXPECT_TRUE(BitIdentical(pipeline.Finish(), sharded.Finish()));
+  EXPECT_TRUE(BitIdentical(pipeline.Finish(), MergeInKeyOrder(parts)));
 }
 
 // Schedule-explored pipeline differential: a tiny pipeline (2 workers,

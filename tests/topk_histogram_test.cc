@@ -1,4 +1,4 @@
-// Tests for DecayedTopK, DecayedHistogram, and QueryBundle.
+// Tests for DecayedTopK and DecayedHistogram.
 
 #include <cmath>
 #include <set>
@@ -8,8 +8,6 @@
 #include "core/exact_reference.h"
 #include "core/histogram.h"
 #include "core/topk.h"
-#include "dsms/bundle.h"
-#include "dsms/netgen.h"
 #include "util/random.h"
 #include "util/zipf.h"
 
@@ -134,56 +132,6 @@ TEST(DecayedHistogramTest, MergeAndRescale) {
   a.RescaleLandmark(3.0);
   EXPECT_NEAR(a.BinMass(5.0, 0), before_bin0, 1e-12);
   EXPECT_NEAR(a.BinMass(5.0, 2), before_bin2, 1e-12);
-}
-
-TEST(QueryBundleTest, SharedScanMatchesIndividualRuns) {
-  dsms::TraceConfig cfg;
-  cfg.rate_pps = 5000.0;
-  cfg.seed = 7;
-  dsms::PacketGenerator gen(cfg);
-  const auto packets = gen.Generate(20000);
-
-  const char* queries[] = {
-      "select destPort, count(*) from TCP group by destPort",
-      "select tb, sum(len) from PKT group by time/1 as tb",
-      "select protocol, avg(len) from PKT group by protocol",
-  };
-  std::string error;
-  dsms::QueryBundle bundle;
-  for (const char* q : queries) {
-    ASSERT_GE(bundle.Add(q, &error), 0) << error;
-  }
-  for (const auto& p : packets) bundle.Consume(p);
-  const auto bundled = bundle.FinishAll();
-
-  for (int i = 0; i < 3; ++i) {
-    auto plan = dsms::CompiledQuery::Compile(queries[i], &error);
-    ASSERT_NE(plan, nullptr);
-    auto exec = plan->NewExecution();
-    for (const auto& p : packets) exec->Consume(p);
-    const auto solo = exec->Finish();
-    ASSERT_EQ(bundled[static_cast<std::size_t>(i)].rows.size(),
-              solo.rows.size())
-        << queries[i];
-  }
-}
-
-TEST(QueryBundleTest, FinishRestartsExecution) {
-  std::string error;
-  dsms::QueryBundle bundle;
-  ASSERT_GE(bundle.Add("select destPort, count(*) from TCP group by destPort",
-                       &error),
-            0);
-  dsms::Packet p;
-  p.time = 1.0;
-  p.dest_port = 80;
-  p.protocol = dsms::kProtoTcp;
-  bundle.Consume(p);
-  EXPECT_EQ(bundle.Finish(0).rows.size(), 1u);
-  // After Finish the execution restarts empty.
-  EXPECT_TRUE(bundle.Finish(0).rows.empty());
-  bundle.Consume(p);
-  EXPECT_EQ(bundle.Finish(0).rows.size(), 1u);
 }
 
 }  // namespace
