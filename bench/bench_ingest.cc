@@ -135,7 +135,7 @@ ModeResult RunBatched(const dsms::CompiledQuery& plan,
 ModeResult RunPipeline(const dsms::CompiledQuery& plan,
                        const std::vector<dsms::PacketBatch>& batches,
                        std::size_t n_packets, std::size_t num_shards,
-                       std::size_t ring_capacity, bool pin_cores) {
+                       std::size_t ring_capacity) {
   ModeResult r;
   r.mode = "pipeline";
   r.pipeline = "spsc-v2";
@@ -145,7 +145,6 @@ ModeResult RunPipeline(const dsms::CompiledQuery& plan,
   options.num_shards = num_shards;
   options.ring_capacity = ring_capacity;
   options.batch_capacity = kBatchCapacity;
-  options.pin_cores = pin_cores;
   dsms::PipelinedQueryExecution pipeline(plan, options);
   // The timer covers routing + the full drain (Quiesce), so the number
   // is end-to-end ingest; the merge in Finish() stays off the clock.
@@ -216,7 +215,6 @@ int main(int argc, char** argv) {
   std::size_t n_packets = 1000000;
   std::size_t max_shards = 8;
   std::size_t ring_capacity = 64;
-  bool pin_cores = false;
   std::string json_path = "BENCH_ingest.json";
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
@@ -224,8 +222,6 @@ int main(int argc, char** argv) {
     if (arg == "--quick") {
       quick = true;
       n_packets = 100000;
-    } else if (arg == "--pin") {
-      pin_cores = true;
     } else if (arg.rfind("--packets=", 0) == 0) {
       n_packets = static_cast<std::size_t>(
           std::strtoull(arg.c_str() + 10, nullptr, 10));
@@ -239,7 +235,7 @@ int main(int argc, char** argv) {
       json_path = arg.substr(7);
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--quick] [--pin] [--packets=N] [--shards=N] "
+                   "usage: %s [--quick] [--packets=N] [--shards=N] "
                    "[--ring=SLOTS] [--json=PATH]\n",
                    argv[0]);
       return 2;
@@ -281,7 +277,7 @@ int main(int argc, char** argv) {
   results.push_back(RunBatched(*plan, batches, trace.size()));
   for (std::size_t shards = 1; shards <= max_shards; shards *= 2) {
     results.push_back(RunPipeline(*plan, batches, trace.size(), shards,
-                                  ring_capacity, pin_cores));
+                                  ring_capacity));
   }
 
   const ModeResult& reference = results.front();

@@ -1420,8 +1420,9 @@ class HotpathPurityAnalysis:
     def finish(self, findings: list) -> None:
         self._collect()
         # `Consume` is a root only in its batched form: the per-tuple
-        # Consume(Packet) overloads (legacy path, tumbling runner) are
-        # convenience surfaces, not the measured ingest path.
+        # Consume(Packet) overloads (QueryExecution's one-row wrapper,
+        # and TumblingRunner's, which only collects rows for the batched
+        # form) are convenience surfaces, not the measured ingest path.
         roots = [f for f in self.funcs
                  if f.name in HOTPATH_ROOTS
                  and (f.name != "Consume" or "PacketBatch" in f.params)]

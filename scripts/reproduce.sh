@@ -14,9 +14,6 @@
 #                     --shards                          [default: 8]
 #   FWDECAY_RING      per-shard SPSC ring capacity in batches (power of
 #                     two >= 2); forwarded as --ring      [default: 64]
-#   FWDECAY_PIN_CORES ON pins pipeline threads round-robin to cores
-#                     (router -> core 0, worker s -> core s+1 mod nproc,
-#                     DESIGN.md §14.5); forwarded as --pin [default: OFF]
 #   FWDECAY_METRICS   OFF compiles the self-instrumentation layer to
 #                     no-ops (DESIGN.md §9); bench_ingest rows record
 #                     which setting produced them         [default: ON]
@@ -61,7 +58,6 @@ CMAKE_BUILD_TYPE="${CMAKE_BUILD_TYPE:-Release}"
 FWDECAY_AUDIT="${FWDECAY_AUDIT:-OFF}"
 FWDECAY_SHARDS="${FWDECAY_SHARDS:-8}"
 FWDECAY_RING="${FWDECAY_RING:-64}"
-FWDECAY_PIN_CORES="${FWDECAY_PIN_CORES:-OFF}"
 FWDECAY_METRICS="${FWDECAY_METRICS:-ON}"
 FWDECAY_SIMD="${FWDECAY_SIMD:-on}"
 FWDECAY_SCHED="${FWDECAY_SCHED:-OFF}"
@@ -119,9 +115,6 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure 2>&1 | tee test_output.txt
   # appends a JSON line per mode+shard-count to
   # BENCH_ingest.json at the repo root.
   INGEST_ARGS=("--shards=${FWDECAY_SHARDS}" "--ring=${FWDECAY_RING}")
-  if [[ "${FWDECAY_PIN_CORES}" == "ON" ]]; then
-    INGEST_ARGS+=(--pin)
-  fi
   "./${BUILD_DIR}/bench/bench_ingest" "${INGEST_ARGS[@]}"
 } 2>&1 | tee bench_output.txt
 

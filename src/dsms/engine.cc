@@ -9,10 +9,6 @@
 #include <thread>
 #include <utility>
 
-#if defined(__linux__)
-#include <sched.h>  // sched_setaffinity (worker core pinning)
-#endif
-
 #include "core/decay.h"
 #include "util/arena.h"
 #include "util/bytes.h"
@@ -1405,26 +1401,6 @@ bool QueryExecution::RestoreBytes(const std::uint8_t* data, std::size_t size,
 // Pipelined execution (shared-nothing, DESIGN.md §14)
 // ---------------------------------------------------------------------------
 
-namespace {
-
-// Pins the calling thread to one core (Linux; no-op elsewhere). Best
-// effort: a failed setaffinity (e.g. restricted cpuset) just leaves the
-// thread floating.
-void PinCallingThreadToCore(std::size_t index) {
-#if defined(__linux__)
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(index % hw), &set);
-  (void)::sched_setaffinity(0, sizeof(set), &set);
-#else
-  (void)index;
-#endif
-}
-
-}  // namespace
-
 struct PipelinedQueryExecution::Shard {
   // Router -> worker: full sub-batches; ownership moves with the batch.
   SpscRing<PacketBatch> to_worker;
@@ -1457,10 +1433,8 @@ PipelinedQueryExecution::PipelinedQueryExecution(const CompiledQuery& plan,
   }
   // Spawn last: a worker only touches its own (fully constructed) shard
   // plus stop_, and the spawn itself synchronizes-with the worker body.
-  for (std::size_t s = 0; s < options.num_shards; ++s) {
-    Shard* shard = shards_[s].get();
-    shards_[s]->worker =
-        sched::Thread([this, shard, s] { WorkerLoop(*shard, s); });
+  for (auto& shard : shards_) {
+    shard->worker = sched::Thread([this, s = shard.get()] { WorkerLoop(*s); });
   }
 }
 
@@ -1545,11 +1519,7 @@ void PipelinedQueryExecution::DispatchPending(Shard& shard) {
   }
 }
 
-void PipelinedQueryExecution::WorkerLoop(Shard& shard, std::size_t index) {
-  if (options_.pin_cores && !sched::InScheduledRegion()) {
-    // Core 0 is left to the router (the caller's thread).
-    PinCallingThreadToCore(index + 1);
-  }
+void PipelinedQueryExecution::WorkerLoop(Shard& shard) {
   PacketBatch batch(1);
   for (;;) {
     if (!shard.to_worker.TryPop(&batch)) {

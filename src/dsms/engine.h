@@ -403,10 +403,6 @@ class PipelinedQueryExecution {
     std::size_t ring_capacity = 64;
     /// Rows per gathered sub-batch handed to a worker.
     std::size_t batch_capacity = PacketBatch::kDefaultCapacity;
-    /// Pins worker i to core (i + 1) % hardware_concurrency (Linux
-    /// only; ignored elsewhere and under schedule exploration). The
-    /// router stays on the caller's thread, so core 0 is left to it.
-    bool pin_cores = false;
   };
 
   /// The plan must outlive this object. Workers start immediately.
@@ -455,7 +451,7 @@ class PipelinedQueryExecution {
   struct Shard;  // rings + worker + owned QueryExecution (engine.cc)
 
   void DispatchPending(Shard& shard);
-  void WorkerLoop(Shard& shard, std::size_t index);
+  void WorkerLoop(Shard& shard);
   std::uint64_t SumQuiesced(std::uint64_t (QueryExecution::*getter)()
                                 const) const;
 

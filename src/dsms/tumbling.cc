@@ -7,6 +7,13 @@
 
 namespace fwdecay::dsms {
 
+namespace {
+
+// 2^63: bucket indices must lie in [-2^63, 2^63) to convert to int64.
+constexpr double kBucketIndexLimit = 9223372036854775808.0;
+
+}  // namespace
+
 TumblingRunner::TumblingRunner(const CompiledQuery* plan,
                                double bucket_seconds, EmitFn emit,
                                double slack_seconds)
@@ -20,44 +27,65 @@ TumblingRunner::TumblingRunner(const CompiledQuery* plan,
 }
 
 void TumblingRunner::Consume(const Packet& p) {
-  const auto bucket =
-      static_cast<std::int64_t>(std::floor(p.time / bucket_seconds_));
+  const double index = std::floor(p.time / bucket_seconds_);
+  // Written so NaN fails it too.
+  if (!(index >= -kBucketIndexLimit && index < kBucketIndexLimit)) {
+    ++late_drops_;
+    return;
+  }
+  const auto bucket = static_cast<std::int64_t>(index);
   if (bucket < next_unemitted_) {
     ++late_drops_;
     return;
   }
-  auto it = open_.find(bucket);
-  if (it == open_.end()) {
-    it = open_.emplace(bucket, AcquireExecution()).first;
+  if (pending_exec_ == nullptr || bucket != pending_bucket_) {
+    FeedPending();
+    auto it = open_.find(bucket);
+    if (it == open_.end()) {
+      it = open_.emplace(bucket, AcquireExecution()).first;
+    }
+    pending_bucket_ = bucket;
+    pending_exec_ = it->second.get();
+  } else if (pending_.full()) {
+    FeedPending();
   }
-  it->second->Consume(p);
+  pending_.Append(p);
   if (p.time > watermark_) {
     watermark_ = p.time;
     EmitReady();
   }
 }
 
+void TumblingRunner::FeedPending() {
+  if (pending_.empty()) return;
+  pending_exec_->Consume(pending_);
+  pending_.Clear();
+}
+
+void TumblingRunner::EmitFront() {
+  const auto front = open_.begin();
+  const std::int64_t bucket = front->first;
+  if (front->second.get() == pending_exec_) {
+    FeedPending();
+    pending_exec_ = nullptr;
+  }
+  emit_(bucket, front->second->Finish());
+  ReleaseExecution(std::move(front->second));
+  open_.erase(front);
+  next_unemitted_ = bucket + 1;
+}
+
 void TumblingRunner::EmitReady() {
   while (!open_.empty()) {
-    const std::int64_t bucket = open_.begin()->first;
     const double bucket_end =
-        (static_cast<double>(bucket) + 1.0) * bucket_seconds_;
+        (static_cast<double>(open_.begin()->first) + 1.0) * bucket_seconds_;
     if (watermark_ < bucket_end + slack_seconds_) break;
-    emit_(bucket, open_.begin()->second->Finish());
-    ReleaseExecution(std::move(open_.begin()->second));
-    open_.erase(open_.begin());
-    next_unemitted_ = bucket + 1;
+    EmitFront();
   }
 }
 
 void TumblingRunner::Flush() {
-  while (!open_.empty()) {
-    const std::int64_t bucket = open_.begin()->first;
-    emit_(bucket, open_.begin()->second->Finish());
-    ReleaseExecution(std::move(open_.begin()->second));
-    open_.erase(open_.begin());
-    next_unemitted_ = bucket + 1;
-  }
+  while (!open_.empty()) EmitFront();
 }
 
 std::unique_ptr<QueryExecution> TumblingRunner::AcquireExecution() {

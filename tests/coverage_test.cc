@@ -1,10 +1,9 @@
 // Coverage for paths the focused suites leave untouched: TablePrinter's
-// rendered output, deterministic arrival spacing in the generator,
-// sliding windows under out-of-order delivery, a UDAF query beside a
-// built-in one, EhSum value bounds, and the Cohen–Strauss grid contract.
+// rendered output, deterministic arrival spacing in the generator, a
+// UDAF query beside a built-in one, EhSum value bounds, and the
+// Cohen–Strauss grid contract.
 
 #include <cstdio>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -13,7 +12,6 @@
 #include "dsms/engine.h"
 #include "dsms/netgen.h"
 #include "dsms/udafs.h"
-#include "dsms/windows.h"
 #include "sketch/backward_sum.h"
 #include "sketch/exp_histogram.h"
 #include "util/table_printer.h"
@@ -73,33 +71,6 @@ TEST(NetgenTest, DeterministicArrivalSpacing) {
     EXPECT_NEAR(p.time - prev, 0.001, 1e-9);
     prev = p.time;
   }
-}
-
-TEST(SlidingRunnerTest, JitteredTraceWithSlackLosesNothing) {
-  dsms::TraceConfig cfg;
-  cfg.rate_pps = 2000.0;
-  cfg.reorder_jitter = 0.5;
-  cfg.tcp_fraction = 1.0;
-  cfg.seed = 21;
-  dsms::PacketGenerator gen(cfg);
-  const auto packets = gen.Generate(2000 * 30);
-
-  std::string error;
-  auto plan = dsms::CompiledQuery::Compile(
-      "select destPort, count(*) from TCP group by destPort", &error);
-  ASSERT_NE(plan, nullptr) << error;
-  // Tumbling (slide == width) so every packet is counted exactly once.
-  std::int64_t total = 0;
-  dsms::SlidingRunner runner(
-      plan.get(), /*width=*/5.0, /*slide=*/5.0,
-      [&](double, double, dsms::ResultSet rs) {
-        for (const auto& row : rs.rows) total += row[1].AsInt();
-      },
-      /*slack_seconds=*/1.0);
-  for (const auto& p : packets) runner.Consume(p);
-  runner.Flush();
-  EXPECT_EQ(runner.late_drops(), 0u);
-  EXPECT_EQ(total, static_cast<std::int64_t>(packets.size()));
 }
 
 // A built-in and a UDAF query run side by side over one trace, each as
