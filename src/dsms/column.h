@@ -25,6 +25,13 @@
 
 namespace fwdecay::dsms {
 
+/// Value equality of an int64 against a Value (int/int exact, string
+/// false, otherwise compared as doubles): Value(x) == v without boxing x.
+inline bool I64EqualsValue(std::int64_t x, const Value& v) {
+  if (v.is_int()) return x == v.AsInt();
+  return !v.is_string() && static_cast<double>(x) == v.AsDouble();
+}
+
 class ValueColumn {
  public:
   enum class Rep : std::uint8_t { kI64, kF64, kBoxed };
@@ -124,10 +131,7 @@ class ValueColumn {
     friend bool operator==(const RowRef& a, const Value& v) {
       switch (a.col_->rep()) {
         case Rep::kI64:
-          if (v.is_string()) return false;
-          if (v.is_int()) return a.col_->i64_data()[a.row_] == v.AsInt();
-          return static_cast<double>(a.col_->i64_data()[a.row_]) ==
-                 v.AsDouble();
+          return I64EqualsValue(a.col_->i64_data()[a.row_], v);
         case Rep::kF64:
           if (v.is_string()) return false;
           return a.col_->f64_data()[a.row_] == v.AsDouble();

@@ -36,16 +36,30 @@ std::uint64_t HashKey(const std::vector<Value>& key) {
   return h;
 }
 
+// True when every group-key column is kI64 (ints, IPs, ports, time/c):
+// keys then hash, compare and probe as raw int64 arrays.
+bool AllKeysI64(const std::vector<ValueColumn>& key_cols,
+                std::size_t num_groups) {
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    if (key_cols[g].rep() != ValueColumn::Rep::kI64) return false;
+  }
+  return num_groups > 0;
+}
+
 // Group hash per selected row — HashKey replicated over the dense key
-// columns. The ubiquitous single-int64-key shape (srcIP, time/60, a
-// port) takes the vectorized kernel, which is bit-identical to
-// HashCombine(seed, HashU64(k, 1)); everything else (doubles, strings,
-// composite keys) walks the columns per row.
+// columns. All-int64 keys of any arity hash column by column through
+// the vectorized kernels (GroupHashI64 for column 0, then
+// GroupHashCombineI64 per further column), bit-identical to HashKey of
+// the boxed key; keys with a double, string or mixed column walk the
+// columns per row.
 void ComputeGroupHashes(const std::vector<ValueColumn>& key_cols,
                         std::size_t num_groups, std::size_t n,
                         std::uint64_t* out) {
-  if (num_groups == 1 && key_cols[0].rep() == ValueColumn::Rep::kI64) {
+  if (AllKeysI64(key_cols, num_groups)) {
     simd::GroupHashI64(key_cols[0].i64_data(), n, kGroupHashSeed, out);
+    for (std::size_t g = 1; g < num_groups; ++g) {
+      simd::GroupHashCombineI64(key_cols[g].i64_data(), n, out);
+    }
     return;
   }
   for (std::size_t i = 0; i < n; ++i) {
@@ -55,6 +69,32 @@ void ComputeGroupHashes(const std::vector<ValueColumn>& key_cols,
     }
     out[i] = h;
   }
+}
+
+// Rows a and b of the key columns hold equal keys (Value equality).
+bool RowKeysEqual(const std::vector<ValueColumn>& key_cols, bool all_i64,
+                  std::size_t a, std::size_t b) {
+  for (std::size_t g = 0; g < key_cols.size(); ++g) {
+    const bool same =
+        all_i64 ? key_cols[g].i64_data()[a] == key_cols[g].i64_data()[b]
+                : key_cols[g][a] == key_cols[g][b];
+    if (!same) return false;
+  }
+  return true;
+}
+
+// Row `row` of the key columns equals a stored group key (KeysEqual of
+// the row's boxed key and `key`).
+bool RowKeyEquals(const std::vector<ValueColumn>& key_cols, bool all_i64,
+                  std::size_t row, const std::vector<Value>& key) {
+  if (key.size() != key_cols.size()) return false;
+  for (std::size_t g = 0; g < key.size(); ++g) {
+    const bool same =
+        all_i64 ? I64EqualsValue(key_cols[g].i64_data()[row], key[g])
+                : key_cols[g][row] == key[g];
+    if (!same) return false;
+  }
+  return true;
 }
 
 // The filter stage: the protocol filter (a vectorized byte compare over
@@ -241,8 +281,8 @@ struct EngineMetrics {
         "Total snapshot bytes handed to the atomic-write path.");
     m.checkpoint_ns = reg.GetReservoir(
         "fwdecay_checkpoint_ns",
-        "Checkpoint() wall time incl. fsync+rename, ns (decayed "
-        "reservoir).",
+        "Durable snapshot wall time incl. fsync+rename (engine "
+        "Checkpoint() and fwdecayd checkpoints), ns (decayed reservoir).",
         /*k=*/64, /*alpha=*/0.015);
     m.restores = reg.GetCounter("fwdecay_restore_total",
                                 "Snapshots successfully restored.");
@@ -455,16 +495,24 @@ struct QueryExecution::HighTable {
     for (Group* g : all_shells) g->~Group();
   }
 
-  Group* Find(std::uint64_t hash, const std::vector<Value>& key) const {
-    if (slots.empty()) return nullptr;
+  // Walks the probe chain of `hash` for a key `key_eq` accepts. Returns
+  // its slot, or the empty slot that ends the chain — where Insert()
+  // places a new key when the table does not grow first. Needs slots.
+  template <class KeyEq>
+  std::size_t Probe(std::uint64_t hash, const KeyEq& key_eq) const {
     std::size_t s = hash & mask;
     while (slots[s] != nullptr) {
-      if (hashes[s] == hash && KeysEqual(slots[s]->key, key)) {
-        return slots[s];
-      }
+      if (hashes[s] == hash && key_eq(slots[s]->key)) return s;
       s = (s + 1) & mask;
     }
-    return nullptr;
+    return s;
+  }
+
+  Group* Find(std::uint64_t hash, const std::vector<Value>& key) const {
+    if (slots.empty()) return nullptr;
+    return slots[Probe(hash, [&](const std::vector<Value>& k) {
+      return KeysEqual(k, key);
+    })];
   }
 
   // Inserts a shell whose key is already in place. The caller has
@@ -474,6 +522,19 @@ struct QueryExecution::HighTable {
   void Insert(std::uint64_t hash, Group* g) {
     if (slots.empty() || (size + 1) * 8 > (mask + 1) * 7) Grow();
     InsertNoGrow(hash, g);
+    ++size;
+  }
+
+  // Insert() for a key whose absence Probe() just established, with no
+  // table change since: `empty_slot` is where InsertNoGrow would land,
+  // so unless the table must grow, no second probe is needed.
+  void InsertAt(std::size_t empty_slot, std::uint64_t hash, Group* g) {
+    if ((size + 1) * 8 > (mask + 1) * 7) {
+      Insert(hash, g);
+      return;
+    }
+    slots[empty_slot] = g;
+    hashes[empty_slot] = hash;
     ++size;
   }
 
@@ -652,22 +713,37 @@ void FillAggStates(const std::vector<std::string>& names,
 
 }  // namespace
 
+template <class KeyEq, class WriteKey>
 QueryExecution::Group* QueryExecution::FindOrCreateHighGroup(
-    std::uint64_t hash, const std::vector<Value>& key) {
-  if (Group* g = high_->Find(hash, key)) return g;
+    std::uint64_t hash, const KeyEq& key_eq, const WriteKey& write_key) {
+  HighTable& table = *high_;
+  bool placed = !table.slots.empty();
+  std::size_t slot = 0;
+  if (placed) {
+    slot = table.Probe(hash, key_eq);
+    if (table.slots[slot] != nullptr) return table.slots[slot];
+  }
   // A new group is about to be admitted; under a bounded-ingest policy
   // make room by shedding the lowest-weight incumbent instead of growing
   // without bound. The incoming group represents the newest tuples —
   // under forward decay the ones with the largest static weights — so
   // admitting it over the minimum-weight group is the principled choice.
+  // Shedding reshapes probe chains, so the probed slot no longer holds.
   if (policy_.max_groups > 0) {
-    while (high_group_count_ >= policy_.max_groups) ShedLowestWeightGroup();
+    while (high_group_count_ >= policy_.max_groups) {
+      ShedLowestWeightGroup();
+      placed = false;
+    }
   }
-  Group* g = high_->AcquireShell();
-  g->key = key;  // copy into the shell's retained capacity
+  Group* g = table.AcquireShell();
+  write_key(&g->key);  // into the shell's retained capacity
   // fwdecay: hotpath-cold(new-group admission: states allocated once per group, not per row)
   FillAggStates(plan_->agg_names_, &g->aggs);
-  high_->Insert(hash, g);
+  if (placed) {
+    table.InsertAt(slot, hash, g);
+  } else {
+    table.Insert(hash, g);
+  }
   ++high_group_count_;
   return g;
 }
@@ -723,7 +799,11 @@ void QueryExecution::UpdateGroup(Group& group, const PacketBatch& batch,
 }
 
 void QueryExecution::EvictToHigh(LowSlot& slot) {
-  Group* target = FindOrCreateHighGroup(slot.hash, slot.group.key);
+  const std::vector<Value>& key = slot.group.key;
+  Group* target = FindOrCreateHighGroup(
+      slot.hash,
+      [&](const std::vector<Value>& k) { return KeysEqual(k, key); },
+      [&](std::vector<Value>* dst) { *dst = key; });
   for (std::size_t i = 0; i < target->aggs.size(); ++i) {
     // fwdecay: hotpath-cold(amortized-rare eviction; Merge runs once per evicted group, not per row)
     target->aggs[i]->Merge(*slot.group.aggs[i]);
@@ -804,7 +884,7 @@ void QueryExecution::AggregateSelection(const PacketBatch& batch,
     }
   }
 
-  // Group hash per selected row (vectorized for a single int64 key).
+  // Group hash per selected row (vectorized for all-int64 keys).
   hashes_.resize(n);
   ComputeGroupHashes(key_cols_, num_groups, n, hashes_.data());
   row_index_.resize(n);
@@ -819,66 +899,46 @@ void QueryExecution::AggregateSelection(const PacketBatch& batch,
   // per-row loop. Runs never span distinct keys, so eviction and
   // shedding still happen at exactly the per-tuple points.
   //
-  // The dominant query shape — a single int64 group key — runs over the
-  // column's raw array for both the run scan and the slot-hit compare;
-  // the key is materialized into Values only when a slot is (re)filled.
-  const std::int64_t* k0 =
-      (num_groups == 1 && key_cols_[0].rep() == ValueColumn::Rep::kI64)
-          ? key_cols_[0].i64_data()
-          : nullptr;
+  // Run scans, slot hit tests and high-table probes read the key
+  // columns in place (raw int64 arrays when every key column is kI64);
+  // a key is materialized into Values only when a group is admitted.
+  const bool all_i64 = AllKeysI64(key_cols_, num_groups);
   std::size_t i = 0;
   while (i < n) {
     std::size_t j = i + 1;
-    if (k0 != nullptr) {
-      while (j < n && hashes_[j] == hashes_[i] && k0[j] == k0[i]) ++j;
-    } else {
-      while (j < n && hashes_[j] == hashes_[i]) {
-        bool same = true;
-        for (std::size_t g = 0; g < num_groups; ++g) {
-          if (!(key_cols_[g][j] == key_cols_[g][i])) {
-            same = false;
-            break;
-          }
-        }
-        if (!same) break;
-        ++j;
-      }
+    while (j < n && hashes_[j] == hashes_[i] &&
+           RowKeysEqual(key_cols_, all_i64, j, i)) {
+      ++j;
     }
     const std::uint64_t hash = hashes_[i];
+    const auto write_row_key = [&](std::vector<Value>* key) {
+      for (std::size_t g = 0; g < num_groups; ++g) {
+        key->push_back(key_cols_[g][i]);
+      }
+    };
 
     Group* target = nullptr;
     if (!plan_->options_.two_level) {
-      key_scratch_.clear();
-      key_scratch_.reserve(num_groups);
-      for (std::size_t g = 0; g < num_groups; ++g) {
-        key_scratch_.push_back(key_cols_[g][i]);
-      }
-      target = FindOrCreateHighGroup(hash, key_scratch_);
+      target = FindOrCreateHighGroup(
+          hash,
+          [&](const std::vector<Value>& key) {
+            return RowKeyEquals(key_cols_, all_i64, i, key);
+          },
+          write_row_key);
     } else {
       LowSlot& slot =
           low_table_[low_mask_ != 0 ? (hash & low_mask_)
                                     : (hash % low_table_.size())];
-      // Hit test straight against the columns (RowRef == Value mirrors
-      // Value == Value), so a hit — the steady state — materializes no
-      // Value at all.
-      bool hit = slot.occupied && slot.hash == hash;
-      if (hit) {
-        for (std::size_t g = 0; g < num_groups; ++g) {
-          if (!(key_cols_[g][i] == slot.group.key[g])) {
-            hit = false;
-            break;
-          }
-        }
-      }
+      // A hit — the steady state — materializes no Value at all.
+      const bool hit = slot.occupied && slot.hash == hash &&
+                       RowKeyEquals(key_cols_, all_i64, i, slot.group.key);
       if (!hit) {
         if (slot.occupied) EvictToHigh(slot);
         slot.occupied = true;
         ++low_occupied_;
         slot.hash = hash;
         slot.group.key.clear();  // buffer keeps its capacity
-        for (std::size_t g = 0; g < num_groups; ++g) {
-          slot.group.key.push_back(key_cols_[g][i]);
-        }
+        write_row_key(&slot.group.key);
         // fwdecay: hotpath-cold(low-slot admission: states allocated once per group, not per row)
         FillAggStates(plan_->agg_names_, &slot.group.aggs);
       }
@@ -1184,12 +1244,16 @@ bool QueryExecution::RestoreGroup(ByteReader* reader, Group* group) {
   return true;
 }
 
+metrics::LatencyReservoir* CheckpointLatencyReservoir() {
+  return EngineMetrics::Get().checkpoint_ns;
+}
+
 bool QueryExecution::Checkpoint(const std::string& path,
                                 std::string* error) const {
   // Cold path: timed unconditionally (serialize + CRC + atomic write,
   // i.e. the fsyncs dominate — see also fwdecay_faultfs_fsync_ns).
   metrics::ScopedTimerSample checkpoint_timer(
-      EngineMetrics::Get().checkpoint_ns,
+      CheckpointLatencyReservoir(),
       metrics::MetricsRegistry::Instance().NowSeconds());
   std::vector<std::uint8_t> image;
   if (!CheckpointBytes(&image, error)) return false;

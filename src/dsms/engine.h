@@ -232,12 +232,14 @@ class QueryExecution {
   struct Group;
   struct LowSlot;
 
-  // Looks the key up in the flat high table; admits a pooled shell
-  // (shedding first under a bounded policy) when absent. The key is
-  // copied into the shell's capacity-retaining vector, so the caller's
-  // buffer survives for the next run.
-  Group* FindOrCreateHighGroup(std::uint64_t hash,
-                               const std::vector<Value>& key);
+  // Looks up the group whose key `key_eq` accepts in the flat high
+  // table; when absent, admits a pooled shell (shedding first under a
+  // bounded policy) and has `write_key` fill the shell's empty,
+  // capacity-retaining key vector. A miss that sheds nothing probes
+  // the table once.
+  template <class KeyEq, class WriteKey>
+  Group* FindOrCreateHighGroup(std::uint64_t hash, const KeyEq& key_eq,
+                               const WriteKey& write_key);
   // Applies one run of consecutive equal-key rows to a group: forward
   // weights per row in order, then one UpdateBatch per aggregate slot
   // over the run. The batched hot path — must not allocate per tuple
@@ -344,7 +346,6 @@ class QueryExecution {
   std::vector<ValueColumn> key_cols_;     // per group expr, dense
   // Per aggregate slot, per argument: dense column over the selection.
   std::vector<std::vector<ValueColumn>> arg_cols_;
-  std::vector<Value> key_scratch_;        // run key under construction
   PacketBatch single_{1};                 // Consume(Packet) wrapper
 };
 
@@ -353,6 +354,11 @@ class QueryExecution {
 /// changing the algebra on either side alone breaks the batched /
 /// per-tuple equivalence (simd_test covers the pairing).
 inline constexpr std::uint64_t kGroupHashSeed = 0x12345678abcdef01ULL;
+
+/// The `fwdecay_checkpoint_ns` reservoir: wall time of one durable
+/// snapshot (serialize, fsync, rename), ns. QueryExecution::Checkpoint
+/// and fwdecayd's periodic and shutdown checkpoints record into it.
+metrics::LatencyReservoir* CheckpointLatencyReservoir();
 
 /// Seed that remixes the group hash into a pipeline shard index
 /// (simd::ShardIndexU64). It must be a *different* function of the key

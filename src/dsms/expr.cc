@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "util/check.h"
+#include "util/int_div.h"
 #include "util/simd.h"
 
 namespace fwdecay::dsms {
@@ -222,38 +223,51 @@ ScalarFn ResolveScalarFn(const std::string& name) {
   return ScalarFn::kExp;
 }
 
-// Applies a resolved scalar function to already-evaluated arguments;
-// shared by the per-tuple, post-aggregation and batched evaluators.
-Value ApplyScalarFn(ScalarFn fn, const std::vector<Value>& args) {
-  auto arg = [&](std::size_t i) {
-    FWDECAY_CHECK_MSG(i < args.size(), "missing scalar function argument");
-    return args[i];
-  };
+// Leading arguments each scalar function reads (extra ones are ignored).
+constexpr std::size_t kMaxScalarArity = 3;
+std::size_t ScalarFnArity(ScalarFn fn) {
   switch (fn) {
-    case ScalarFn::kExp: return Value(std::exp(arg(0).AsDouble()));
-    case ScalarFn::kLn: return Value(std::log(arg(0).AsDouble()));
-    case ScalarFn::kSqrt: return Value(std::sqrt(arg(0).AsDouble()));
-    case ScalarFn::kAbs: return Value(std::fabs(arg(0).AsDouble()));
-    case ScalarFn::kFloor:
-      return Value(static_cast<std::int64_t>(std::floor(arg(0).AsDouble())));
-    case ScalarFn::kPow:
-      return Value(std::pow(arg(0).AsDouble(), arg(1).AsDouble()));
+    case ScalarFn::kPow: return 2;
+    case ScalarFn::kPolyweight:
+    case ScalarFn::kExpweight: return 3;
+    default: return 1;
+  }
+}
+
+// The one definition of each scalar function, over its arguments
+// widened to double (x[0..ScalarFnArity(fn))). kFloor returns floor(x)
+// as a double; its callers store it as int64. Shared by the per-tuple,
+// post-aggregation and batched evaluators.
+double ScalarFnF64(ScalarFn fn, const double* x) {
+  switch (fn) {
+    case ScalarFn::kExp: return std::exp(x[0]);
+    case ScalarFn::kLn: return std::log(x[0]);
+    case ScalarFn::kSqrt: return std::sqrt(x[0]);
+    case ScalarFn::kAbs: return std::fabs(x[0]);
+    case ScalarFn::kFloor: return std::floor(x[0]);
+    case ScalarFn::kPow: return std::pow(x[0], x[1]);
     // Syntactic sugar for forward-decay weights (Section IV suggests
     // exactly this kind of helper): the landmark is the start of the
     // `period`-long bucket containing t, so
     //   polyweight(time, 60, 2)  ==  (time % 60)^2
     //   expweight(time, 60, 0.1) ==  exp(0.1 * (time % 60))
-    case ScalarFn::kPolyweight: {
-      const double offset = std::fmod(arg(0).AsDouble(), arg(1).AsDouble());
-      return Value(std::pow(offset, arg(2).AsDouble()));
-    }
-    case ScalarFn::kExpweight: {
-      const double offset = std::fmod(arg(0).AsDouble(), arg(1).AsDouble());
-      return Value(std::exp(arg(2).AsDouble() * offset));
-    }
+    case ScalarFn::kPolyweight: return std::pow(std::fmod(x[0], x[1]), x[2]);
+    case ScalarFn::kExpweight: return std::exp(x[2] * std::fmod(x[0], x[1]));
   }
   FWDECAY_CHECK_MSG(false, "unreachable scalar function");
-  return Value();
+  return 0.0;
+}
+
+// Applies a resolved scalar function to already-evaluated arguments:
+// floor yields an int, every other function a double.
+Value ApplyScalarFn(ScalarFn fn, const std::vector<Value>& args) {
+  const std::size_t arity = ScalarFnArity(fn);
+  FWDECAY_CHECK_MSG(args.size() >= arity, "missing scalar function argument");
+  double x[kMaxScalarArity];
+  for (std::size_t i = 0; i < arity; ++i) x[i] = args[i].AsDouble();
+  const double y = ScalarFnF64(fn, x);
+  if (fn == ScalarFn::kFloor) return Value(static_cast<std::int64_t>(y));
+  return Value(y);
 }
 
 Value EvalScalarCall(const Expr& e, const Packet& p) {
@@ -667,7 +681,16 @@ void EvalExprBatch(const Expr& e, const PacketBatch& batch,
       ReadColumnBatch(ResolveColumn(e.name), batch, sel, n, out);
       return;
     case Expr::Kind::kLiteral:
-      for (std::size_t i = 0; i < n; ++i) out->push_back(e.literal);
+      // Numeric literals broadcast into typed storage. String literals,
+      // and empty batches (an empty column keeps its kI64 rep), take
+      // the per-row append.
+      if (n > 0 && e.literal.is_int()) {
+        std::fill_n(out->AppendI64(n), n, e.literal.AsInt());
+      } else if (n > 0 && e.literal.is_double()) {
+        std::fill_n(out->AppendF64(n), n, e.literal.AsDouble());
+      } else {
+        for (std::size_t i = 0; i < n; ++i) out->push_back(e.literal);
+      }
       return;
     case Expr::Kind::kStar: {
       std::int64_t* dst = out->AppendI64(n);
@@ -711,21 +734,54 @@ void EvalExprBatch(const Expr& e, const PacketBatch& batch,
       // Evaluate every argument as a column, then apply the resolved
       // function row by row — scalar functions are libm-bound, so they
       // stay in stream order (the bit-exactness rule in util/simd.h).
-      // The argument columns and the pointer list holding them come from
-      // the scratch pools, so steady-state evaluation allocates nothing.
+      // The argument columns, their widened copies and the pointer list
+      // holding them come from the scratch pools, so steady-state
+      // evaluation allocates nothing.
+      const std::size_t arity = ScalarFnArity(fn);
       std::vector<ValueColumn*>* arg_cols = scratch->AcquireColumnList();
-      arg_cols->reserve(e.args.size());
+      arg_cols->reserve(e.args.size() + arity);
+      bool typed = n > 0;
       for (const auto& a : e.args) {
         arg_cols->push_back(scratch->AcquireColumn());
         EvalExprBatch(*a, batch, sel, n, scratch, arg_cols->back());
+        typed = typed && arg_cols->back()->rep() != ValueColumn::Rep::kBoxed;
       }
-      std::vector<Value>* row_args = scratch->RowArgsBuf();
-      row_args->resize(e.args.size());
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t a = 0; a < arg_cols->size(); ++a) {
-          (*row_args)[a] = (*(*arg_cols)[a])[i];
+      if (typed) {
+        // Typed arguments: widen each once (the int->double promotion
+        // Value::AsDouble performs), then one double call per row.
+        FWDECAY_CHECK_MSG(e.args.size() >= arity,
+                          "missing scalar function argument");
+        const double* cols[kMaxScalarArity];
+        for (std::size_t a = 0; a < arity; ++a) {
+          ValueColumn* conv = scratch->AcquireColumn();
+          cols[a] = AsF64(*(*arg_cols)[a], n, conv);
+          arg_cols->push_back(conv);
         }
-        out->push_back(ApplyScalarFn(fn, *row_args));
+        double x[kMaxScalarArity];
+        if (fn == ScalarFn::kFloor) {
+          std::int64_t* dst = out->AppendI64(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            x[0] = cols[0][i];
+            dst[i] = static_cast<std::int64_t>(ScalarFnF64(fn, x));
+          }
+        } else {
+          double* dst = out->AppendF64(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t a = 0; a < arity; ++a) x[a] = cols[a][i];
+            dst[i] = ScalarFnF64(fn, x);
+          }
+        }
+      } else {
+        // A boxed argument (a string literal): per-row Values, with
+        // ApplyScalarFn's CHECKs.
+        std::vector<Value>* row_args = scratch->RowArgsBuf();
+        row_args->resize(e.args.size());
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t a = 0; a < e.args.size(); ++a) {
+            (*row_args)[a] = (*(*arg_cols)[a])[i];
+          }
+          out->push_back(ApplyScalarFn(fn, *row_args));
+        }
       }
       for (ValueColumn* col : *arg_cols) scratch->ReleaseColumn(col);
       scratch->ReleaseColumnList(arg_cols);
@@ -752,7 +808,26 @@ void EvalExprBatch(const Expr& e, const PacketBatch& batch,
       ScratchColumn lhs(scratch);
       ScratchColumn rhs(scratch);
       EvalExprBatch(*e.args[0], batch, sel, n, scratch, lhs.get());
-      EvalExprBatch(*e.args[1], batch, sel, n, scratch, rhs.get());
+      const Expr& rhs_expr = *e.args[1];
+      if ((e.op == BinOp::kDiv || e.op == BinOp::kMod) &&
+          lhs->rep() == ValueColumn::Rep::kI64 &&
+          rhs_expr.kind == Expr::Kind::kLiteral &&
+          rhs_expr.literal.is_int() && rhs_expr.literal.AsInt() != 0) {
+        // Integer division by a nonzero int literal (`time / 60`,
+        // `time % 60`): the divisor is checked once and every row takes
+        // a multiply-shift instead of a checked idiv; the right-hand
+        // column is never built.
+        const ConstDivisorI64 d(rhs_expr.literal.AsInt());
+        const std::int64_t* a = lhs->i64_data();
+        std::int64_t* dst = out->AppendI64(n);
+        if (e.op == BinOp::kDiv) {
+          for (std::size_t i = 0; i < n; ++i) dst[i] = d.Div(a[i]);
+        } else {
+          for (std::size_t i = 0; i < n; ++i) dst[i] = d.Mod(a[i]);
+        }
+        return;
+      }
+      EvalExprBatch(rhs_expr, batch, sel, n, scratch, rhs.get());
       if (lhs->rep() == ValueColumn::Rep::kBoxed ||
           rhs->rep() == ValueColumn::Rep::kBoxed) {
         EvalBinaryBoxed(e.op, *lhs, *rhs, n, out);

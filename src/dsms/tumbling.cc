@@ -11,6 +11,8 @@ namespace {
 
 // 2^63: bucket indices must lie in [-2^63, 2^63) to convert to int64.
 constexpr double kBucketIndexLimit = 9223372036854775808.0;
+// 2^53: below it every bucket index and its successor are exact doubles.
+constexpr std::int64_t kExactIndexLimit = std::int64_t{1} << 53;
 
 }  // namespace
 
@@ -76,12 +78,23 @@ void TumblingRunner::EmitFront() {
 }
 
 void TumblingRunner::EmitReady() {
-  while (!open_.empty()) {
+  while (!open_.empty() && BucketClosed(open_.begin()->first)) EmitFront();
+}
+
+bool TumblingRunner::BucketClosed(std::int64_t bucket) const {
+  if (bucket > -kExactIndexLimit && bucket < kExactIndexLimit) {
     const double bucket_end =
-        (static_cast<double>(open_.begin()->first) + 1.0) * bucket_seconds_;
-    if (watermark_ < bucket_end + slack_seconds_) break;
-    EmitFront();
+        (static_cast<double>(bucket) + 1.0) * bucket_seconds_;
+    return !(watermark_ < bucket_end + slack_seconds_);
   }
+  // From 2^53 on, double(bucket) + 1.0 rounds back to the bucket's own
+  // start; compare bucket indices instead: the watermark less the slack
+  // lies in a later bucket.
+  const double index =
+      std::floor((watermark_ - slack_seconds_) / bucket_seconds_);
+  if (index >= kBucketIndexLimit) return true;
+  if (!(index >= -kBucketIndexLimit)) return false;
+  return static_cast<std::int64_t>(index) > bucket;
 }
 
 void TumblingRunner::Flush() {

@@ -63,6 +63,8 @@ class TumblingRunner {
   // Finishes the oldest open bucket, emits it, and pools its execution.
   void EmitFront();
   void EmitReady();
+  // The watermark has passed `bucket`'s end plus the slack.
+  bool BucketClosed(std::int64_t bucket) const;
   // Pops a pooled (already-Reset) execution, or builds the pool's first.
   std::unique_ptr<QueryExecution> AcquireExecution();
   // Resets an emitted bucket's execution and returns it to the pool.

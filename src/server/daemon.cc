@@ -707,6 +707,9 @@ bool Daemon::CheckpointNow(std::string* error) {
     *error = "daemon holds no recovered state to checkpoint";
     return false;
   }
+  metrics::ScopedTimerSample checkpoint_timer(
+      dsms::CheckpointLatencyReservoir(),
+      metrics::MetricsRegistry::Instance().NowSeconds());
   // Persist the epoch bump BEFORE any record can land in the new
   // segment: replay's probe range [snapshot epoch, active] must always
   // cover every acknowledged record, even if we crash right here.

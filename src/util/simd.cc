@@ -80,6 +80,14 @@ void GroupHashI64(const std::int64_t* keys, std::size_t n,
   }
 }
 
+void GroupHashCombineI64(const std::int64_t* keys, std::size_t n,
+                         std::uint64_t* inout) {
+  for (std::size_t i = 0; i < n; ++i) {
+    inout[i] = HashCombine(inout[i],
+                           HashU64(static_cast<std::uint64_t>(keys[i]), 1));
+  }
+}
+
 void ShardIndexU64(const std::uint64_t* hashes, std::size_t n,
                    std::uint64_t seed, std::uint32_t num_shards,
                    std::uint32_t* out) {
@@ -255,6 +263,31 @@ __attribute__((target("avx2"))) void GroupHashI64(const std::int64_t* keys,
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), x);
   }
   if (i < n) scalar::GroupHashI64(keys + i, n - i, seed, out + i);
+}
+
+__attribute__((target("avx2"))) void GroupHashCombineI64(
+    const std::int64_t* keys, std::size_t n, std::uint64_t* inout) {
+  // h ^= Mix64(Mix64(k ^ C1)) + K + (h << 6) + (h >> 2): HashCombine
+  // with a per-lane running hash h, so only the golden-ratio constant
+  // folds (see the scalar arm for the reference form).
+  const std::uint64_t c1 =
+      0xff51afd7ed558ccdULL + 0xc4ceb9fe1a85ec53ULL;  // HashU64 seed==1
+  const __m256i vc1 = _mm256_set1_epi64x(static_cast<long long>(c1));
+  const __m256i vk =
+      _mm256_set1_epi64x(static_cast<long long>(0x9e3779b97f4a7c15ULL));
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256i h =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(inout + i));
+    __m256i x =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
+    x = _mm256_add_epi64(Mix64V(Mix64V(_mm256_xor_si256(x, vc1))), vk);
+    x = _mm256_add_epi64(x, _mm256_add_epi64(_mm256_slli_epi64(h, 6),
+                                             _mm256_srli_epi64(h, 2)));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(inout + i),
+                        _mm256_xor_si256(h, x));
+  }
+  if (i < n) scalar::GroupHashCombineI64(keys + i, n - i, inout + i);
 }
 
 __attribute__((target("avx2"))) void ShardIndexU64(const std::uint64_t* hashes,
@@ -569,6 +602,17 @@ void GroupHashI64(const std::int64_t* keys, std::size_t n,
   }
 #endif
   scalar::GroupHashI64(keys, n, seed, out);
+}
+
+void GroupHashCombineI64(const std::int64_t* keys, std::size_t n,
+                         std::uint64_t* inout) {
+#if defined(FWDECAY_SIMD_X86)
+  if (g_dispatch.arch == Arch::kAvx2) {
+    avx2::GroupHashCombineI64(keys, n, inout);
+    return;
+  }
+#endif
+  scalar::GroupHashCombineI64(keys, n, inout);
 }
 
 void ShardIndexU64(const std::uint64_t* hashes, std::size_t n,

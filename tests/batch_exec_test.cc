@@ -343,6 +343,37 @@ TEST(BatchDifferentialTest, TwoLevelWithOverloadPolicy) {
   RunBatchDifferential(kDecayedQuery, options, &policy);
 }
 
+// A composite all-int64 key (the paper's (tb, destIP, destPort) shape):
+// hashed, run-scanned and probed as raw int64 columns.
+constexpr char kCompositeKeyQuery[] =
+    "select tb, destIP, destPort, count(*), sum(len * expweight(time, 60, "
+    "0.1)) from TCP group by time/10 as tb, destIP, destPort";
+
+// A key mixing an int and a double column takes the per-row RowRef path.
+constexpr char kMixedKeyQuery[] =
+    "select destPort, half, count(*), sum(len) from TCP "
+    "group by destPort, len * 0.5 as half";
+
+TEST(BatchDifferentialTest, CompositeIntKeys) {
+  RunBatchDifferential(kCompositeKeyQuery, {}, nullptr);
+  CompiledQuery::Options options;
+  options.two_level = true;
+  options.low_level_slots = 16;
+  RunBatchDifferential(kCompositeKeyQuery, options, nullptr);
+  OverloadPolicy policy;
+  policy.max_groups = 40;
+  policy.decay_alpha = 0.05;
+  RunBatchDifferential(kCompositeKeyQuery, {}, &policy);
+}
+
+TEST(BatchDifferentialTest, MixedIntDoubleKeys) {
+  RunBatchDifferential(kMixedKeyQuery, {}, nullptr);
+  CompiledQuery::Options options;
+  options.two_level = true;
+  options.low_level_slots = 16;
+  RunBatchDifferential(kMixedKeyQuery, options, nullptr);
+}
+
 TEST(BatchDifferentialTest, OddBatchSizesAndPartialTails) {
   // Batch boundaries must be invisible: capacity 1 (degenerate), a
   // prime, and a capacity larger than the trace all agree.

@@ -453,6 +453,19 @@ TEST_F(ServerTest, IdleConnectionIsReapedWithExplanation) {
   daemon.Stop();
 }
 
+TEST_F(ServerTest, CheckpointRecordsCheckpointLatency) {
+  if (!FWDECAY_METRICS_ENABLED) GTEST_SKIP() << "metrics compiled out";
+  Daemon daemon(options_);
+  std::string error;
+  ASSERT_TRUE(daemon.Start(&error)) << error;
+  const metrics::LatencyReservoir* reservoir =
+      dsms::CheckpointLatencyReservoir();
+  const std::uint64_t before = reservoir->observations();
+  ASSERT_TRUE(daemon.CheckpointNow(&error)) << error;
+  EXPECT_EQ(reservoir->observations(), before + 1);
+  daemon.Stop();
+}
+
 TEST_F(ServerTest, RotationRetainsKAndRecoveryFallsBackPastCorruptSnapshot) {
   dsms::TraceConfig cfg;
   cfg.seed = 31;

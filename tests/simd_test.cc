@@ -26,6 +26,8 @@
 
 #include <gtest/gtest.h>
 
+#include "dsms/engine.h"
+#include "dsms/value.h"
 #include "util/arena.h"
 #include "util/hash.h"
 #include "util/simd.h"
@@ -360,6 +362,56 @@ TEST(SimdDifferential, GroupHashI64MatchesGenericHash) {
       ASSERT_EQ(got[i], closed) << "closed-form mismatch at i=" << i;
     }
     EXPECT_EQ(got[n], kGuard64);
+  }
+}
+
+TEST(SimdDifferential, GroupHashCombineI64MatchesScalarOracle) {
+  for (const std::size_t n : kLengths) {
+    std::vector<std::int64_t> keys(n);
+    FillInt64(0xc000 + n, &keys);
+    if (n > 0) keys[0] = std::numeric_limits<std::int64_t>::min();
+    std::vector<std::uint64_t> running(n);
+    std::uint64_t state = 0xe000 + n;
+    for (std::uint64_t& h : running) h = SplitMix64(&state);
+    std::vector<std::uint64_t> got(running), want(running);
+    got.push_back(kGuard64);
+    simd::GroupHashCombineI64(keys.data(), n, got.data());
+    simd::scalar::GroupHashCombineI64(keys.data(), n, want.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(got[i], want[i]) << "n=" << n << " i=" << i;
+      ASSERT_EQ(got[i],
+                HashCombine(running[i],
+                            HashU64(static_cast<std::uint64_t>(keys[i]), 1)))
+          << "closed-form mismatch at i=" << i;
+    }
+    EXPECT_EQ(got[n], kGuard64);
+  }
+}
+
+TEST(SimdDifferential, ColumnwiseKeyHashMatchesBoxedHashKey) {
+  // The engine hashes all-int64 keys column by column: GroupHashI64 over
+  // column 0, then GroupHashCombineI64 per further column. That must
+  // equal HashKey of the boxed key — the per-Value combine the generic
+  // path, snapshots and MergeFrom use — at every arity.
+  constexpr std::size_t kRows = 37;
+  for (std::size_t arity = 1; arity <= 4; ++arity) {
+    std::vector<std::vector<std::int64_t>> cols(
+        arity, std::vector<std::int64_t>(kRows));
+    for (std::size_t g = 0; g < arity; ++g) FillInt64(0xf000 + g, &cols[g]);
+    cols[arity - 1][0] = std::numeric_limits<std::int64_t>::max();
+    std::vector<std::uint64_t> got(kRows);
+    simd::GroupHashI64(cols[0].data(), kRows, dsms::kGroupHashSeed,
+                       got.data());
+    for (std::size_t g = 1; g < arity; ++g) {
+      simd::GroupHashCombineI64(cols[g].data(), kRows, got.data());
+    }
+    for (std::size_t i = 0; i < kRows; ++i) {
+      std::uint64_t want = dsms::kGroupHashSeed;
+      for (std::size_t g = 0; g < arity; ++g) {
+        want = HashCombine(want, dsms::Value(cols[g][i]).Hash());
+      }
+      ASSERT_EQ(got[i], want) << "arity=" << arity << " row=" << i;
+    }
   }
 }
 

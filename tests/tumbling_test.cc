@@ -156,11 +156,31 @@ TEST(TumblingRunnerTest, TimesWithNoRepresentableBucketAreDropped) {
                         emitted.push_back(bucket);
                       });
   unit.Consume(At(-0x1p63));
+  EXPECT_EQ(unit.open_buckets(), 1u);
   unit.Consume(At(0x1p63));
   unit.Flush();
   EXPECT_EQ(unit.late_drops(), 1u);
   ASSERT_EQ(emitted,
             std::vector<std::int64_t>{std::numeric_limits<std::int64_t>::min()});
+}
+
+TEST(TumblingRunnerTest, BucketsPast2To53CloseOnlyWhenTheWatermarkLeaves) {
+  // At 2^60 adjacent doubles are 256 apart, so a one-second bucket's end
+  // rounds to its start; readiness must still wait for a later bucket.
+  auto plan = CountPlan();
+  std::vector<std::int64_t> emitted;
+  TumblingRunner unit(plan.get(), 1.0,
+                      [&](std::int64_t bucket, ResultSet) {
+                        emitted.push_back(bucket);
+                      });
+  unit.Consume(At(0x1p60));
+  unit.Consume(At(0x1p60));
+  EXPECT_EQ(unit.open_buckets(), 1u);
+  EXPECT_TRUE(emitted.empty());
+  unit.Consume(At(0x1p60 + 256.0));
+  EXPECT_EQ(emitted, std::vector<std::int64_t>{std::int64_t{1} << 60});
+  EXPECT_EQ(unit.open_buckets(), 1u);
+  EXPECT_EQ(unit.late_drops(), 0u);
 }
 
 // Doubles compared by bit pattern, everything else by value.
