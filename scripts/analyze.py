@@ -97,13 +97,15 @@ the purely syntactic conventions. Nine rules:
                  line (or the line above).
 
   hotpath-purity Walks the call graph from the batched-ingest roots —
-                 Consume/ConsumeFiltered, UpdateBatch overrides,
+                 Consume/ConsumeFiltered, the engine's phase-2 loop
+                 FlushSegment, UpdateBatch and UpdateStates overrides,
                  EvalPredicateBatch/EvalExprBatch, core AddBatch — and
                  proves no reachable heap allocation (new/make_unique/
                  make_shared/to_string/malloc, owning-container
                  construction, growth of non-scratch locals), no
                  `throw`, no virtual dispatch outside the audited
-                 AggState vtable set {Update, UpdateBatch}, and no
+                 AggState vtable set {Update, UpdateBatch,
+                 UpdateStates}, and no
                  syscall/clock read. Capacity-retained member scratch
                  (trailing `_`, DESIGN.md §8) and caller-owned `->`
                  receivers are the two sanctioned growth targets. Cold
@@ -1316,12 +1318,14 @@ class TaintAnalysis:
 # Entry points of the batched ingest path (DESIGN.md §8): everything
 # reachable from these must stay allocation-, throw- and syscall-free.
 HOTPATH_ROOTS = frozenset({
-    "Consume", "ConsumeFiltered", "UpdateBatch",
+    "Consume", "ConsumeFiltered", "FlushSegment", "UpdateBatch",
+    "UpdateStates",
     "EvalPredicateBatch", "EvalExprBatch", "AddBatch",
 })
 # The one audited virtual hierarchy on the hot path: AggState dispatch
-# for per-slot updates. Everything else virtual is flagged.
-HOTPATH_VTABLE_ALLOWED = frozenset({"Update", "UpdateBatch"})
+# for per-slot updates (per run, and per segment of many states).
+# Everything else virtual is flagged.
+HOTPATH_VTABLE_ALLOWED = frozenset({"Update", "UpdateBatch", "UpdateStates"})
 
 PURITY_NEW_RE = re.compile(r"\bnew\b")
 PURITY_THROW_RE = re.compile(r"\bthrow\b")
@@ -1866,6 +1870,21 @@ struct Q {
   }
 };
 """}, "hotpath-purity: owning `vector`"),
+    ("hotpath-purity UpdateStates override allocation caught", {
+        "src/dsms/hot.h": """
+struct CountAgg {
+  void UpdateStates(std::span<AggState* const> states) {
+    std::vector<double> tmp(states.size());
+  }
+};
+"""}, "hotpath-purity: owning `vector`"),
+    ("hotpath-purity allocation under the phase-2 loop caught", {
+        "src/dsms/hot.h": """
+inline void GatherStates() { auto p = std::make_unique<int>(3); }
+struct Q {
+  void FlushSegment() { GatherStates(); }
+};
+"""}, "heap allocation (`make_unique`)"),
     ("hotpath-purity member scratch clean", {
         "src/dsms/hot.h": """
 struct Q {

@@ -49,9 +49,10 @@ Enforced invariants (each maps to a documented repo convention):
              register invalid names: the death tests prove the runtime
              check fires.)
   hotpath    The batched aggregation hot path — the bodies of
-             UpdateGroup() and UpdateBatch() in src/ — must not
-             construct a std::vector<Value> / ValueColumn: these
-             functions run once per group-run per batch, and a
+             UpdateBatch(), UpdateStates() and the engine's phase-2
+             loop FlushSegment() in src/ — must not construct a
+             std::vector<Value> / ValueColumn: these functions run
+             once per group-run or segment per batch, and a
              container construction there reintroduces exactly the
              per-tuple allocation the batch layer exists to remove
              (DESIGN.md §8).  References (`const ValueColumn&`) and
@@ -130,7 +131,7 @@ METRICS_CLOCK_BANNED = re.compile(r"\bstd\s*::\s*chrono\b|\bsteady_clock\b")
 METRICS_REGISTRATION = re.compile(
     r"Get(?:Counter|Gauge|DecayedRate|Reservoir)\s*\(\s*\"([^\"]*)\"")
 METRIC_NAME_OK = re.compile(r"^fwdecay_[a-z0-9_]+$")
-HOTPATH_FUNC = re.compile(r"\b(?:UpdateGroup|UpdateBatch)\s*\(")
+HOTPATH_FUNC = re.compile(r"\b(?:FlushSegment|UpdateBatch|UpdateStates)\s*\(")
 HOTPATH_CONTAINER = re.compile(
     r"\bstd\s*::\s*vector\s*<\s*Value\s*>|\bValueColumn\b")
 
@@ -266,8 +267,8 @@ def check_hotpath(rel: str, code: str, findings: list) -> None:
             findings.append(
                 (rel, line,
                  "hotpath: Value-container construction inside "
-                 "UpdateGroup/UpdateBatch (reuse member scratch; "
-                 f"see DESIGN.md §8): `{cm.group(0).strip()}`"))
+                 "UpdateBatch/UpdateStates/FlushSegment (reuse member "
+                 f"scratch; see DESIGN.md §8): `{cm.group(0).strip()}`"))
 
 
 def strip_comments_and_strings(text: str) -> str:

@@ -26,6 +26,11 @@ class CountAgg : public AggState {
                    std::span<const std::uint32_t> rows) override {
     count_ += static_cast<std::int64_t>(rows.size());
   }
+  void UpdateStates(std::span<AggState* const> states,
+                    std::span<const ValueColumn>,
+                    std::span<const std::uint32_t>) override {
+    for (AggState* s : states) ++static_cast<CountAgg*>(s)->count_;
+  }
   void Merge(AggState& other) override {
     count_ += static_cast<CountAgg&>(other).count_;
   }
@@ -52,29 +57,15 @@ class SumAgg : public AggState {
   void UpdateBatch(std::span<const ValueColumn> args_columns,
                    std::span<const std::uint32_t> rows) override {
     FWDECAY_CHECK_MSG(!args_columns.empty(), "sum() needs an argument");
-    const ValueColumn& col = args_columns[0];
-    // Row order preserved: FP addition order matches the per-tuple path.
-    // Typed columns skip the per-row type test — a kI64 column is int in
-    // every row (all_int_ unchanged), a kF64 column in none.
-    switch (col.rep()) {
-      case ValueColumn::Rep::kI64: {
-        const std::int64_t* v = col.i64_data();
-        for (std::uint32_t row : rows) sum_ += static_cast<double>(v[row]);
-        return;
-      }
-      case ValueColumn::Rep::kF64: {
-        if (!rows.empty()) all_int_ = false;
-        const double* v = col.f64_data();
-        for (std::uint32_t row : rows) sum_ += v[row];
-        return;
-      }
-      case ValueColumn::Rep::kBoxed:
-        break;
-    }
-    for (std::uint32_t row : rows) {
-      if (!col[row].is_int()) all_int_ = false;
-      sum_ += col[row].AsDouble();
-    }
+    AddRows(args_columns[0], rows, [this](std::size_t) { return this; });
+  }
+  void UpdateStates(std::span<AggState* const> states,
+                    std::span<const ValueColumn> args_columns,
+                    std::span<const std::uint32_t> rows) override {
+    FWDECAY_CHECK_MSG(!args_columns.empty(), "sum() needs an argument");
+    AddRows(args_columns[0], rows, [&](std::size_t k) {
+      return static_cast<SumAgg*>(states[k]);
+    });
   }
   void Merge(AggState& other) override {
     auto& o = static_cast<SumAgg&>(other);
@@ -100,6 +91,41 @@ class SumAgg : public AggState {
   }
 
  private:
+  // Adds row rows[k] of `col` to the state state_at(k), in row order, so
+  // each state's FP additions are the per-tuple path's. Typed columns
+  // skip the per-row type test: a kI64 column is int in every row
+  // (all_int_ unchanged), a kF64 column in none.
+  template <class StateAt>
+  static void AddRows(const ValueColumn& col,
+                      std::span<const std::uint32_t> rows,
+                      const StateAt& state_at) {
+    switch (col.rep()) {
+      case ValueColumn::Rep::kI64: {
+        const std::int64_t* v = col.i64_data();
+        for (std::size_t k = 0; k < rows.size(); ++k) {
+          state_at(k)->sum_ += static_cast<double>(v[rows[k]]);
+        }
+        return;
+      }
+      case ValueColumn::Rep::kF64: {
+        const double* v = col.f64_data();
+        for (std::size_t k = 0; k < rows.size(); ++k) {
+          SumAgg* s = state_at(k);
+          s->all_int_ = false;
+          s->sum_ += v[rows[k]];
+        }
+        return;
+      }
+      case ValueColumn::Rep::kBoxed:
+        break;
+    }
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      SumAgg* s = state_at(k);
+      if (!col[rows[k]].is_int()) s->all_int_ = false;
+      s->sum_ += col[rows[k]].AsDouble();
+    }
+  }
+
   double sum_ = 0.0;
   bool all_int_ = true;
 };
@@ -114,23 +140,15 @@ class AvgAgg : public AggState {
   void UpdateBatch(std::span<const ValueColumn> args_columns,
                    std::span<const std::uint32_t> rows) override {
     FWDECAY_CHECK_MSG(!args_columns.empty(), "avg() needs an argument");
-    const ValueColumn& col = args_columns[0];
-    switch (col.rep()) {
-      case ValueColumn::Rep::kI64: {
-        const std::int64_t* v = col.i64_data();
-        for (std::uint32_t row : rows) sum_ += static_cast<double>(v[row]);
-        break;
-      }
-      case ValueColumn::Rep::kF64: {
-        const double* v = col.f64_data();
-        for (std::uint32_t row : rows) sum_ += v[row];
-        break;
-      }
-      case ValueColumn::Rep::kBoxed:
-        for (std::uint32_t row : rows) sum_ += col[row].AsDouble();
-        break;
-    }
-    count_ += static_cast<std::int64_t>(rows.size());
+    AddRows(args_columns[0], rows, [this](std::size_t) { return this; });
+  }
+  void UpdateStates(std::span<AggState* const> states,
+                    std::span<const ValueColumn> args_columns,
+                    std::span<const std::uint32_t> rows) override {
+    FWDECAY_CHECK_MSG(!args_columns.empty(), "avg() needs an argument");
+    AddRows(args_columns[0], rows, [&](std::size_t k) {
+      return static_cast<AvgAgg*>(states[k]);
+    });
   }
   void Merge(AggState& other) override {
     auto& o = static_cast<AvgAgg&>(other);
@@ -151,6 +169,37 @@ class AvgAgg : public AggState {
   }
 
  private:
+  // Adds row rows[k] of `col` to the state state_at(k), in row order.
+  template <class StateAt>
+  static void AddRows(const ValueColumn& col,
+                      std::span<const std::uint32_t> rows,
+                      const StateAt& state_at) {
+    const auto add = [&](std::size_t k, double x) {
+      AvgAgg* s = state_at(k);
+      s->sum_ += x;
+      ++s->count_;
+    };
+    switch (col.rep()) {
+      case ValueColumn::Rep::kI64: {
+        const std::int64_t* v = col.i64_data();
+        for (std::size_t k = 0; k < rows.size(); ++k) {
+          add(k, static_cast<double>(v[rows[k]]));
+        }
+        return;
+      }
+      case ValueColumn::Rep::kF64: {
+        const double* v = col.f64_data();
+        for (std::size_t k = 0; k < rows.size(); ++k) add(k, v[rows[k]]);
+        return;
+      }
+      case ValueColumn::Rep::kBoxed:
+        for (std::size_t k = 0; k < rows.size(); ++k) {
+          add(k, col[rows[k]].AsDouble());
+        }
+        return;
+    }
+  }
+
   double sum_ = 0.0;
   std::int64_t count_ = 0;
 };
@@ -219,6 +268,15 @@ class ExtremumAgg : public AggState {
     const ValueColumn& col = args_columns[0];
     for (std::uint32_t row : rows) Offer(col[row]);
   }
+  void UpdateStates(std::span<AggState* const> states,
+                    std::span<const ValueColumn> args_columns,
+                    std::span<const std::uint32_t> rows) override {
+    FWDECAY_CHECK_MSG(!args_columns.empty(), "min()/max() needs an argument");
+    const ValueColumn& col = args_columns[0];
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      static_cast<ExtremumAgg*>(states[k])->Offer(col[rows[k]]);
+    }
+  }
   void Merge(AggState& other) override {
     auto& o = static_cast<ExtremumAgg&>(other);
     if (o.has_value_) Offer(o.best_);
@@ -254,19 +312,55 @@ class ExtremumAgg : public AggState {
   bool has_value_ = false;
 };
 
+// Per-tuple fallback for aggregates with more arguments than the
+// default UpdateBatch's stack buffer holds (no UDAF here takes more
+// than four; a query may still pass extra, ignored arguments).
+void UpdateRowsThroughHeapArgs(AggState* state,
+                               std::span<const ValueColumn> args_columns,
+                               std::span<const std::uint32_t> rows) {
+  std::vector<Value> args(args_columns.size());
+  for (std::uint32_t row : rows) {
+    for (std::size_t a = 0; a < args_columns.size(); ++a) {
+      args[a] = args_columns[a][row];
+    }
+    state->Update(args);
+  }
+}
+
 }  // namespace
 
 void AggState::UpdateBatch(std::span<const ValueColumn> args_columns,
                            std::span<const std::uint32_t> rows) {
-  // Gather each selected row into the member scratch and fall back to
-  // the per-tuple Update — same call sequence, same state evolution,
-  // no per-tuple allocation (the scratch buffer is reused).
-  update_scratch_.resize(args_columns.size());
+  // Gather each selected row into a stack buffer and fall back to the
+  // per-tuple Update — same call sequence, same state evolution, no
+  // allocation per call or per state.
+  constexpr std::size_t kStackArgs = 4;
+  if (args_columns.size() > kStackArgs) {
+    // fwdecay: hotpath-cold(over-wide argument lists; no registered aggregate takes more than four)
+    UpdateRowsThroughHeapArgs(this, args_columns, rows);
+    return;
+  }
+  Value args[kStackArgs];
+  const std::span<const Value> view(args, args_columns.size());
   for (std::uint32_t row : rows) {
     for (std::size_t a = 0; a < args_columns.size(); ++a) {
-      update_scratch_[a] = args_columns[a][row];
+      args[a] = args_columns[a][row];
     }
-    Update(update_scratch_);
+    Update(view);
+  }
+}
+
+void AggState::UpdateStates(std::span<AggState* const> states,
+                            std::span<const ValueColumn> args_columns,
+                            std::span<const std::uint32_t> rows) {
+  // One UpdateBatch per run of equal consecutive states: each state
+  // still sees its rows in stream order.
+  std::size_t begin = 0;
+  while (begin < rows.size()) {
+    std::size_t end = begin + 1;
+    while (end < rows.size() && states[end] == states[begin]) ++end;
+    states[begin]->UpdateBatch(args_columns, rows.subspan(begin, end - begin));
+    begin = end;
   }
 }
 
@@ -280,13 +374,12 @@ bool AggState::SerializeTo(ByteWriter*) const {
 bool AggState::RestoreFrom(ByteReader*) { return false; }
 
 AggRegistry::AggRegistry() {
-  Register("count", [] { return std::make_unique<CountAgg>(); });
-  Register("count_distinct",
-           [] { return std::make_unique<CountDistinctAgg>(); });
-  Register("sum", [] { return std::make_unique<SumAgg>(); });
-  Register("avg", [] { return std::make_unique<AvgAgg>(); });
-  Register("min", [] { return std::make_unique<ExtremumAgg<false>>(); });
-  Register("max", [] { return std::make_unique<ExtremumAgg<true>>(); });
+  Register<CountAgg>("count");
+  Register<CountDistinctAgg>("count_distinct");
+  Register<SumAgg>("sum");
+  Register<AvgAgg>("avg");
+  Register<ExtremumAgg<false>>("min");
+  Register<ExtremumAgg<true>>("max");
 }
 
 AggRegistry& AggRegistry::Instance() {
@@ -296,15 +389,15 @@ AggRegistry& AggRegistry::Instance() {
   return registry;
 }
 
-void AggRegistry::Register(const std::string& name, AggFactory factory) {
+void AggRegistry::RegisterKind(const std::string& name, AggKind kind) {
   const std::string key = Lower(name);
-  for (auto& [existing, f] : entries_) {
+  for (auto& [existing, k] : entries_) {
     if (existing == key) {
-      f = std::move(factory);
+      k = kind;
       return;
     }
   }
-  entries_.emplace_back(key, std::move(factory));
+  entries_.emplace_back(key, kind);
 }
 
 bool AggRegistry::Contains(const std::string& name) const {
@@ -313,20 +406,48 @@ bool AggRegistry::Contains(const std::string& name) const {
                      [&](const auto& e) { return e.first == key; });
 }
 
-std::unique_ptr<AggState> AggRegistry::Create(const std::string& name) const {
+const AggKind& AggRegistry::Kind(const std::string& name) const {
   const std::string key = Lower(name);
-  for (const auto& [existing, factory] : entries_) {
-    if (existing == key) return factory();
+  for (const auto& [existing, kind] : entries_) {
+    if (existing == key) return kind;
   }
   FWDECAY_CHECK_MSG(false, "unknown aggregate function");
-  return nullptr;
+  return entries_.front().second;
+}
+
+std::unique_ptr<AggState> AggRegistry::Create(const std::string& name) const {
+  return Kind(name).create();
 }
 
 std::vector<std::string> AggRegistry::Names() const {
   std::vector<std::string> names;
   names.reserve(entries_.size());
-  for (const auto& [name, factory] : entries_) names.push_back(name);
+  for (const auto& [name, kind] : entries_) names.push_back(name);
   return names;
+}
+
+void AggStateLayout::Append(const AggKind& kind) {
+  const std::size_t offset = (size_ + kind.align - 1) & ~(kind.align - 1);
+  kinds_.push_back(kind);
+  offsets_.push_back(offset);
+  size_ = offset + kind.size;
+  align_ = std::max(align_, kind.align);
+}
+
+void AggStateLayout::Construct(std::byte* block) const {
+  for (std::size_t slot = 0; slot < kinds_.size(); ++slot) {
+    AggState* state = kinds_[slot].construct(block + offsets_[slot]);
+    // State() reads the AggState base at the slot's address: single
+    // inheritance from the polymorphic base puts it there.
+    FWDECAY_CHECK_MSG(static_cast<void*>(state) == block + offsets_[slot],
+                      "aggregate state base is not at the slot address");
+  }
+}
+
+void AggStateLayout::Destroy(std::byte* block) const {
+  for (std::size_t slot = 0; slot < kinds_.size(); ++slot) {
+    State(block, slot)->~AggState();
+  }
 }
 
 }  // namespace fwdecay::dsms

@@ -1,11 +1,13 @@
 #ifndef FWDECAY_DSMS_AGG_H_
 #define FWDECAY_DSMS_AGG_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <new>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "dsms/column.h"
@@ -28,6 +30,9 @@ namespace fwdecay::dsms {
 // now lives in dsms/column.h as a typed class.
 
 /// Per-group aggregation state. One instance per (group, aggregate call).
+/// The engine constructs states in place inside a per-group block
+/// (AggStateLayout), so an aggregate is registered by type, not by a
+/// heap factory (AggRegistry::Register<T>).
 class AggState {
  public:
   virtual ~AggState() = default;
@@ -39,13 +44,25 @@ class AggState {
   /// args_columns[a][row] is argument `a` of the tuple at dense row
   /// index `row`; `rows` lists the (ascending) rows belonging to this
   /// state's group. The default implementation gathers each row into a
-  /// reused scratch buffer and calls Update(), preserving per-tuple
-  /// semantics bit for bit; hot aggregates override it with a tight
-  /// column loop. Overrides must process rows in order — samplers draw
-  /// from their RNG per row, and FP accumulation order defines the
-  /// engine's bit-exactness contract (DESIGN.md §8).
+  /// stack buffer and calls Update(), preserving per-tuple semantics bit
+  /// for bit; hot aggregates override it with a tight column loop.
+  /// Overrides must process rows in order — samplers draw from their RNG
+  /// per row, and FP accumulation order defines the engine's
+  /// bit-exactness contract (DESIGN.md §8).
   virtual void UpdateBatch(std::span<const ValueColumn> args_columns,
                            std::span<const std::uint32_t> rows);
+
+  /// Folds a segment of rows spread over many states of this aggregate
+  /// kind: row rows[k] goes to states[k] (states.size() == rows.size(),
+  /// rows ascending, equal states allowed anywhere). The engine calls it
+  /// on one of the segment's states, so the override that runs is the
+  /// kind's own. Each state must see its rows in order, exactly as
+  /// UpdateBatch would. The default coalesces runs of equal consecutive
+  /// states into UpdateBatch calls; the built-ins override it with one
+  /// loop over the segment.
+  virtual void UpdateStates(std::span<AggState* const> states,
+                            std::span<const ValueColumn> args_columns,
+                            std::span<const std::uint32_t> rows);
 
   /// Merges another state of the same concrete type (used by the
   /// two-level aggregation split when the low level evicts a partial
@@ -68,32 +85,49 @@ class AggState {
   /// instance of the same aggregate. Returns false on truncated or
   /// corrupt input (the instance is then unusable and must be dropped).
   virtual bool RestoreFrom(ByteReader* reader);
-
- private:
-  // Row-gather buffer for the default UpdateBatch (reused across calls
-  // so the batched path never allocates per tuple). Pure scratch: not
-  // part of the aggregate's logical state, never serialized.
-  std::vector<Value> update_scratch_;
 };
 
-/// Creates a fresh state for one group.
-using AggFactory = std::function<std::unique_ptr<AggState>()>;
+/// How to make one aggregate's state: its size and alignment, so the
+/// engine can reserve a slot for it in a group's state block, and
+/// plain function pointers that construct a fresh state there or on
+/// the heap.
+struct AggKind {
+  std::size_t size = 0;
+  std::size_t align = 0;
+  /// Placement-constructs a fresh state at `where` (size/align bytes).
+  AggState* (*construct)(void* where) = nullptr;
+  /// A fresh heap state (tests and tools; the engine never calls it).
+  std::unique_ptr<AggState> (*create)() = nullptr;
+};
 
-/// Name-to-factory registry. Built-in aggregates are pre-registered;
-/// UDAFs are added with Register() — no query-language or engine changes
+/// Name-to-kind registry. Built-in aggregates are pre-registered; UDAFs
+/// are added with Register<T>() — no query-language or engine changes
 /// required, which is the deployment story of Section VI.
 class AggRegistry {
  public:
   /// The process-wide registry (lazily constructed, never destroyed).
   static AggRegistry& Instance();
 
-  /// Registers (or replaces) an aggregate under a lowercase name.
-  void Register(const std::string& name, AggFactory factory);
+  /// Registers (or replaces) aggregate type T under a lowercase name. T
+  /// must be default-constructible and derive from AggState.
+  template <class T>
+  void Register(const std::string& name) {
+    static_assert(std::is_base_of_v<AggState, T>,
+                  "aggregates derive from AggState");
+    RegisterKind(name, AggKind{
+        sizeof(T), alignof(T),
+        [](void* where) -> AggState* { return ::new (where) T(); },
+        []() -> std::unique_ptr<AggState> { return std::make_unique<T>(); }});
+  }
 
   /// True if `name` (any case) is a known aggregate.
   bool Contains(const std::string& name) const;
 
-  /// Creates a state; CHECK-fails for unknown names.
+  /// The kind registered under `name` (any case); CHECK-fails for
+  /// unknown names. Plans copy it at compile time.
+  const AggKind& Kind(const std::string& name) const;
+
+  /// Creates a heap state; CHECK-fails for unknown names.
   std::unique_ptr<AggState> Create(const std::string& name) const;
 
   /// All registered lowercase names (for the planner's classifier).
@@ -102,7 +136,42 @@ class AggRegistry {
  private:
   AggRegistry();
 
-  std::vector<std::pair<std::string, AggFactory>> entries_;
+  void RegisterKind(const std::string& name, AggKind kind);
+
+  std::vector<std::pair<std::string, AggKind>> entries_;
+};
+
+/// Where a group's aggregate states live inside its one state block: a
+/// slot per aggregate call, each at a fixed offset aligned for its kind.
+/// A plan builds this once; the engine carves one block per group shell
+/// and per low-level slot and constructs and destroys states in it.
+class AggStateLayout {
+ public:
+  /// Appends a slot for `kind` after the existing ones.
+  void Append(const AggKind& kind);
+
+  std::size_t num_slots() const { return kinds_.size(); }
+  /// Bytes and alignment one block needs (0 bytes: no aggregates).
+  std::size_t block_size() const { return size_; }
+  std::size_t block_align() const { return align_; }
+
+  /// Constructs a fresh state in every slot of `block`, in slot order
+  /// (sampler seeds are drawn in construction order).
+  void Construct(std::byte* block) const;
+
+  /// Destroys every slot's state in `block`; the block stays reusable.
+  void Destroy(std::byte* block) const;
+
+  /// The live state in slot `slot` of `block`.
+  AggState* State(std::byte* block, std::size_t slot) const {
+    return std::launder(reinterpret_cast<AggState*>(block + offsets_[slot]));
+  }
+
+ private:
+  std::vector<AggKind> kinds_;
+  std::vector<std::size_t> offsets_;
+  std::size_t size_ = 0;
+  std::size_t align_ = 1;
 };
 
 }  // namespace fwdecay::dsms

@@ -373,6 +373,10 @@ std::unique_ptr<CompiledQuery> CompiledQuery::CompileParsed(Query query,
     }
     plan->having_ = std::move(query.having);
   }
+  // Each slot's kind and block offset, resolved once for every group.
+  for (const std::string& name : plan->agg_names_) {
+    plan->agg_layout_.Append(AggRegistry::Instance().Kind(name));
+  }
 
   // ORDER BY: resolve each entry to an output column — by 1-based
   // position, by alias/column name, or by expression text.
@@ -454,7 +458,12 @@ std::uint64_t CompiledQuery::Fingerprint() const {
 
 struct QueryExecution::Group {
   std::vector<Value> key;
-  std::vector<std::unique_ptr<AggState>> aggs;
+  // The group's aggregate states, one per plan slot at the plan's
+  // AggStateLayout offsets. The block is carved from the execution's
+  // arena when the shell (or low slot) is first used and kept for its
+  // life; states are constructed at admission and destroyed at
+  // release, eviction or shedding.
+  std::byte* states = nullptr;
   // Forward-decayed weight Σ g(t_i - L) and tuple count, maintained for
   // the overload-shedding eviction rule (cheap: one add per update).
   double weight = 0.0;
@@ -473,26 +482,42 @@ struct QueryExecution::LowSlot {
 // line of hashes before it ever dereferences a group. Group shells live
 // out-of-line in a bump arena and are recycled through a free list:
 // pointers stay stable across rehash (only the slot arrays move), and a
-// shell released by shedding or a window Reset() keeps its key/agg
-// vector capacities for the next admission. Tombstone-free: removal
-// backward-shifts the probe chain, so layout is a pure function of the
-// insertion sequence — but no observable order ever reads the layout
-// (Finish/MergeFrom/CheckpointBytes all sort by KeyLess, and the shed
-// victim is a deterministic (weight, KeyLess) minimum).
+// shell released by shedding or a window Reset() keeps its key
+// capacity and its state block for the next admission. Tombstone-free:
+// removal backward-shifts the probe chain, so layout is a pure function
+// of the insertion sequence — but no observable order ever reads the
+// layout (Finish/CheckpointBytes sort by KeyLess, and the shed victim
+// is a deterministic (weight, KeyLess) minimum).
 struct QueryExecution::HighTable {
   std::vector<std::uint64_t> hashes;  // slot -> cached key hash
   std::vector<Group*> slots;          // slot -> shell, nullptr = empty
   std::size_t mask = 0;               // capacity - 1
   std::size_t size = 0;               // occupied slots
 
-  util::Arena arena;                  // owns every shell's storage
+  const AggStateLayout& layout;       // the plan's state block layout
+  const std::size_t key_arity;        // group-key columns per group
+  util::Arena arena;                  // shells and every state block
   std::vector<Group*> free_shells;    // released, capacity-retaining
   std::vector<Group*> all_shells;     // every shell ever built (dtors)
 
+  HighTable(const AggStateLayout& state_layout, std::size_t arity)
+      : layout(state_layout), key_arity(arity) {}
+
   ~HighTable() {
-    // Arena memory is freed wholesale; the shells' interior vectors are
-    // ordinary heap objects and need their destructors.
+    // Arena memory is freed wholesale; live states and the shells'
+    // key vectors are ordinary objects and need their destructors.
+    for (Group* g : slots) {
+      if (g != nullptr) layout.Destroy(g->states);
+    }
     for (Group* g : all_shells) g->~Group();
+  }
+
+  // A state block for one group (nullptr when the plan has no
+  // aggregates: every slot offset is then out of use).
+  std::byte* NewBlock() {
+    if (layout.block_size() == 0) return nullptr;
+    return static_cast<std::byte*>(
+        arena.Allocate(layout.block_size(), layout.block_align()));
   }
 
   // Walks the probe chain of `hash` for a key `key_eq` accepts. Returns
@@ -566,17 +591,21 @@ struct QueryExecution::HighTable {
     }
     // fwdecay: hotpath-cold(shell construction: once per peak live group, arena-backed)
     Group* g = arena.New<Group>();
+    // fwdecay: hotpath-cold(key capacity reserved once per shell, at the plan's arity)
+    g->key.reserve(key_arity);
+    // fwdecay: hotpath-cold(state block carved from the arena once per shell)
+    g->states = NewBlock();
     // fwdecay: hotpath-cold(destructor registry grows once per constructed shell)
     all_shells.push_back(g);
     return g;
   }
 
-  // Empties a shell back into the pool. Vector capacities (key slots,
-  // agg pointers) survive, so readmission after shedding or a window
-  // turnover allocates nothing.
+  // Destroys a live group's states and empties its shell back into the
+  // pool. The key capacity and the state block survive, so readmission
+  // after shedding or a window turnover allocates nothing.
   void ReleaseShell(Group* g) {
+    layout.Destroy(g->states);
     g->key.clear();
-    g->aggs.clear();
     g->weight = 0.0;
     g->tuples = 0;
     // fwdecay: hotpath-cold(pool vector growth bounded by peak live shells)
@@ -620,7 +649,9 @@ struct QueryExecution::HighTable {
 };
 
 QueryExecution::QueryExecution(const CompiledQuery* plan)
-    : plan_(plan), high_(std::make_unique<HighTable>()) {
+    : plan_(plan),
+      high_(std::make_unique<HighTable>(plan->agg_layout_,
+                                        plan->group_exprs_.size())) {
   if (plan_->options_.two_level) {
     low_table_.resize(plan_->options_.low_level_slots);
     const std::size_t slots = low_table_.size();
@@ -642,6 +673,10 @@ QueryExecution::~QueryExecution() {
   // Short-lived executions may never hit a periodic flush; publish the
   // tail deltas so process-wide counters stay exact.
   FlushMetrics();
+  // Low-level states live in arena blocks that high_ frees.
+  for (LowSlot& slot : low_table_) {
+    if (slot.occupied) plan_->agg_layout_.Destroy(slot.group.states);
+  }
 }
 
 void QueryExecution::FlushMetrics() {
@@ -698,21 +733,6 @@ void QueryExecution::UseShardMetrics(std::size_t shard_index) {
   // tuple_rate / batch_ns stay bound to the shared engine-wide families.
 }
 
-namespace {
-
-// Fills a (possibly recycled) agg-state vector with fresh states, one
-// per plan slot, reusing the vector's capacity.
-void FillAggStates(const std::vector<std::string>& names,
-                   std::vector<std::unique_ptr<AggState>>* states) {
-  states->clear();
-  states->reserve(names.size());
-  for (const std::string& name : names) {
-    states->push_back(AggRegistry::Instance().Create(name));
-  }
-}
-
-}  // namespace
-
 template <class KeyEq, class WriteKey>
 QueryExecution::Group* QueryExecution::FindOrCreateHighGroup(
     std::uint64_t hash, const KeyEq& key_eq, const WriteKey& write_key) {
@@ -729,16 +749,17 @@ QueryExecution::Group* QueryExecution::FindOrCreateHighGroup(
   // under forward decay the ones with the largest static weights — so
   // admitting it over the minimum-weight group is the principled choice.
   // Shedding reshapes probe chains, so the probed slot no longer holds.
-  if (policy_.max_groups > 0) {
-    while (high_group_count_ >= policy_.max_groups) {
-      ShedLowestWeightGroup();
-      placed = false;
-    }
+  if (policy_.max_groups > 0 && high_group_count_ >= policy_.max_groups) {
+    // A victim's states must hold every row resolved to it so far, and
+    // its block is about to be reused: close the segment first.
+    FlushSegment();
+    while (high_group_count_ >= policy_.max_groups) ShedLowestWeightGroup();
+    placed = false;
   }
   Group* g = table.AcquireShell();
   write_key(&g->key);  // into the shell's retained capacity
-  // fwdecay: hotpath-cold(new-group admission: states allocated once per group, not per row)
-  FillAggStates(plan_->agg_names_, &g->aggs);
+  // fwdecay: hotpath-cold(new-group admission: states constructed in place once per group, not per row)
+  plan_->agg_layout_.Construct(g->states);
   if (placed) {
     table.InsertAt(slot, hash, g);
   } else {
@@ -774,28 +795,10 @@ void QueryExecution::ShedLowestWeightGroup() {
   FWDECAY_CHECK_MSG(victim != nullptr, "shedding from an empty group table");
   ++groups_shed_;
   tuples_shed_ += victim->tuples;
+  // fwdecay: hotpath-cold(state destruction once per shed group, not per row)
   high_->ReleaseShell(high_->slots[victim_slot]);
   high_->EraseSlot(victim_slot);
   --high_group_count_;
-}
-
-void QueryExecution::UpdateGroup(Group& group, const PacketBatch& batch,
-                                 std::size_t run_begin, std::size_t run_len) {
-  // Weights first, per row in stream order, then the aggregates — the
-  // exact side-effect order of the old per-tuple loop, just regrouped:
-  // per-slot agg states are independent, so interleaving slots per row
-  // (old) and rows per slot (here) yield identical per-state sequences.
-  const double* times = batch.time();
-  for (std::size_t r = run_begin; r < run_begin + run_len; ++r) {
-    group.weight += ForwardWeight(times[sel_[r]]);
-  }
-  group.tuples += run_len;
-  const std::span<const std::uint32_t> rows(row_index_.data() + run_begin,
-                                            run_len);
-  for (std::size_t slot = 0; slot < plan_->agg_names_.size(); ++slot) {
-    group.aggs[slot]->UpdateBatch(
-        std::span<const ValueColumn>(arg_cols_[slot]), rows);
-  }
 }
 
 void QueryExecution::EvictToHigh(LowSlot& slot) {
@@ -804,20 +807,36 @@ void QueryExecution::EvictToHigh(LowSlot& slot) {
       slot.hash,
       [&](const std::vector<Value>& k) { return KeysEqual(k, key); },
       [&](std::vector<Value>* dst) { *dst = key; });
-  for (std::size_t i = 0; i < target->aggs.size(); ++i) {
+  const AggStateLayout& layout = plan_->agg_layout_;
+  for (std::size_t i = 0; i < layout.num_slots(); ++i) {
     // fwdecay: hotpath-cold(amortized-rare eviction; Merge runs once per evicted group, not per row)
-    target->aggs[i]->Merge(*slot.group.aggs[i]);
+    layout.State(target->states, i)->Merge(*layout.State(slot.group.states, i));
   }
   target->weight += slot.group.weight;
   target->tuples += slot.group.tuples;
+  // fwdecay: hotpath-cold(state destruction once per evicted group, not per row)
+  layout.Destroy(slot.group.states);
   slot.occupied = false;
   --low_occupied_;
-  // The slot's key/agg vectors keep their capacity for the next tenant.
+  // The slot's key capacity and state block stay for the next tenant.
   slot.group.key.clear();
-  slot.group.aggs.clear();
   slot.group.weight = 0.0;
   slot.group.tuples = 0;
   ++low_level_evictions_;
+}
+
+void QueryExecution::AdmitLow(LowSlot& slot, std::uint64_t hash) {
+  if (slot.group.states == nullptr) {
+    // fwdecay: hotpath-cold(key capacity reserved once per low slot, at the plan's arity)
+    slot.group.key.reserve(plan_->group_exprs_.size());
+    // fwdecay: hotpath-cold(state block carved from the arena once per low slot)
+    slot.group.states = high_->NewBlock();
+  }
+  // fwdecay: hotpath-cold(low-slot admission: states constructed in place once per group, not per row)
+  plan_->agg_layout_.Construct(slot.group.states);
+  slot.occupied = true;
+  ++low_occupied_;
+  slot.hash = hash;
 }
 
 void QueryExecution::Consume(const Packet& p) {
@@ -891,18 +910,24 @@ void QueryExecution::AggregateSelection(const PacketBatch& batch,
   for (std::size_t i = 0; i < n; ++i) {
     row_index_[i] = static_cast<std::uint32_t>(i);
   }
+  row_blocks_.resize(n);
 
-  // Apply runs of consecutive equal-key rows. A run resolves its group
-  // once; re-resolving an identical key between the run's rows would be
-  // side-effect-free (same slot, no eviction, no shed), so skipping the
-  // re-resolution leaves every observable state bit-identical to the
-  // per-row loop. Runs never span distinct keys, so eviction and
-  // shedding still happen at exactly the per-tuple points.
+  // Phase 1: resolve runs of consecutive equal-key rows to their
+  // groups. A run resolves its group once; re-resolving an identical
+  // key between the run's rows would be side-effect-free (same slot, no
+  // eviction, no shed), so skipping it leaves every observable state
+  // bit-identical to the per-row loop. Forward weights are added here,
+  // per row in stream order, so a shed scan sees per-tuple weights.
+  // Aggregate updates wait for phase 2 (FlushSegment), which runs
+  // before any eviction or shed and once at the end of the batch.
   //
   // Run scans, slot hit tests and high-table probes read the key
   // columns in place (raw int64 arrays when every key column is kI64);
   // a key is materialized into Values only when a group is admitted.
   const bool all_i64 = AllKeysI64(key_cols_, num_groups);
+  const double* times = batch.time();
+  seg_begin_ = 0;
+  seg_runs_ = 0;
   std::size_t i = 0;
   while (i < n) {
     std::size_t j = i + 1;
@@ -910,6 +935,7 @@ void QueryExecution::AggregateSelection(const PacketBatch& batch,
            RowKeysEqual(key_cols_, all_i64, j, i)) {
       ++j;
     }
+    seg_end_ = i;  // a flush from here on applies the rows before i
     const std::uint64_t hash = hashes_[i];
     const auto write_row_key = [&](std::vector<Value>* key) {
       for (std::size_t g = 0; g < num_groups; ++g) {
@@ -933,19 +959,60 @@ void QueryExecution::AggregateSelection(const PacketBatch& batch,
       const bool hit = slot.occupied && slot.hash == hash &&
                        RowKeyEquals(key_cols_, all_i64, i, slot.group.key);
       if (!hit) {
-        if (slot.occupied) EvictToHigh(slot);
-        slot.occupied = true;
-        ++low_occupied_;
-        slot.hash = hash;
-        slot.group.key.clear();  // buffer keeps its capacity
+        if (slot.occupied) {
+          // The merge reads the tenant's states and its block is reused
+          // by the newcomer: apply the rows resolved so far first.
+          FlushSegment();
+          EvictToHigh(slot);
+        }
+        slot.group.key.clear();  // capacity stays
         write_row_key(&slot.group.key);
-        // fwdecay: hotpath-cold(low-slot admission: states allocated once per group, not per row)
-        FillAggStates(plan_->agg_names_, &slot.group.aggs);
+        AdmitLow(slot, hash);
       }
       target = &slot.group;
     }
-    UpdateGroup(*target, batch, i, j - i);
+    for (std::size_t r = i; r < j; ++r) {
+      target->weight += ForwardWeight(times[sel_[r]]);
+    }
+    target->tuples += j - i;
+    std::fill(row_blocks_.begin() + static_cast<std::ptrdiff_t>(i),
+              row_blocks_.begin() + static_cast<std::ptrdiff_t>(j),
+              target->states);
+    ++seg_runs_;
     i = j;
+  }
+  seg_end_ = n;
+  FlushSegment();
+}
+
+void QueryExecution::FlushSegment() {
+  const std::size_t begin = seg_begin_;
+  const std::size_t len = seg_end_ - begin;
+  const std::size_t runs = seg_runs_;
+  seg_begin_ = seg_end_;
+  seg_runs_ = 0;
+  if (len == 0) return;
+  // Phase 2. Per-slot states are independent, and every state receives
+  // its rows in stream order whichever slot goes first, so each state's
+  // sequence of updates is the per-tuple one.
+  const AggStateLayout& layout = plan_->agg_layout_;
+  const std::span<const std::uint32_t> rows(row_index_.data() + begin, len);
+  if (runs == 1) {
+    // One group: a single UpdateBatch per slot, no per-row state array.
+    std::byte* block = row_blocks_[begin];
+    for (std::size_t slot = 0; slot < layout.num_slots(); ++slot) {
+      layout.State(block, slot)->UpdateBatch(
+          std::span<const ValueColumn>(arg_cols_[slot]), rows);
+    }
+    return;
+  }
+  slot_states_.resize(len);
+  for (std::size_t slot = 0; slot < layout.num_slots(); ++slot) {
+    for (std::size_t k = 0; k < len; ++k) {
+      slot_states_[k] = layout.State(row_blocks_[begin + k], slot);
+    }
+    slot_states_[0]->UpdateStates(
+        slot_states_, std::span<const ValueColumn>(arg_cols_[slot]), rows);
   }
 }
 
@@ -974,8 +1041,8 @@ void QueryExecution::CheckInvariants() const {
                       "group filed under the wrong hash");
     FWDECAY_CHECK_MSG(g->key.size() == plan_->group_exprs_.size(),
                       "group key arity differs from the plan");
-    FWDECAY_CHECK_MSG(g->aggs.size() == plan_->agg_names_.size(),
-                      "aggregate slot count differs from the plan");
+    FWDECAY_CHECK_MSG(g->states != nullptr || plan_->agg_names_.empty(),
+                      "group has no state block for the plan's aggregates");
     FWDECAY_CHECK_MSG(g->weight >= 0.0 && !std::isnan(g->weight),
                       "group forward-decay weight is negative or NaN");
     // Probe invariant: no empty slot between the key's home slot and
@@ -1024,8 +1091,9 @@ void QueryExecution::CheckInvariants() const {
                       "low-level slot hash diverged from its key");
     FWDECAY_CHECK_MSG(slot.group.key.size() == plan_->group_exprs_.size(),
                       "low-level group key arity differs from the plan");
-    FWDECAY_CHECK_MSG(slot.group.aggs.size() == plan_->agg_names_.size(),
-                      "low-level aggregate slot count differs from the plan");
+    FWDECAY_CHECK_MSG(
+        slot.group.states != nullptr || plan_->agg_names_.empty(),
+        "low-level group has no state block for the plan's aggregates");
     FWDECAY_CHECK_MSG(slot.group.weight >= 0.0 && !std::isnan(slot.group.weight),
                       "low-level group weight is negative or NaN");
   }
@@ -1047,22 +1115,26 @@ void QueryExecution::FlushLowLevel() {
   }
 }
 
-void QueryExecution::Reset() {
-  // Publish the finished window's tail deltas before the counters
-  // rewind; the flush baselines rewind with them so the next window's
-  // first flush publishes exact deltas again.
-  FlushMetrics();
+void QueryExecution::ReleaseAllGroups() {
   for (LowSlot& slot : low_table_) {
     if (!slot.occupied) continue;
+    plan_->agg_layout_.Destroy(slot.group.states);
     slot.occupied = false;
     slot.group.key.clear();
-    slot.group.aggs.clear();
     slot.group.weight = 0.0;
     slot.group.tuples = 0;
   }
   low_occupied_ = 0;
   high_->Clear();
   high_group_count_ = 0;
+}
+
+void QueryExecution::Reset() {
+  // Publish the finished window's tail deltas before the counters
+  // rewind; the flush baselines rewind with them so the next window's
+  // first flush publishes exact deltas again.
+  FlushMetrics();
+  ReleaseAllGroups();
   packets_consumed_ = 0;
   tuples_aggregated_ = 0;
   low_level_evictions_ = 0;
@@ -1077,40 +1149,18 @@ void QueryExecution::Reset() {
   flushed_tuples_shed_ = 0;
 }
 
-void QueryExecution::MergeFrom(QueryExecution& other) {
-  // Deterministic key order, so merged state (and any later snapshot)
-  // does not depend on the donor's table layout.
-  std::vector<Group*> groups;
-  groups.reserve(other.high_group_count_);
-  for (Group* g : other.high_->slots) {
+std::vector<const QueryExecution::Group*> QueryExecution::SortedGroups()
+    const {
+  std::vector<const Group*> groups;
+  groups.reserve(high_group_count_);
+  for (const Group* g : high_->slots) {
     if (g != nullptr) groups.push_back(g);
   }
-  std::sort(groups.begin(), groups.end(), [](const Group* a, const Group* b) {
-    return KeyLess(a->key, b->key);
-  });
-  for (Group* g : groups) {
-    const std::uint64_t hash = HashKey(g->key);
-    Group* existing = high_->Find(hash, g->key);
-    if (existing == nullptr) {
-      // Whole-group move: no aggregate Merge, so even non-mergeable
-      // UDAFs survive as long as the donor's keys are disjoint (shard
-      // routing guarantees that). The donor shell's contents move into
-      // a shell of *this* table's arena; the emptied donor shell goes
-      // back to the donor's pool in Clear() below.
-      Group* mine = high_->AcquireShell();
-      *mine = std::move(*g);
-      high_->Insert(hash, mine);
-      ++high_group_count_;
-    } else {
-      for (std::size_t slot = 0; slot < existing->aggs.size(); ++slot) {
-        existing->aggs[slot]->Merge(*g->aggs[slot]);
-      }
-      existing->weight += g->weight;
-      existing->tuples += g->tuples;
-    }
-  }
-  other.high_->Clear();
-  other.high_group_count_ = 0;
+  std::sort(groups.begin(), groups.end(),
+            [](const Group* a, const Group* b) {
+              return KeyLess(a->key, b->key);
+            });
+  return groups;
 }
 
 ResultSet QueryExecution::Finish() {
@@ -1119,23 +1169,20 @@ ResultSet QueryExecution::Finish() {
   // Publish the tail counter deltas (including the evictions the flush
   // above just produced) before results are read.
   FlushMetrics();
+  return BuildResult(SortedGroups());
+}
 
+ResultSet QueryExecution::BuildResult(
+    const std::vector<const Group*>& groups) const {
   ResultSet result;
   for (const auto& out : plan_->outputs_) result.columns.push_back(out.column_name);
 
-  std::vector<Group*> groups;
-  groups.reserve(high_group_count_);
-  for (Group* g : high_->slots) {
-    if (g != nullptr) groups.push_back(g);
-  }
-  std::sort(groups.begin(), groups.end(), [](const Group* a, const Group* b) {
-    return KeyLess(a->key, b->key);
-  });
-
-  for (Group* g : groups) {
-    std::vector<Value> agg_values;
-    agg_values.reserve(g->aggs.size());
-    for (const auto& agg : g->aggs) agg_values.push_back(agg->Finalize());
+  const AggStateLayout& layout = plan_->agg_layout_;
+  std::vector<Value> agg_values(layout.num_slots());
+  for (const Group* g : groups) {
+    for (std::size_t slot = 0; slot < layout.num_slots(); ++slot) {
+      agg_values[slot] = layout.State(g->states, slot)->Finalize();
+    }
     if (plan_->having_ != nullptr &&
         !EvalPostPredicate(*plan_->having_, agg_values, g->key)) {
       continue;
@@ -1196,11 +1243,12 @@ bool QueryExecution::SerializeGroup(const Group& group, ByteWriter* writer,
   for (const Value& v : group.key) v.SerializeTo(writer);
   writer->WriteDouble(group.weight);
   writer->WriteU64(group.tuples);
-  for (std::size_t slot = 0; slot < group.aggs.size(); ++slot) {
+  const AggStateLayout& layout = plan_->agg_layout_;
+  for (std::size_t slot = 0; slot < layout.num_slots(); ++slot) {
     // Each aggregate gets its own length-prefixed frame so Restore can
     // hand it a bounded sub-reader and verify full consumption.
     ByteWriter agg_writer;
-    if (!group.aggs[slot]->SerializeTo(&agg_writer)) {
+    if (!layout.State(group.states, slot)->SerializeTo(&agg_writer)) {
       *error = "aggregate '" + plan_->agg_names_[slot] +
                "' does not support checkpointing";
       return false;
@@ -1228,18 +1276,18 @@ bool QueryExecution::RestoreGroup(ByteReader* reader, Group* group) {
   if (!reader->ReadDouble(&group->weight) || !reader->ReadU64(&group->tuples)) {
     return false;
   }
-  group->aggs.clear();
-  group->aggs.reserve(plan_->agg_names_.size());
-  for (const std::string& name : plan_->agg_names_) {
+  const AggStateLayout& layout = plan_->agg_layout_;
+  layout.Construct(group->states);
+  for (std::size_t slot = 0; slot < layout.num_slots(); ++slot) {
     std::uint32_t frame_len = 0;
     ByteReader frame(nullptr, 0);
     if (!reader->ReadU32(&frame_len) ||
-        !reader->ReadSubReader(frame_len, &frame)) {
+        !reader->ReadSubReader(frame_len, &frame) ||
+        !layout.State(group->states, slot)->RestoreFrom(&frame) ||
+        !frame.Exhausted()) {
+      layout.Destroy(group->states);
       return false;
     }
-    std::unique_ptr<AggState> state = AggRegistry::Instance().Create(name);
-    if (!state->RestoreFrom(&frame) || !frame.Exhausted()) return false;
-    group->aggs.push_back(std::move(state));
   }
   return true;
 }
@@ -1296,15 +1344,7 @@ bool QueryExecution::CheckpointBytes(std::vector<std::uint8_t>* out,
   // High groups in deterministic key order: snapshots of equal states
   // are byte-identical regardless of table history (insertion order,
   // rehashes, and backward-shift deletions never reach the wire).
-  std::vector<const Group*> groups;
-  groups.reserve(high_group_count_);
-  for (const Group* g : high_->slots) {
-    if (g != nullptr) groups.push_back(g);
-  }
-  std::sort(groups.begin(), groups.end(),
-            [](const Group* a, const Group* b) {
-              return KeyLess(a->key, b->key);
-            });
+  const std::vector<const Group*> groups = SortedGroups();
   payload.WriteU32(static_cast<std::uint32_t>(groups.size()));
   for (const Group* g : groups) {
     if (!SerializeGroup(*g, &payload, error)) return false;
@@ -1396,13 +1436,7 @@ bool QueryExecution::RestoreBytes(const std::uint8_t* data, std::size_t size,
   }
   policy_.max_groups = static_cast<std::size_t>(max_groups);
 
-  low_table_.clear();
-  low_occupied_ = 0;
-  if (plan_->options_.two_level) {
-    low_table_.resize(plan_->options_.low_level_slots);
-  }
-  high_->Clear();
-  high_group_count_ = 0;
+  ReleaseAllGroups();
 
   std::uint32_t occupied = 0;
   if (!payload.ReadU32(&occupied) || occupied > low_table_.size()) {
@@ -1418,7 +1452,12 @@ bool QueryExecution::RestoreBytes(const std::uint8_t* data, std::size_t size,
       return false;
     }
     LowSlot& slot = low_table_[index];
+    if (slot.group.states == nullptr) {
+      slot.group.key.reserve(plan_->group_exprs_.size());
+      slot.group.states = high_->NewBlock();
+    }
     if (!RestoreGroup(&payload, &slot.group)) {
+      slot.group.key.clear();
       *error = "snapshot low-level group corrupt";
       return false;
     }
@@ -1437,7 +1476,8 @@ bool QueryExecution::RestoreBytes(const std::uint8_t* data, std::size_t size,
   for (std::uint32_t i = 0; i < n_groups; ++i) {
     Group* g = high_->AcquireShell();
     if (!RestoreGroup(&payload, g)) {
-      high_->ReleaseShell(g);
+      g->key.clear();
+      high_->free_shells.push_back(g);  // no live states to destroy
       *error = "snapshot group corrupt";
       return false;
     }
@@ -1634,20 +1674,39 @@ ResultSet PipelinedQueryExecution::Finish() {
   finished_ = true;
   // Each shard flushes its low level under its own policy (so per-shard
   // shedding bounds apply through the flush, exactly as in the
-  // single-thread Finish), then donates its groups to a fresh
-  // policy-free execution. Shard key spaces are disjoint, so the
-  // donation is a pure move — no aggregate Merge, no FP reassociation,
-  // no re-shedding (Section VI-B).
-  std::unique_ptr<QueryExecution> merged = plan_->NewExecution();
+  // single-thread Finish) and sorts its groups by key. Shard key spaces
+  // are disjoint, so a k-way merge of the sorted lists is the order the
+  // single-thread Finish sorts into, and every group is finalized where
+  // it lives — no aggregate Merge, no FP reassociation, no re-shedding
+  // (Section VI-B). HAVING, ORDER BY and LIMIT then apply once.
+  std::vector<std::vector<const QueryExecution::Group*>> sorted;
+  sorted.reserve(shards_.size());
+  std::size_t total = 0;
   for (auto& shard : shards_) {
     shard->exec->FlushLowLevel();
     // Publish the tail deltas now that the shard has quiesced, so a
     // scrape right after Finish() sees counts matching the result set
     // instead of lagging by up to kMetricsFlushPeriod batches.
     shard->exec->FlushMetrics();
-    merged->MergeFrom(*shard->exec);
+    sorted.push_back(shard->exec->SortedGroups());
+    total += sorted.back().size();
   }
-  return merged->Finish();
+  std::vector<const QueryExecution::Group*> merged;
+  merged.reserve(total);
+  std::vector<std::size_t> next(sorted.size(), 0);
+  while (merged.size() < total) {
+    std::size_t best = sorted.size();
+    for (std::size_t s = 0; s < sorted.size(); ++s) {
+      if (next[s] == sorted[s].size()) continue;
+      if (best == sorted.size() ||
+          KeyLess(sorted[s][next[s]]->key, sorted[best][next[best]]->key)) {
+        best = s;
+      }
+    }
+    merged.push_back(sorted[best][next[best]++]);
+  }
+  // Every shard runs the same plan, so any shard finalizes any group.
+  return shards_.front()->exec->BuildResult(merged);
 }
 
 std::uint64_t PipelinedQueryExecution::SumQuiesced(

@@ -31,7 +31,8 @@
 // groups to the high level on collision. The high level is an
 // open-addressing flat table over arena-backed group shells
 // (DESIGN.md §13.1/§13.3), keyed by the 64-bit group hash the batch
-// pipeline already computes.
+// pipeline already computes. Each shell and each low-level slot owns
+// one arena block holding its group's aggregate states in place.
 
 namespace fwdecay::dsms {
 
@@ -119,6 +120,7 @@ class CompiledQuery {
   std::unique_ptr<Expr> where_;          // may be null
   std::vector<std::unique_ptr<Expr>> group_exprs_;
   std::vector<std::string> agg_names_;   // aggregate function per slot
+  AggStateLayout agg_layout_;            // kind + block offset per slot
   // Argument expressions per aggregate slot.
   std::vector<std::vector<std::unique_ptr<Expr>>> agg_args_;
   std::vector<OutputItem> outputs_;
@@ -240,16 +242,23 @@ class QueryExecution {
   template <class KeyEq, class WriteKey>
   Group* FindOrCreateHighGroup(std::uint64_t hash, const KeyEq& key_eq,
                                const WriteKey& write_key);
-  // Applies one run of consecutive equal-key rows to a group: forward
-  // weights per row in order, then one UpdateBatch per aggregate slot
-  // over the run. The batched hot path — must not allocate per tuple
-  // (scripts/lint.py rule `hotpath`).
-  void UpdateGroup(Group& group, const PacketBatch& batch,
-                   std::size_t run_begin, std::size_t run_len);
   // Groups and aggregates a pre-filtered selection: sel_[0..n) holds the
   // surviving batch rows; key/argument columns are evaluated densely
-  // over it and applied run by run.
+  // over it. Phase 1 resolves every row to its group's state block
+  // (row_blocks_); phase 2 (FlushSegment) updates the states a segment
+  // at a time.
   void AggregateSelection(const PacketBatch& batch, std::size_t n);
+  // Phase 2 over the open segment, rows [seg_begin_, seg_end_): one
+  // UpdateStates per aggregate slot (one UpdateBatch per slot when the
+  // segment is a single run), then opens an empty segment at seg_end_.
+  // Called before every low-level eviction and shed, so merges and shed
+  // victims see exactly the per-tuple state; a no-op outside ingest.
+  // The batched hot path — must not allocate per tuple (scripts/lint.py
+  // rule `hotpath`).
+  void FlushSegment();
+  // Constructs a fresh group's states in a low-level slot, carving the
+  // slot's block on its first admission.
+  void AdmitLow(LowSlot& slot, std::uint64_t hash);
   // The batch ingest behind Consume(batch): counts the batch, selects
   // its rows through `protocol_filter` (0 keeps every row) and `where`
   // (null keeps every row), then groups and aggregates them. Consume()
@@ -258,15 +267,17 @@ class QueryExecution {
   void ConsumeFiltered(const PacketBatch& batch, std::uint8_t protocol_filter,
                        const Expr* where);
   // Evicts every occupied low-level slot to the high level (the first
-  // phase of Finish(); shards flush before merging).
+  // phase of Finish(); pipeline shards flush before the merge).
   void FlushLowLevel();
-  // Moves/merges every high-level group out of `other` into this
-  // execution, in deterministic key order. Groups absent here are moved
-  // wholesale (no aggregate Merge call — works for non-mergeable UDAFs
-  // as long as the key spaces are disjoint, which shard routing
-  // guarantees); colliding keys merge slot by slot. `other` is left with
-  // an empty high level. Shedding policy is NOT consulted.
-  void MergeFrom(QueryExecution& other);
+  // Destroys every group's states and empties both levels; blocks,
+  // shells and slot arrays are retained.
+  void ReleaseAllGroups();
+  // High-level groups in KeyLess order (Finish, snapshots, the
+  // pipeline's k-way merge).
+  std::vector<const Group*> SortedGroups() const;
+  // Finalizes `groups` (already in key order) into the result table:
+  // HAVING per group, then ORDER BY and LIMIT over the surviving rows.
+  ResultSet BuildResult(const std::vector<const Group*>& groups) const;
   void EvictToHigh(LowSlot& slot);
   double ForwardWeight(double ts) const;
   void ShedLowestWeightGroup();
@@ -343,6 +354,11 @@ class QueryExecution {
   std::vector<std::uint32_t> sel_;        // surviving batch rows
   std::vector<std::uint32_t> row_index_;  // iota over the selection
   std::vector<std::uint64_t> hashes_;     // group hash per selected row
+  std::vector<std::byte*> row_blocks_;    // state block per selected row
+  std::vector<AggState*> slot_states_;    // one slot's states, a segment
+  std::size_t seg_begin_ = 0;             // open segment: rows resolved
+  std::size_t seg_end_ = 0;               //   but not yet applied
+  std::size_t seg_runs_ = 0;              // runs resolved in the segment
   std::vector<ValueColumn> key_cols_;     // per group expr, dense
   // Per aggregate slot, per argument: dense column over the selection.
   std::vector<std::vector<ValueColumn>> arg_cols_;
@@ -385,14 +401,15 @@ inline constexpr std::uint64_t kShardRouteSeed = 0x5ca1ab1e0ddba11ULL;
 /// is owned wholly by one shard and receives its updates in stream
 /// order. Finish() runs off the hot path: it quiesces the pipeline
 /// (flush partial sub-batches, signal stop, join workers), flushes each
-/// shard's low level and moves the disjoint group sets into one merged
-/// execution. Forward decay needs no rescaling on merge (Section VI-B),
-/// so for single-level plans the result is bit-identical to the
-/// single-threaded reference, and for two-level plans to single-thread
-/// runs over the per-shard streams (tests/spsc_ring_test.cc asserts
-/// both, the first also under schedule exploration). With an
-/// OverloadPolicy installed each shard bounds its own table, so the
-/// pipeline retains at most num_shards * max_groups groups.
+/// shard's low level and k-way merges the shards' key-sorted, disjoint
+/// group sets into one result. Forward decay needs no rescaling on
+/// merge (Section VI-B), so for single-level plans the result is
+/// bit-identical to the single-threaded reference, and for two-level
+/// plans to single-thread runs over the per-shard streams
+/// (tests/spsc_ring_test.cc asserts both, the first also under schedule
+/// exploration). With an OverloadPolicy installed each shard bounds its
+/// own table, so the pipeline retains at most num_shards * max_groups
+/// groups.
 ///
 /// Threading contract: Consume(), Quiesce(), Finish() and every
 /// accessor, packets_consumed() included, belong to ONE router thread
@@ -433,8 +450,8 @@ class PipelinedQueryExecution {
   /// Finish() calls it implicitly.
   void Quiesce();
 
-  /// Quiesces, then merges the disjoint shard states and finalizes.
-  /// Call once, after ingest has stopped.
+  /// Quiesces, then merges the disjoint shard states in key order and
+  /// finalizes them. Call once, after ingest has stopped.
   ResultSet Finish();
 
   /// Packets offered to Consume() (router-level, pre-filter). Router

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <limits>
 
 #include "util/check.h"
 #include "util/int_div.h"
@@ -236,8 +237,8 @@ std::size_t ScalarFnArity(ScalarFn fn) {
 
 // The one definition of each scalar function, over its arguments
 // widened to double (x[0..ScalarFnArity(fn))). kFloor returns floor(x)
-// as a double; its callers store it as int64. Shared by the per-tuple,
-// post-aggregation and batched evaluators.
+// as a double; its callers store it through FloorToI64. Shared by the
+// per-tuple, post-aggregation and batched evaluators.
 double ScalarFnF64(ScalarFn fn, const double* x) {
   switch (fn) {
     case ScalarFn::kExp: return std::exp(x[0]);
@@ -258,6 +259,19 @@ double ScalarFnF64(ScalarFn fn, const double* x) {
   return 0.0;
 }
 
+// Stores floor()'s double result as an int64, saturating where the
+// plain conversion would be undefined: NaN -> 0, below -2^63 (or -inf)
+// -> INT64_MIN, at or above 2^63 (or +inf) -> INT64_MAX. Every value in
+// between is already integral and converts exactly. The per-tuple,
+// post-aggregation and batched evaluators all convert through here.
+std::int64_t FloorToI64(double y) {
+  constexpr double kTwo63 = 9223372036854775808.0;  // 2^63, exact
+  if (std::isnan(y)) return 0;
+  if (y < -kTwo63) return std::numeric_limits<std::int64_t>::min();
+  if (y >= kTwo63) return std::numeric_limits<std::int64_t>::max();
+  return static_cast<std::int64_t>(y);
+}
+
 // Applies a resolved scalar function to already-evaluated arguments:
 // floor yields an int, every other function a double.
 Value ApplyScalarFn(ScalarFn fn, const std::vector<Value>& args) {
@@ -266,7 +280,7 @@ Value ApplyScalarFn(ScalarFn fn, const std::vector<Value>& args) {
   double x[kMaxScalarArity];
   for (std::size_t i = 0; i < arity; ++i) x[i] = args[i].AsDouble();
   const double y = ScalarFnF64(fn, x);
-  if (fn == ScalarFn::kFloor) return Value(static_cast<std::int64_t>(y));
+  if (fn == ScalarFn::kFloor) return Value(FloorToI64(y));
   return Value(y);
 }
 
@@ -762,7 +776,7 @@ void EvalExprBatch(const Expr& e, const PacketBatch& batch,
           std::int64_t* dst = out->AppendI64(n);
           for (std::size_t i = 0; i < n; ++i) {
             x[0] = cols[0][i];
-            dst[i] = static_cast<std::int64_t>(ScalarFnF64(fn, x));
+            dst[i] = FloorToI64(ScalarFnF64(fn, x));
           }
         } else {
           double* dst = out->AppendF64(n);

@@ -75,7 +75,9 @@ bool IsKnownColumn(const std::string& name);
 Value ReadColumn(const std::string& name, const Packet& p);
 
 /// Evaluates a scalar expression (no aggregate calls) against a packet.
-/// Scalar functions available: exp, ln, sqrt, abs, floor, pow.
+/// Scalar functions available: exp, ln, sqrt, abs, floor, pow. floor
+/// returns an int and saturates where its double has no int64 image:
+/// NaN -> 0, below -2^63 -> INT64_MIN, at or above 2^63 -> INT64_MAX.
 Value EvalExpr(const Expr& e, const Packet& p);
 
 /// Evaluates a predicate: nonzero numeric result = true.

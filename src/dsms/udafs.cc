@@ -942,20 +942,18 @@ class FddistinctUdaf : public AggState {
 
 void RegisterPaperUdafs() {
   AggRegistry& r = AggRegistry::Instance();
-  r.Register("prisamp", [] { return std::make_unique<PrisampUdaf>(); });
-  r.Register("wrsamp", [] { return std::make_unique<WrsampUdaf>(); });
-  r.Register("ressamp", [] { return std::make_unique<RessampUdaf>(); });
-  r.Register("aggsamp", [] { return std::make_unique<AggsampUdaf>(); });
-  r.Register("fdhh", [] { return std::make_unique<FdhhUdaf>(); });
-  r.Register("unaryhh", [] { return std::make_unique<UnaryhhUdaf>(); });
-  r.Register("swhh", [] { return std::make_unique<SwhhUdaf>(); });
-  r.Register("ehdsum", [] { return std::make_unique<EhdsumUdaf>(); });
-  r.Register("fdquantile", [] { return std::make_unique<FdquantileUdaf>(); });
-  r.Register("fddistinct", [] { return std::make_unique<FddistinctUdaf>(); });
-  r.Register("fdmin",
-             [] { return std::make_unique<FdExtremumUdaf<false>>(); });
-  r.Register("fdmax",
-             [] { return std::make_unique<FdExtremumUdaf<true>>(); });
+  r.Register<PrisampUdaf>("prisamp");
+  r.Register<WrsampUdaf>("wrsamp");
+  r.Register<RessampUdaf>("ressamp");
+  r.Register<AggsampUdaf>("aggsamp");
+  r.Register<FdhhUdaf>("fdhh");
+  r.Register<UnaryhhUdaf>("unaryhh");
+  r.Register<SwhhUdaf>("swhh");
+  r.Register<EhdsumUdaf>("ehdsum");
+  r.Register<FdquantileUdaf>("fdquantile");
+  r.Register<FddistinctUdaf>("fddistinct");
+  r.Register<FdExtremumUdaf<false>>("fdmin");
+  r.Register<FdExtremumUdaf<true>>("fdmax");
 }
 
 }  // namespace fwdecay::dsms

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/check.h"
+#include "util/hash.h"
 
 namespace fwdecay {
 
@@ -16,7 +17,52 @@ WeightedSpaceSaving::WeightedSpaceSaving(std::size_t capacity)
   FWDECAY_CHECK_MSG(capacity >= 1, "SpaceSaving needs at least one counter");
   counters_.reserve(capacity);
   heap_.reserve(capacity);
-  index_.reserve(capacity * 2);
+}
+
+std::size_t WeightedSpaceSaving::IndexProbe(std::uint64_t key) const {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t s = Mix64(key) & mask;
+  while (index_[s].counter != kNoCounter && index_[s].key != key) {
+    s = (s + 1) & mask;
+  }
+  return s;
+}
+
+std::size_t WeightedSpaceSaving::IndexFind(std::uint64_t key) const {
+  if (index_.empty()) return kNoCounter;
+  return index_[IndexProbe(key)].counter;
+}
+
+void WeightedSpaceSaving::IndexReserve(std::size_t entries) {
+  if (entries * 2 <= index_.size()) return;
+  std::size_t size = index_.empty() ? 16 : index_.size() * 2;
+  while (size < entries * 2) size *= 2;
+  std::vector<IndexSlot> old = std::move(index_);
+  index_.assign(size, IndexSlot{});
+  for (const IndexSlot& slot : old) {
+    if (slot.counter != kNoCounter) IndexPlace(slot.key, slot.counter);
+  }
+}
+
+void WeightedSpaceSaving::IndexPlace(std::uint64_t key, std::size_t counter) {
+  index_[IndexProbe(key)] = IndexSlot{key, counter};
+}
+
+void WeightedSpaceSaving::IndexErase(std::uint64_t key) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t hole = IndexProbe(key);
+  FWDECAY_DCHECK(index_[hole].counter != kNoCounter);
+  // Slide back every later chain member whose home is not after the
+  // hole, so each key stays reachable from its home without tombstones.
+  for (std::size_t next = (hole + 1) & mask;
+       index_[next].counter != kNoCounter; next = (next + 1) & mask) {
+    const std::size_t home = Mix64(index_[next].key) & mask;
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      index_[hole] = index_[next];
+      hole = next;
+    }
+  }
+  index_[hole] = IndexSlot{};
 }
 
 bool WeightedSpaceSaving::HeapLess(std::size_t a, std::size_t b) const {
@@ -55,9 +101,9 @@ void WeightedSpaceSaving::SiftDown(std::size_t i) {
 void WeightedSpaceSaving::Update(std::uint64_t key, double weight) {
   FWDECAY_DCHECK(weight > 0.0);
   total_weight_ += weight;
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    Counter& c = counters_[it->second];
+  const std::size_t found = IndexFind(key);
+  if (found != kNoCounter) {
+    Counter& c = counters_[found];
     c.count += weight;
     SiftDown(c.heap_pos);  // count only grew; heap property below may break
     return;
@@ -67,15 +113,18 @@ void WeightedSpaceSaving::Update(std::uint64_t key, double weight) {
     counters_.push_back(Counter{key, weight, 0.0, heap_.size()});
     heap_.push_back(idx);
     SiftUp(counters_[idx].heap_pos);
-    index_.emplace(key, idx);
+    // fwdecay: hotpath-cold(index growth while the sketch fills; never once it holds capacity counters)
+    IndexReserve(counters_.size());
+    IndexPlace(key, idx);
     return;
   }
   // Evict the minimum-count counter: the newcomer inherits its count as
-  // error, per the SpaceSaving replacement rule.
+  // error, per the SpaceSaving replacement rule. The index keeps its
+  // size: one key leaves, one arrives.
   const std::size_t idx = heap_[0];
   Counter& c = counters_[idx];
-  index_.erase(c.key);
-  index_.emplace(key, idx);
+  IndexErase(c.key);
+  IndexPlace(key, idx);
   c.error = c.count;
   c.count += weight;
   c.key = key;
@@ -98,8 +147,8 @@ std::vector<HeavyHitter> WeightedSpaceSaving::Query(double phi) const {
 }
 
 double WeightedSpaceSaving::Estimate(std::uint64_t key) const {
-  auto it = index_.find(key);
-  return it == index_.end() ? 0.0 : counters_[it->second].count;
+  const std::size_t found = IndexFind(key);
+  return found == kNoCounter ? 0.0 : counters_[found].count;
 }
 
 void WeightedSpaceSaving::Merge(const WeightedSpaceSaving& other) {
@@ -122,8 +171,13 @@ void WeightedSpaceSaving::CheckInvariants() const {
   FWDECAY_CHECK_MSG(n <= capacity_, "SpaceSaving holds more counters than "
                                     "its capacity");
   FWDECAY_CHECK_MSG(heap_.size() == n, "heap and counter array sizes differ");
-  FWDECAY_CHECK_MSG(index_.size() == n, "index and counter array sizes "
-                                        "differ");
+  const std::size_t indexed = static_cast<std::size_t>(
+      std::count_if(index_.begin(), index_.end(), [](const IndexSlot& s) {
+        return s.counter != kNoCounter;
+      }));
+  FWDECAY_CHECK_MSG(indexed == n, "index and counter array sizes differ");
+  FWDECAY_CHECK_MSG(n * 2 <= index_.size() || n == 0,
+                    "key index is more than half full");
   double sum = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     const Counter& c = counters_[i];
@@ -138,8 +192,9 @@ void WeightedSpaceSaving::CheckInvariants() const {
     // proves heap_ is exactly a permutation of the counter indices.
     FWDECAY_CHECK_MSG(c.heap_pos < n && heap_[c.heap_pos] == i,
                       "heap back-pointer diverged from the heap array");
-    auto it = index_.find(c.key);
-    FWDECAY_CHECK_MSG(it != index_.end() && it->second == i,
+    // Found from its home slot: with the count equality above, the
+    // index is a bijection onto the counters with unbroken probe chains.
+    FWDECAY_CHECK_MSG(IndexFind(c.key) == i,
                       "index entry missing or pointing at another counter");
     sum += c.count;
   }
@@ -228,8 +283,9 @@ std::optional<WeightedSpaceSaving> WeightedSpaceSaving::Deserialize(
         !reader->ReadDouble(&c.error)) {
       return std::nullopt;
     }
-    if (out.index_.contains(c.key)) return std::nullopt;  // corrupt
-    out.index_.emplace(c.key, out.counters_.size());
+    if (out.IndexFind(c.key) != kNoCounter) return std::nullopt;  // corrupt
+    out.IndexReserve(out.counters_.size() + 1);
+    out.IndexPlace(c.key, out.counters_.size());
     out.heap_.push_back(out.counters_.size());
     out.counters_.push_back(c);
   }

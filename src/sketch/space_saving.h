@@ -99,11 +99,31 @@ class WeightedSpaceSaving {
   bool HeapLess(std::size_t a, std::size_t b) const;
   void HeapSwap(std::size_t a, std::size_t b);
 
+  // Key -> counter index: open addressing with linear probing over a
+  // power-of-two table kept at most half full, erased by backward shift
+  // (no tombstones). It grows only while counters are being added, so
+  // it never exceeds twice the capacity and a full sketch — every
+  // eviction included — allocates nothing.
+  static constexpr std::size_t kNoCounter = ~std::size_t{0};
+  struct IndexSlot {
+    std::uint64_t key = 0;
+    std::size_t counter = kNoCounter;  // kNoCounter: empty slot
+  };
+  // Slot holding `key`, or the empty slot that ends its probe chain.
+  std::size_t IndexProbe(std::uint64_t key) const;
+  // Counter index of `key`, or kNoCounter.
+  std::size_t IndexFind(std::uint64_t key) const;
+  // Grows the table (rehashing) until `entries` keys fit half full.
+  void IndexReserve(std::size_t entries);
+  // Maps an absent `key` to `counter`; the table must have room.
+  void IndexPlace(std::uint64_t key, std::size_t counter);
+  void IndexErase(std::uint64_t key);
+
   std::size_t capacity_;
   double total_weight_ = 0.0;
   std::vector<Counter> counters_;
   std::vector<std::size_t> heap_;  // heap of counter indices, min count root
-  std::unordered_map<std::uint64_t, std::size_t> index_;  // key -> counter
+  std::vector<IndexSlot> index_;   // key -> counter, see IndexProbe
 };
 
 /// SpaceSaving specialized for unit increments with O(1) updates using the

@@ -5,8 +5,13 @@
 // the batch path reorders no FP operation and shard routing keeps every
 // group's update sequence intact.
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,6 +28,7 @@
 #include "dsms/trace_io.h"
 #include "dsms/udafs.h"
 #include "dsms/value.h"
+#include "util/crc32c.h"
 
 namespace fwdecay::dsms {
 namespace {
@@ -493,6 +499,250 @@ TEST(ShardedDifferentialTest, PerShardSheddingBound) {
   pipeline->CheckInvariants();  // audits <= max_groups per shard
   EXPECT_LE(pipeline->GroupCount(), 4 * policy.max_groups);
   EXPECT_GT(pipeline->groups_shed(), 0u);
+}
+
+// --- Segment exactness ------------------------------------------------------
+//
+// Batched ingest first resolves every row of a batch to its group, then
+// updates aggregate states a segment at a time. A segment closes before
+// every low-level eviction and every shed, so a merged or shed state
+// holds exactly the rows the per-tuple loop had given it when the
+// eviction or shed happened. These cases put evictions and sheds in the
+// middle of batches. The per-tuple reference cannot go wrong this way —
+// a one-row batch never has rows pending at an eviction or shed.
+
+// Bit-exact text of a result plus the counters that record evictions
+// and sheds: value type tags, doubles as hex floats.
+std::string Render(const ResultSet& rs, std::uint64_t evictions,
+                   std::uint64_t groups_shed, std::uint64_t tuples_shed) {
+  std::string out = "evictions=" + std::to_string(evictions) +
+                    " shed=" + std::to_string(groups_shed) + "/" +
+                    std::to_string(tuples_shed) + "\n";
+  for (const auto& row : rs.rows) {
+    for (const Value& v : row) {
+      char buf[48];
+      if (v.is_double()) {
+        std::snprintf(buf, sizeof(buf), "d:%a|", v.AsDouble());
+        out += buf;
+      } else {
+        out += (v.is_int() ? "i:" : "s:") + v.ToString() + "|";
+      }
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+// Runs one execution of `plan` over `trace` — per tuple when
+// `batch_capacity` is 0, else in batches of that size — and renders it.
+std::string RunAndRender(const CompiledQuery& plan,
+                         const OverloadPolicy* policy,
+                         const std::vector<Packet>& trace,
+                         std::size_t batch_capacity) {
+  auto exec = plan.NewExecution();
+  if (policy != nullptr) exec->SetOverloadPolicy(*policy);
+  if (batch_capacity == 0) {
+    for (const Packet& p : trace) exec->Consume(p);
+  } else {
+    for (const PacketBatch& b : Rebatch(trace, batch_capacity)) {
+      exec->Consume(b);
+    }
+  }
+  exec->CheckInvariants();
+  const std::uint64_t evictions = exec->low_level_evictions();
+  const std::uint64_t groups_shed = exec->groups_shed();
+  const std::uint64_t tuples_shed = exec->tuples_shed();
+  return Render(exec->Finish(), evictions, groups_shed, tuples_shed);
+}
+
+// Runs `fn` in a forked child that starts from this process's exact
+// state and returns the string it wrote. Sampler UDAFs seed each new
+// state from a process-wide counter, so a reference run in this process
+// would leave a later run with different seeds; a child run from the
+// same point draws the same ones.
+std::string RunInChild(const std::function<std::string()>& fn) {
+  int fds[2];
+  if (pipe(fds) != 0) {
+    ADD_FAILURE() << "pipe() failed";
+    return "";
+  }
+  const pid_t pid = fork();
+  if (pid == 0) {
+    close(fds[0]);
+    const std::string out = fn();
+    std::size_t off = 0;
+    while (off < out.size()) {
+      const ssize_t w = write(fds[1], out.data() + off, out.size() - off);
+      if (w <= 0) _exit(1);
+      off += static_cast<std::size_t>(w);
+    }
+    _exit(0);
+  }
+  close(fds[1]);
+  std::string out;
+  char buf[4096];
+  ssize_t r = 0;
+  while ((r = read(fds[0], buf, sizeof(buf))) > 0) {
+    out.append(buf, static_cast<std::size_t>(r));
+  }
+  close(fds[0]);
+  int status = 0;
+  waitpid(pid, &status, 0);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  return out;
+}
+
+// (destIP, destPort) has hundreds of keys, so two low-level slots
+// collide on nearly every run and evict inside every batch.
+constexpr char kWideKeyQuery[] =
+    "select destIP, destPort, count(*), sum(len * expweight(time, 60, 0.1)), "
+    "avg(len), fdmax(len, expweight(time, 60, 0.1)), "
+    "fdhh(srcIP, expweight(time, 60, 0.1), 0.1, 0.05) "
+    "from TCP group by destIP, destPort";
+
+TEST(SegmentExactnessTest, TwoLevelTwoSlotsWithCollidingKeys) {
+  CompiledQuery::Options options;
+  options.two_level = true;
+  options.low_level_slots = 2;
+  auto plan = MustCompile(kWideKeyQuery, options);
+  ASSERT_NE(plan, nullptr);
+  const std::vector<Packet> trace = MakeTrace(20000);
+  const std::string want = RunAndRender(*plan, nullptr, trace, 0);
+  EXPECT_EQ(want.rfind("evictions=0 ", 0), std::string::npos);
+  for (const std::size_t capacity : {std::size_t{64}, std::size_t{1024}}) {
+    EXPECT_EQ(RunAndRender(*plan, nullptr, trace, capacity), want)
+        << "batch capacity " << capacity;
+  }
+}
+
+TEST(SegmentExactnessTest, OneLevelShedsMidBatch) {
+  auto plan = MustCompile(kWideKeyQuery, {});
+  ASSERT_NE(plan, nullptr);
+  OverloadPolicy policy;
+  policy.max_groups = 24;
+  policy.decay_alpha = 0.05;
+  const std::vector<Packet> trace = MakeTrace(20000);
+  const std::string want = RunAndRender(*plan, &policy, trace, 0);
+  EXPECT_EQ(want.find(" shed=0/"), std::string::npos);
+  for (const std::size_t capacity : {std::size_t{64}, std::size_t{1024}}) {
+    EXPECT_EQ(RunAndRender(*plan, &policy, trace, capacity), want)
+        << "batch capacity " << capacity;
+  }
+}
+
+// Samplers draw from their RNG per row and seed each state at creation,
+// so a row applied to the wrong state or after the wrong eviction changes
+// both the sample and every later seed.
+TEST(SegmentExactnessTest, SamplersAcrossSegmentBoundaries) {
+  const char* query =
+      "select destIP, PRISAMP(srcIP, len * expweight(time, 60, 0.1), 4), "
+      "RESSAMP(len, 4), count(*) from TCP group by destIP";
+  CompiledQuery::Options two_level;
+  two_level.two_level = true;
+  two_level.low_level_slots = 2;
+  auto plan_2l = MustCompile(query, two_level);
+  auto plan_1l = MustCompile(query, {});
+  ASSERT_NE(plan_2l, nullptr);
+  ASSERT_NE(plan_1l, nullptr);
+  OverloadPolicy policy;
+  policy.max_groups = 24;
+  policy.decay_alpha = 0.05;
+  const std::vector<Packet> trace = MakeTrace(20000);
+  struct Case {
+    const CompiledQuery* plan;
+    const OverloadPolicy* policy;
+  };
+  for (const Case& c : {Case{plan_2l.get(), nullptr},
+                        Case{plan_1l.get(), &policy}}) {
+    const std::string want = RunInChild(
+        [&] { return RunAndRender(*c.plan, c.policy, trace, 0); });
+    EXPECT_TRUE(want.rfind("evictions=0 shed=0/", 0) == std::string::npos);
+    EXPECT_EQ(RunAndRender(*c.plan, c.policy, trace, 1024), want)
+        << (c.policy != nullptr ? "one-level, shedding" : "two-level");
+  }
+}
+
+// The pipeline k-way merges the shards' key-sorted groups, then applies
+// HAVING, ORDER BY and LIMIT once — the single-thread order exactly.
+TEST(SegmentExactnessTest, PipelineMatchesSingleThreadWithHavingOrderLimit) {
+  auto plan = MustCompile(
+      "select destIP, destPort, count(*) as n, "
+      "sum(len * expweight(time, 60, 0.1)) as w from TCP "
+      "group by destIP, destPort having count(*) > 2 "
+      "order by w desc, n limit 40",
+      {});
+  ASSERT_NE(plan, nullptr);
+  const std::vector<Packet> trace = MakeTrace(20000);
+  const std::vector<PacketBatch> batches = Rebatch(trace, 256);
+  auto reference = plan->NewExecution();
+  for (const Packet& p : trace) reference->Consume(p);
+  const ResultSet want = reference->Finish();
+  ASSERT_EQ(want.rows.size(), 40u);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
+                                   std::size_t{4}}) {
+    ExpectBitIdentical(RunPipeline(*plan, shards, batches)->Finish(), want);
+  }
+  // One shard under a shedding policy sheds mid-batch exactly as the
+  // single-thread reference does.
+  OverloadPolicy policy;
+  policy.max_groups = 24;
+  policy.decay_alpha = 0.05;
+  auto shed_reference = plan->NewExecution();
+  shed_reference->SetOverloadPolicy(policy);
+  for (const Packet& p : trace) shed_reference->Consume(p);
+  auto pipeline = RunPipeline(*plan, 1, batches, &policy);
+  EXPECT_GT(pipeline->groups_shed(), 0u);
+  EXPECT_EQ(pipeline->groups_shed(), shed_reference->groups_shed());
+  EXPECT_EQ(pipeline->tuples_shed(), shed_reference->tuples_shed());
+  ExpectBitIdentical(pipeline->Finish(), shed_reference->Finish());
+}
+
+// FWDSNAP1 images of the run below, recorded from the engine that kept
+// one heap state per group and updated it a group-run at a time.
+constexpr std::size_t kPinnedMidBytes = 14661;
+constexpr std::uint32_t kPinnedMidCrc = 0xddd20d3du;
+constexpr std::uint32_t kPinnedEndCrc = 0xdae72ebdu;
+
+// A checkpoint taken between batches of a run that evicts and sheds
+// mid-batch, restored and continued: the FWDSNAP1 images, pinned by
+// CRC32C, are those of the engine that applied rows one group-run at a
+// time, and the restored run ends byte-identical to the uninterrupted one.
+TEST(SegmentExactnessTest, CheckpointRestoreBytesArePinned) {
+  CompiledQuery::Options options;
+  options.two_level = true;
+  options.low_level_slots = 4;
+  auto plan = MustCompile(kWideKeyQuery, options);
+  ASSERT_NE(plan, nullptr);
+  OverloadPolicy policy;
+  policy.max_groups = 48;
+  policy.decay_alpha = 0.05;
+  const std::vector<PacketBatch> batches = Rebatch(MakeTrace(20000), 512);
+  const std::size_t cut = batches.size() / 2;
+
+  auto uninterrupted = plan->NewExecution();
+  uninterrupted->SetOverloadPolicy(policy);
+  for (std::size_t i = 0; i < cut; ++i) uninterrupted->Consume(batches[i]);
+  std::vector<std::uint8_t> mid;
+  std::string error;
+  ASSERT_TRUE(uninterrupted->CheckpointBytes(&mid, &error)) << error;
+  EXPECT_GT(uninterrupted->low_level_evictions(), 0u);
+  EXPECT_GT(uninterrupted->groups_shed(), 0u);
+  EXPECT_EQ(mid.size(), kPinnedMidBytes);
+  EXPECT_EQ(Crc32c(mid.data(), mid.size()), kPinnedMidCrc);
+
+  auto restored = plan->NewExecution();
+  ASSERT_TRUE(restored->RestoreBytes(mid.data(), mid.size(), &error)) << error;
+  for (std::size_t i = cut; i < batches.size(); ++i) {
+    uninterrupted->Consume(batches[i]);
+    restored->Consume(batches[i]);
+  }
+  std::vector<std::uint8_t> end_a;
+  std::vector<std::uint8_t> end_b;
+  ASSERT_TRUE(uninterrupted->CheckpointBytes(&end_a, &error)) << error;
+  ASSERT_TRUE(restored->CheckpointBytes(&end_b, &error)) << error;
+  EXPECT_EQ(end_a, end_b);
+  EXPECT_EQ(Crc32c(end_a.data(), end_a.size()), kPinnedEndCrc);
+  ExpectBitIdentical(restored->Finish(), uninterrupted->Finish());
 }
 
 // --- Batch producers --------------------------------------------------------

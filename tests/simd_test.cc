@@ -392,7 +392,7 @@ TEST(SimdDifferential, ColumnwiseKeyHashMatchesBoxedHashKey) {
   // The engine hashes all-int64 keys column by column: GroupHashI64 over
   // column 0, then GroupHashCombineI64 per further column. That must
   // equal HashKey of the boxed key — the per-Value combine the generic
-  // path, snapshots and MergeFrom use — at every arity.
+  // path, snapshot restore and the invariant audit use — at every arity.
   constexpr std::size_t kRows = 37;
   for (std::size_t arity = 1; arity <= 4; ++arity) {
     std::vector<std::vector<std::int64_t>> cols(

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include "sketch/space_saving.h"
+#include "util/bytes.h"
+#include "util/crc32c.h"
 #include "util/random.h"
 #include "util/zipf.h"
 
@@ -25,6 +27,34 @@ TEST(WeightedSpaceSavingTest, ExactWhenUnderCapacity) {
   EXPECT_DOUBLE_EQ(ss.Estimate(2), 3.0);
   EXPECT_DOUBLE_EQ(ss.Estimate(99), 0.0);
   EXPECT_DOUBLE_EQ(ss.TotalWeight(), 10.0);
+}
+
+// Serialized bytes of a seeded stream — growth, tied-weight evictions,
+// Merge and ScaleWeights — pinned by CRC32C. The key index is internal:
+// counters, the heap permutation and every serialized byte must stay
+// those of the node-based hash map this open-addressing index replaced.
+TEST(WeightedSpaceSavingTest, SerializedBytesOfSeededStreamArePinned) {
+  ByteWriter out;
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{3},
+                                     std::size_t{64}, std::size_t{100}}) {
+    Rng rng(0x5eed0000 + capacity);
+    ZipfGenerator zipf(5000, 1.1);
+    WeightedSpaceSaving ss(capacity);
+    WeightedSpaceSaving other(capacity);
+    for (int i = 0; i < 50000; ++i) {
+      // Keys spread over all 64 bits; every third weight ties at 1.0.
+      const std::uint64_t key = zipf.Next(rng) * 0x9e3779b97f4a7c15ULL;
+      const double w = i % 3 == 0 ? 1.0 : 1.0 + rng.NextDouble() * 4.0;
+      (i % 4 == 0 ? other : ss).Update(key, w);
+    }
+    ss.Merge(other);
+    ss.ScaleWeights(0.5);
+    for (int i = 0; i < 1000; ++i) ss.Update(rng.Next64() % 300, 2.0);
+    ss.CheckInvariants();
+    ss.SerializeTo(&out);
+  }
+  EXPECT_EQ(out.bytes().size(), 4792u);
+  EXPECT_EQ(Crc32c(out.bytes().data(), out.bytes().size()), 0xea9c6825u);
 }
 
 TEST(WeightedSpaceSavingTest, EstimateIsUpperBoundWithinError) {

@@ -5,6 +5,7 @@
 // the per-row CHECKs (division by zero, strings used as numbers).
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -192,6 +193,52 @@ TEST(TypedEvalTest, ScalarFunctionsOverTypedArguments) {
   // Nested calls, and extra arguments beyond a function's arity.
   ExpectBatchMatchesPerRow(*Call("floor", Call("sqrt", Col("len"))), trace);
   ExpectBatchMatchesPerRow(*Call("exp", Lit(1.0), Col("len")), trace);
+}
+
+// floor() of a value with no int64 image saturates, identically per
+// tuple and batched: NaN -> 0, -inf and anything below -2^63 ->
+// INT64_MIN, +inf and anything at or above 2^63 -> INT64_MAX.
+TEST(TypedEvalTest, FloorSaturatesNaNInfinitiesAndOutOfRange) {
+  const auto trace = Trace();
+  const auto sub = [](std::unique_ptr<Expr> a, std::unique_ptr<Expr> b) {
+    return Expr::Binary(BinOp::kSub, std::move(a), std::move(b));
+  };
+  const auto ln_zero = [&] { return Call("ln", sub(Col("len"), Col("len"))); };
+  const auto two63 = [] { return Call("pow", Lit(2.0), Lit(63.0)); };
+  struct Case {
+    std::unique_ptr<Expr> e;
+    std::int64_t want;  // every row
+  };
+  std::vector<Case> cases;
+  cases.push_back({Call("floor", ln_zero()), kMin});                  // -inf
+  cases.push_back({Call("floor", sub(Lit(0.0), ln_zero())), kMax});   // +inf
+  cases.push_back({Call("floor", Call("sqrt", sub(Lit(0.0), Col("len")))),
+                   0});                                               // NaN
+  cases.push_back({Call("floor", two63()), kMax});                    // 2^63
+  cases.push_back({Call("floor", sub(Lit(0.0), two63())), kMin});     // -2^63
+  cases.push_back({Call("floor", sub(two63(), Lit(1024.0))),
+                   kMax - 1023});  // largest double below 2^63
+  cases.push_back({Call("floor", sub(sub(Lit(0.0), two63()), Lit(4096.0))),
+                   kMin});  // first double below -2^63
+  for (const Case& c : cases) {
+    EXPECT_EQ(ExpectBatchMatchesPerRow(*c.e, trace), ValueColumn::Rep::kI64)
+        << c.e->ToString();
+    for (const Packet& p : trace) {
+      EXPECT_EQ(EvalExpr(*c.e, p).AsInt(), c.want) << c.e->ToString();
+    }
+  }
+  // Per-row out-of-range magnitudes (dtime spans +-1e12): 1e19 rows
+  // saturate, the rest convert exactly.
+  const auto scaled = Call(
+      "floor", Expr::Binary(BinOp::kMul, Col("dtime"), Lit(1e7)));
+  ExpectBatchMatchesPerRow(*scaled, trace);
+  for (const Packet& p : trace) {
+    const double y = std::floor(p.time * 1e7);
+    const std::int64_t want = y >= 0x1p63    ? kMax
+                              : y < -0x1p63 ? kMin
+                                            : static_cast<std::int64_t>(y);
+    EXPECT_EQ(EvalExpr(*scaled, p).AsInt(), want) << p.time;
+  }
 }
 
 TEST(TypedEvalTest, ZeroRowBatchesKeepTheEmptyColumnRep) {
