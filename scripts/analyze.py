@@ -104,8 +104,8 @@ the purely syntactic conventions. Nine rules:
                  make_shared/to_string/malloc, owning-container
                  construction, growth of non-scratch locals), no
                  `throw`, no virtual dispatch outside the audited
-                 AggState vtable set {Update, UpdateBatch,
-                 UpdateStates}, and no
+                 AggState vtable set {UpdateBatch, UpdateStates},
+                 and no
                  syscall/clock read. Capacity-retained member scratch
                  (trailing `_`, DESIGN.md §8) and caller-owned `->`
                  receivers are the two sanctioned growth targets. Cold
@@ -1325,7 +1325,7 @@ HOTPATH_ROOTS = frozenset({
 # The one audited virtual hierarchy on the hot path: AggState dispatch
 # for per-slot updates (per run, and per segment of many states).
 # Everything else virtual is flagged.
-HOTPATH_VTABLE_ALLOWED = frozenset({"Update", "UpdateBatch", "UpdateStates"})
+HOTPATH_VTABLE_ALLOWED = frozenset({"UpdateBatch", "UpdateStates"})
 
 PURITY_NEW_RE = re.compile(r"\bnew\b")
 PURITY_THROW_RE = re.compile(r"\bthrow\b")
@@ -1905,12 +1905,12 @@ struct Q {
     ("hotpath-purity virtual outside vtable set caught", {
         "src/dsms/hot.h": """
 struct AggState {
-  virtual void Update(double w) = 0;
+  virtual void UpdateBatch(double w) = 0;
   virtual double DebugWeight() const = 0;
 };
 struct Q {
   void Consume(const PacketBatch& batch) {
-    agg_->Update(1.0);
+    agg_->UpdateBatch(1.0);
     agg_->DebugWeight();
   }
   AggState* agg_;

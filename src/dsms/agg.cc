@@ -21,7 +21,6 @@ std::string Lower(std::string s) {
 
 class CountAgg : public AggState {
  public:
-  void Update(std::span<const Value>) override { ++count_; }
   void UpdateBatch(std::span<const ValueColumn>,
                    std::span<const std::uint32_t> rows) override {
     count_ += static_cast<std::int64_t>(rows.size());
@@ -49,20 +48,13 @@ class CountAgg : public AggState {
 
 class SumAgg : public AggState {
  public:
-  void Update(std::span<const Value> args) override {
-    FWDECAY_CHECK_MSG(!args.empty(), "sum() needs an argument");
-    if (!args[0].is_int()) all_int_ = false;
-    sum_ += args[0].AsDouble();
-  }
   void UpdateBatch(std::span<const ValueColumn> args_columns,
                    std::span<const std::uint32_t> rows) override {
-    FWDECAY_CHECK_MSG(!args_columns.empty(), "sum() needs an argument");
     AddRows(args_columns[0], rows, [this](std::size_t) { return this; });
   }
   void UpdateStates(std::span<AggState* const> states,
                     std::span<const ValueColumn> args_columns,
                     std::span<const std::uint32_t> rows) override {
-    FWDECAY_CHECK_MSG(!args_columns.empty(), "sum() needs an argument");
     AddRows(args_columns[0], rows, [&](std::size_t k) {
       return static_cast<SumAgg*>(states[k]);
     });
@@ -132,20 +124,13 @@ class SumAgg : public AggState {
 
 class AvgAgg : public AggState {
  public:
-  void Update(std::span<const Value> args) override {
-    FWDECAY_CHECK_MSG(!args.empty(), "avg() needs an argument");
-    sum_ += args[0].AsDouble();
-    ++count_;
-  }
   void UpdateBatch(std::span<const ValueColumn> args_columns,
                    std::span<const std::uint32_t> rows) override {
-    FWDECAY_CHECK_MSG(!args_columns.empty(), "avg() needs an argument");
     AddRows(args_columns[0], rows, [this](std::size_t) { return this; });
   }
   void UpdateStates(std::span<AggState* const> states,
                     std::span<const ValueColumn> args_columns,
                     std::span<const std::uint32_t> rows) override {
-    FWDECAY_CHECK_MSG(!args_columns.empty(), "avg() needs an argument");
     AddRows(args_columns[0], rows, [&](std::size_t k) {
       return static_cast<AvgAgg*>(states[k]);
     });
@@ -209,14 +194,8 @@ class AvgAgg : public AggState {
 /// the FDDISTINCT UDAF).
 class CountDistinctAgg : public AggState {
  public:
-  void Update(std::span<const Value> args) override {
-    FWDECAY_CHECK_MSG(!args.empty(), "count(distinct) needs an argument");
-    seen_.insert(args[0].Hash());
-  }
   void UpdateBatch(std::span<const ValueColumn> args_columns,
                    std::span<const std::uint32_t> rows) override {
-    FWDECAY_CHECK_MSG(!args_columns.empty(),
-                      "count(distinct) needs an argument");
     const ValueColumn& col = args_columns[0];
     for (std::uint32_t row : rows) seen_.insert(col[row].Hash());
   }
@@ -258,20 +237,14 @@ class CountDistinctAgg : public AggState {
 template <bool kIsMax>
 class ExtremumAgg : public AggState {
  public:
-  void Update(std::span<const Value> args) override {
-    FWDECAY_CHECK_MSG(!args.empty(), "min()/max() needs an argument");
-    Offer(args[0]);
-  }
   void UpdateBatch(std::span<const ValueColumn> args_columns,
                    std::span<const std::uint32_t> rows) override {
-    FWDECAY_CHECK_MSG(!args_columns.empty(), "min()/max() needs an argument");
     const ValueColumn& col = args_columns[0];
     for (std::uint32_t row : rows) Offer(col[row]);
   }
   void UpdateStates(std::span<AggState* const> states,
                     std::span<const ValueColumn> args_columns,
                     std::span<const std::uint32_t> rows) override {
-    FWDECAY_CHECK_MSG(!args_columns.empty(), "min()/max() needs an argument");
     const ValueColumn& col = args_columns[0];
     for (std::size_t k = 0; k < rows.size(); ++k) {
       static_cast<ExtremumAgg*>(states[k])->Offer(col[rows[k]]);
@@ -312,43 +285,7 @@ class ExtremumAgg : public AggState {
   bool has_value_ = false;
 };
 
-// Per-tuple fallback for aggregates with more arguments than the
-// default UpdateBatch's stack buffer holds (no UDAF here takes more
-// than four; a query may still pass extra, ignored arguments).
-void UpdateRowsThroughHeapArgs(AggState* state,
-                               std::span<const ValueColumn> args_columns,
-                               std::span<const std::uint32_t> rows) {
-  std::vector<Value> args(args_columns.size());
-  for (std::uint32_t row : rows) {
-    for (std::size_t a = 0; a < args_columns.size(); ++a) {
-      args[a] = args_columns[a][row];
-    }
-    state->Update(args);
-  }
-}
-
 }  // namespace
-
-void AggState::UpdateBatch(std::span<const ValueColumn> args_columns,
-                           std::span<const std::uint32_t> rows) {
-  // Gather each selected row into a stack buffer and fall back to the
-  // per-tuple Update — same call sequence, same state evolution, no
-  // allocation per call or per state.
-  constexpr std::size_t kStackArgs = 4;
-  if (args_columns.size() > kStackArgs) {
-    // fwdecay: hotpath-cold(over-wide argument lists; no registered aggregate takes more than four)
-    UpdateRowsThroughHeapArgs(this, args_columns, rows);
-    return;
-  }
-  Value args[kStackArgs];
-  const std::span<const Value> view(args, args_columns.size());
-  for (std::uint32_t row : rows) {
-    for (std::size_t a = 0; a < args_columns.size(); ++a) {
-      args[a] = args_columns[a][row];
-    }
-    Update(view);
-  }
-}
 
 void AggState::UpdateStates(std::span<AggState* const> states,
                             std::span<const ValueColumn> args_columns,
@@ -374,12 +311,13 @@ bool AggState::SerializeTo(ByteWriter*) const {
 bool AggState::RestoreFrom(ByteReader*) { return false; }
 
 AggRegistry::AggRegistry() {
-  Register<CountAgg>("count");
-  Register<CountDistinctAgg>("count_distinct");
-  Register<SumAgg>("sum");
-  Register<AvgAgg>("avg");
-  Register<ExtremumAgg<false>>("min");
-  Register<ExtremumAgg<true>>("max");
+  Register<CountAgg>("count", {"count([value])", 0, 1, {}});
+  Register<CountDistinctAgg>("count_distinct",
+                             {"count(distinct value)", 1, 1, {}});
+  Register<SumAgg>("sum", {"sum(value)", 1, 1, {}});
+  Register<AvgAgg>("avg", {"avg(value)", 1, 1, {}});
+  Register<ExtremumAgg<false>>("min", {"min(value)", 1, 1, {}});
+  Register<ExtremumAgg<true>>("max", {"max(value)", 1, 1, {}});
 }
 
 AggRegistry& AggRegistry::Instance() {

@@ -8,6 +8,7 @@
 #include <span>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "dsms/column.h"
@@ -19,15 +20,12 @@
 // Mirrors the GS architecture the paper builds on (Section I/VIII): the
 // engine ships with the built-in SQL aggregates (count, sum, avg, min,
 // max) and exposes the same *UDAF* extension hook GS has — arbitrary
-// C++ aggregation code invoked per tuple with evaluated arguments. The
-// paper's entire experimental apparatus (weighted SpaceSaving, samplers,
-// EH baselines) plugs in through this interface; see udafs.h.
+// C++ aggregation code fed the evaluated arguments of each tuple, in
+// stream order. The paper's entire experimental apparatus (weighted
+// SpaceSaving, samplers, EH baselines) plugs in through this interface;
+// see udafs.h.
 
 namespace fwdecay::dsms {
-
-// ValueColumn (one evaluated argument expression over a batch's
-// selected rows, column-at-a-time layout; see EvalExprBatch in expr.h)
-// now lives in dsms/column.h as a typed class.
 
 /// Per-group aggregation state. One instance per (group, aggregate call).
 /// The engine constructs states in place inside a per-group block
@@ -37,20 +35,17 @@ class AggState {
  public:
   virtual ~AggState() = default;
 
-  /// Folds one tuple's evaluated argument list into the state.
-  virtual void Update(std::span<const Value> args) = 0;
-
   /// Folds a run of tuples from evaluated argument *columns*:
   /// args_columns[a][row] is argument `a` of the tuple at dense row
   /// index `row`; `rows` lists the (ascending) rows belonging to this
-  /// state's group. The default implementation gathers each row into a
-  /// stack buffer and calls Update(), preserving per-tuple semantics bit
-  /// for bit; hot aggregates override it with a tight column loop.
-  /// Overrides must process rows in order — samplers draw from their RNG
-  /// per row, and FP accumulation order defines the engine's
-  /// bit-exactness contract (DESIGN.md §8).
+  /// state's group. This is the aggregate's one update body: a single
+  /// tuple is a one-row call. The columns match the signature the plan
+  /// compiler checked (AggSignature), so bodies index their arguments
+  /// without re-checking the arity. Rows must be processed in order —
+  /// samplers draw from their RNG per row, and FP accumulation order
+  /// defines the engine's bit-exactness contract (DESIGN.md §8).
   virtual void UpdateBatch(std::span<const ValueColumn> args_columns,
-                           std::span<const std::uint32_t> rows);
+                           std::span<const std::uint32_t> rows) = 0;
 
   /// Folds a segment of rows spread over many states of this aggregate
   /// kind: row rows[k] goes to states[k] (states.size() == rows.size(),
@@ -87,10 +82,35 @@ class AggState {
   virtual bool RestoreFrom(ByteReader* reader);
 };
 
-/// How to make one aggregate's state: its size and alignment, so the
-/// engine can reserve a slot for it in a group's state block, and
-/// plain function pointers that construct a fresh state there or on
-/// the heap.
+/// One literal parameter of an aggregate call: a sample size k, an
+/// accuracy eps, a quantile phi, a universe size in bits. The plan
+/// compiler accepts only a numeric literal in [min, max] ([min, max)
+/// when `max_open`); the bounds keep every sketch the body sizes from it
+/// within what that sketch's constructor CHECKs and its Deserialize
+/// accepts, so every plan that compiles can also be restored. Integer
+/// parameters have integral bounds, so the body's AsInt() truncation of
+/// an accepted literal stays in range too.
+struct AggParam {
+  const char* name = "";
+  double min = 0.0;
+  double max = 0.0;
+  bool max_open = false;
+};
+
+/// An aggregate's call signature, checked once when a plan compiles:
+/// `data_args` leading per-row argument expressions, then up to
+/// params.size() literal parameters; a call passes at least `min_args`.
+struct AggSignature {
+  const char* usage = "";  // names the aggregate in compile errors
+  std::size_t min_args = 0;
+  std::size_t data_args = 0;
+  std::vector<AggParam> params;
+};
+
+/// How to make one aggregate's state and call it: its size and
+/// alignment, so the engine can reserve a slot for it in a group's
+/// state block; plain function pointers that construct a fresh state
+/// there or on the heap; and the signature a call must match.
 struct AggKind {
   std::size_t size = 0;
   std::size_t align = 0;
@@ -98,6 +118,7 @@ struct AggKind {
   AggState* (*construct)(void* where) = nullptr;
   /// A fresh heap state (tests and tools; the engine never calls it).
   std::unique_ptr<AggState> (*create)() = nullptr;
+  AggSignature signature;
 };
 
 /// Name-to-kind registry. Built-in aggregates are pre-registered; UDAFs
@@ -108,16 +129,18 @@ class AggRegistry {
   /// The process-wide registry (lazily constructed, never destroyed).
   static AggRegistry& Instance();
 
-  /// Registers (or replaces) aggregate type T under a lowercase name. T
-  /// must be default-constructible and derive from AggState.
+  /// Registers (or replaces) aggregate type T under a lowercase name,
+  /// with the signature its calls must match. T must be
+  /// default-constructible and derive from AggState.
   template <class T>
-  void Register(const std::string& name) {
+  void Register(const std::string& name, AggSignature signature) {
     static_assert(std::is_base_of_v<AggState, T>,
                   "aggregates derive from AggState");
     RegisterKind(name, AggKind{
         sizeof(T), alignof(T),
         [](void* where) -> AggState* { return ::new (where) T(); },
-        []() -> std::unique_ptr<AggState> { return std::make_unique<T>(); }});
+        []() -> std::unique_ptr<AggState> { return std::make_unique<T>(); },
+        std::move(signature)});
   }
 
   /// True if `name` (any case) is a known aggregate.

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <span>
 #include <thread>
@@ -201,6 +202,38 @@ bool BindPostExpr(
   return true;
 }
 
+// Checks one aggregate call against its kind's signature: the argument
+// count, and that each literal parameter is a numeric literal within the
+// bounds its sketch accepts. Runs once per slot at compile time, so no
+// tenant's query can reach a sketch constructor's CHECK or size a sketch
+// past what a snapshot may restore.
+bool CheckAggCall(const AggSignature& sig,
+                  const std::vector<std::unique_ptr<Expr>>& args,
+                  std::string* error) {
+  if (args.size() < sig.min_args ||
+      args.size() > sig.data_args + sig.params.size()) {
+    *error = std::string(sig.usage) + ": wrong number of arguments (" +
+             std::to_string(args.size()) + ")";
+    return false;
+  }
+  for (std::size_t i = sig.data_args; i < args.size(); ++i) {
+    const AggParam& p = sig.params[i - sig.data_args];
+    const Expr& arg = *args[i];
+    const bool numeric =
+        arg.kind == Expr::Kind::kLiteral && !arg.literal.is_string();
+    const double v = numeric ? arg.literal.AsDouble() : 0.0;
+    if (!numeric || !(v >= p.min && (p.max_open ? v < p.max : v <= p.max))) {
+      char range[64];
+      std::snprintf(range, sizeof(range), "[%.10g, %.10g%c", p.min, p.max,
+                    p.max_open ? ')' : ']');
+      *error = std::string(sig.usage) + ": " + p.name +
+               " must be a numeric literal in " + range;
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -373,9 +406,14 @@ std::unique_ptr<CompiledQuery> CompiledQuery::CompileParsed(Query query,
     }
     plan->having_ = std::move(query.having);
   }
-  // Each slot's kind and block offset, resolved once for every group.
-  for (const std::string& name : plan->agg_names_) {
-    plan->agg_layout_.Append(AggRegistry::Instance().Kind(name));
+  // Each slot's signature is checked and its kind and block offset
+  // resolved once for every group.
+  for (std::size_t slot = 0; slot < plan->agg_names_.size(); ++slot) {
+    const AggKind& kind = AggRegistry::Instance().Kind(plan->agg_names_[slot]);
+    if (!CheckAggCall(kind.signature, plan->agg_args_[slot], error)) {
+      return nullptr;
+    }
+    plan->agg_layout_.Append(kind);
   }
 
   // ORDER BY: resolve each entry to an output column — by 1-based

@@ -264,6 +264,8 @@ double ScalarFnF64(ScalarFn fn, const double* x) {
 // -> INT64_MIN, at or above 2^63 (or +inf) -> INT64_MAX. Every value in
 // between is already integral and converts exactly. The per-tuple,
 // post-aggregation and batched evaluators all convert through here.
+// FDQUANTILE saturates the same way where an int64 has no image in its
+// q-digest universe: into [0, 2^bits - 1] (udafs.cc).
 std::int64_t FloorToI64(double y) {
   constexpr double kTwo63 = 9223372036854775808.0;  // 2^63, exact
   if (std::isnan(y)) return 0;
@@ -284,147 +286,121 @@ Value ApplyScalarFn(ScalarFn fn, const std::vector<Value>& args) {
   return Value(y);
 }
 
-Value EvalScalarCall(const Expr& e, const Packet& p) {
-  const ScalarFn fn = ResolveScalarFn(e.name);
-  std::vector<Value> args;
-  args.reserve(e.args.size());
-  for (const auto& a : e.args) args.push_back(EvalExpr(*a, p));
-  return ApplyScalarFn(fn, args);
+// The one definition of each binary operator over Values, shared by the
+// row evaluator and the batched evaluator's boxed fallback. Logical
+// operators short-circuit, so their callers handle them first.
+Value ApplyBinOp(BinOp op, const Value& lhs, const Value& rhs) {
+  switch (op) {
+    case BinOp::kAdd: return lhs + rhs;
+    case BinOp::kSub: return lhs - rhs;
+    case BinOp::kMul: return lhs * rhs;
+    case BinOp::kDiv: return lhs / rhs;
+    case BinOp::kMod: return lhs % rhs;
+    case BinOp::kEq: return Value(std::int64_t{lhs == rhs});
+    case BinOp::kNe: return Value(std::int64_t{!(lhs == rhs)});
+    case BinOp::kLt: return Value(std::int64_t{Compare(lhs, rhs) < 0});
+    case BinOp::kLe: return Value(std::int64_t{Compare(lhs, rhs) <= 0});
+    case BinOp::kGt: return Value(std::int64_t{Compare(lhs, rhs) > 0});
+    case BinOp::kGe: return Value(std::int64_t{Compare(lhs, rhs) >= 0});
+    case BinOp::kAnd:
+    case BinOp::kOr:
+      break;
+  }
+  FWDECAY_CHECK_MSG(false, "unreachable logical operator");
+  return Value();
 }
 
-}  // namespace
+// Predicate truth of a value: nonzero numbers and non-empty strings.
+bool Truthy(const Value& v) {
+  if (v.is_int()) return v.AsInt() != 0;
+  if (v.is_double()) return v.AsDouble() != 0.0;
+  return !v.AsString().empty();
+}
 
-Value EvalExpr(const Expr& e, const Packet& p) {
+// The one row evaluator behind EvalExpr and EvalPostExpr. They differ
+// only in where leaves come from, so `leaf(e)` reads every kColumn,
+// kStar, kAggRef and kGroupRef node (and CHECK-fails on the kinds its
+// caller refuses); literals, negation, scalar calls and operators are
+// evaluated here, operands left to right.
+template <class Leaf>
+Value EvalRow(const Expr& e, const Leaf& leaf) {
   switch (e.kind) {
     case Expr::Kind::kColumn:
-      return ReadColumn(e.name, p);
-    case Expr::Kind::kLiteral:
-      return e.literal;
     case Expr::Kind::kStar:
-      return Value(std::int64_t{1});
     case Expr::Kind::kAggRef:
     case Expr::Kind::kGroupRef:
-      FWDECAY_CHECK_MSG(false,
-                        "post-aggregation placeholder evaluated per tuple — "
-                        "use EvalPostExpr");
-      return Value();
+      return leaf(e);
+    case Expr::Kind::kLiteral:
+      return e.literal;
     case Expr::Kind::kNeg:
-      return Value(std::int64_t{0}) - EvalExpr(*e.args[0], p);
-    case Expr::Kind::kCall:
-      return EvalScalarCall(e, p);
+      return Value(std::int64_t{0}) - EvalRow(*e.args[0], leaf);
+    case Expr::Kind::kCall: {
+      const ScalarFn fn = ResolveScalarFn(e.name);
+      std::vector<Value> args;
+      args.reserve(e.args.size());
+      for (const auto& a : e.args) args.push_back(EvalRow(*a, leaf));
+      return ApplyScalarFn(fn, args);
+    }
     case Expr::Kind::kBinary: {
-      // Short-circuit logical operators.
       if (e.op == BinOp::kAnd) {
-        return Value(std::int64_t{EvalPredicate(*e.args[0], p) &&
-                                  EvalPredicate(*e.args[1], p)});
+        return Value(std::int64_t{Truthy(EvalRow(*e.args[0], leaf)) &&
+                                  Truthy(EvalRow(*e.args[1], leaf))});
       }
       if (e.op == BinOp::kOr) {
-        return Value(std::int64_t{EvalPredicate(*e.args[0], p) ||
-                                  EvalPredicate(*e.args[1], p)});
+        return Value(std::int64_t{Truthy(EvalRow(*e.args[0], leaf)) ||
+                                  Truthy(EvalRow(*e.args[1], leaf))});
       }
-      const Value lhs = EvalExpr(*e.args[0], p);
-      const Value rhs = EvalExpr(*e.args[1], p);
-      switch (e.op) {
-        case BinOp::kAdd: return lhs + rhs;
-        case BinOp::kSub: return lhs - rhs;
-        case BinOp::kMul: return lhs * rhs;
-        case BinOp::kDiv: return lhs / rhs;
-        case BinOp::kMod: return lhs % rhs;
-        case BinOp::kEq: return Value(std::int64_t{lhs == rhs});
-        case BinOp::kNe: return Value(std::int64_t{!(lhs == rhs)});
-        case BinOp::kLt: return Value(std::int64_t{Compare(lhs, rhs) < 0});
-        case BinOp::kLe: return Value(std::int64_t{Compare(lhs, rhs) <= 0});
-        case BinOp::kGt: return Value(std::int64_t{Compare(lhs, rhs) > 0});
-        case BinOp::kGe: return Value(std::int64_t{Compare(lhs, rhs) >= 0});
-        case BinOp::kAnd:
-        case BinOp::kOr:
-          break;  // handled above
-      }
-      break;
+      const Value lhs = EvalRow(*e.args[0], leaf);
+      const Value rhs = EvalRow(*e.args[1], leaf);
+      return ApplyBinOp(e.op, lhs, rhs);
     }
   }
   FWDECAY_CHECK_MSG(false, "unreachable expression kind");
   return Value();
 }
 
+}  // namespace
+
+Value EvalExpr(const Expr& e, const Packet& p) {
+  return EvalRow(e, [&p](const Expr& leaf) {
+    if (leaf.kind == Expr::Kind::kColumn) return ReadColumn(leaf.name, p);
+    if (leaf.kind == Expr::Kind::kStar) return Value(std::int64_t{1});
+    FWDECAY_CHECK_MSG(false,
+                      "post-aggregation placeholder evaluated per tuple — "
+                      "use EvalPostExpr");
+    return Value();
+  });
+}
+
 bool EvalPredicate(const Expr& e, const Packet& p) {
-  const Value v = EvalExpr(e, p);
-  if (v.is_int()) return v.AsInt() != 0;
-  if (v.is_double()) return v.AsDouble() != 0.0;
-  return !v.AsString().empty();
+  return Truthy(EvalExpr(e, p));
 }
 
 Value EvalPostExpr(const Expr& e, const std::vector<Value>& agg_values,
                    const std::vector<Value>& group_key) {
-  switch (e.kind) {
-    case Expr::Kind::kAggRef:
-      FWDECAY_CHECK(e.agg_index >= 0 &&
-                    static_cast<std::size_t>(e.agg_index) <
+  return EvalRow(e, [&](const Expr& leaf) {
+    if (leaf.kind == Expr::Kind::kAggRef) {
+      FWDECAY_CHECK(leaf.agg_index >= 0 &&
+                    static_cast<std::size_t>(leaf.agg_index) <
                         agg_values.size());
-      return agg_values[static_cast<std::size_t>(e.agg_index)];
-    case Expr::Kind::kGroupRef:
-      FWDECAY_CHECK(e.group_index >= 0 &&
-                    static_cast<std::size_t>(e.group_index) <
+      return agg_values[static_cast<std::size_t>(leaf.agg_index)];
+    }
+    if (leaf.kind == Expr::Kind::kGroupRef) {
+      FWDECAY_CHECK(leaf.group_index >= 0 &&
+                    static_cast<std::size_t>(leaf.group_index) <
                         group_key.size());
-      return group_key[static_cast<std::size_t>(e.group_index)];
-    case Expr::Kind::kLiteral:
-      return e.literal;
-    case Expr::Kind::kNeg:
-      return Value(std::int64_t{0}) -
-             EvalPostExpr(*e.args[0], agg_values, group_key);
-    case Expr::Kind::kCall: {
-      std::vector<Value> args;
-      args.reserve(e.args.size());
-      for (const auto& a : e.args) {
-        args.push_back(EvalPostExpr(*a, agg_values, group_key));
-      }
-      return ApplyScalarFn(ResolveScalarFn(e.name), args);
+      return group_key[static_cast<std::size_t>(leaf.group_index)];
     }
-    case Expr::Kind::kBinary: {
-      if (e.op == BinOp::kAnd) {
-        return Value(
-            std::int64_t{EvalPostPredicate(*e.args[0], agg_values, group_key) &&
-                         EvalPostPredicate(*e.args[1], agg_values, group_key)});
-      }
-      if (e.op == BinOp::kOr) {
-        return Value(
-            std::int64_t{EvalPostPredicate(*e.args[0], agg_values, group_key) ||
-                         EvalPostPredicate(*e.args[1], agg_values, group_key)});
-      }
-      const Value lhs = EvalPostExpr(*e.args[0], agg_values, group_key);
-      const Value rhs = EvalPostExpr(*e.args[1], agg_values, group_key);
-      switch (e.op) {
-        case BinOp::kAdd: return lhs + rhs;
-        case BinOp::kSub: return lhs - rhs;
-        case BinOp::kMul: return lhs * rhs;
-        case BinOp::kDiv: return lhs / rhs;
-        case BinOp::kMod: return lhs % rhs;
-        case BinOp::kEq: return Value(std::int64_t{lhs == rhs});
-        case BinOp::kNe: return Value(std::int64_t{!(lhs == rhs)});
-        case BinOp::kLt: return Value(std::int64_t{Compare(lhs, rhs) < 0});
-        case BinOp::kLe: return Value(std::int64_t{Compare(lhs, rhs) <= 0});
-        case BinOp::kGt: return Value(std::int64_t{Compare(lhs, rhs) > 0});
-        case BinOp::kGe: return Value(std::int64_t{Compare(lhs, rhs) >= 0});
-        case BinOp::kAnd:
-        case BinOp::kOr:
-          break;  // handled above
-      }
-      break;
-    }
-    default:
-      FWDECAY_CHECK_MSG(false,
-                        "post-aggregate expressions may only combine "
-                        "aggregate results, group columns and literals");
-  }
-  return Value();
+    FWDECAY_CHECK_MSG(false,
+                      "post-aggregate expressions may only combine "
+                      "aggregate results, group columns and literals");
+    return Value();
+  });
 }
 
 bool EvalPostPredicate(const Expr& e, const std::vector<Value>& agg_values,
                        const std::vector<Value>& group_key) {
-  const Value v = EvalPostExpr(e, agg_values, group_key);
-  if (v.is_int()) return v.AsInt() != 0;
-  if (v.is_double()) return v.AsDouble() != 0.0;
-  return !v.AsString().empty();
+  return Truthy(EvalPostExpr(e, agg_values, group_key));
 }
 
 // ---------------------------------------------------------------------------
@@ -432,12 +408,6 @@ bool EvalPostPredicate(const Expr& e, const std::vector<Value>& agg_values,
 // ---------------------------------------------------------------------------
 
 namespace {
-
-bool Truthy(const Value& v) {
-  if (v.is_int()) return v.AsInt() != 0;
-  if (v.is_double()) return v.AsDouble() != 0.0;
-  return !v.AsString().empty();
-}
 
 // Packet schema columns, resolved from the name once per batch. Mirrors
 // ReadColumn exactly (same types, same int widening).
@@ -590,33 +560,7 @@ const double* AsF64(const ValueColumn& col, std::size_t n,
 void EvalBinaryBoxed(BinOp op, const ValueColumn& lhs, const ValueColumn& rhs,
                      std::size_t n, ValueColumn* out) {
   for (std::size_t i = 0; i < n; ++i) {
-    const Value a = lhs[i];
-    const Value b = rhs[i];
-    switch (op) {
-      case BinOp::kAdd: out->push_back(a + b); break;
-      case BinOp::kSub: out->push_back(a - b); break;
-      case BinOp::kMul: out->push_back(a * b); break;
-      case BinOp::kDiv: out->push_back(a / b); break;
-      case BinOp::kMod: out->push_back(a % b); break;
-      case BinOp::kEq: out->push_back(Value(std::int64_t{a == b})); break;
-      case BinOp::kNe: out->push_back(Value(std::int64_t{!(a == b)})); break;
-      case BinOp::kLt:
-        out->push_back(Value(std::int64_t{Compare(a, b) < 0}));
-        break;
-      case BinOp::kLe:
-        out->push_back(Value(std::int64_t{Compare(a, b) <= 0}));
-        break;
-      case BinOp::kGt:
-        out->push_back(Value(std::int64_t{Compare(a, b) > 0}));
-        break;
-      case BinOp::kGe:
-        out->push_back(Value(std::int64_t{Compare(a, b) >= 0}));
-        break;
-      case BinOp::kAnd:
-      case BinOp::kOr:
-        FWDECAY_CHECK_MSG(false, "unreachable logical operator");
-        break;
-    }
+    out->push_back(ApplyBinOp(op, lhs[i], rhs[i]));
   }
 }
 

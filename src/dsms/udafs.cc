@@ -46,22 +46,9 @@ std::string RenderSample(std::vector<double> items) {
   return out;
 }
 
-std::size_t OptSize(std::span<const Value> args, std::size_t index,
-                    std::size_t fallback) {
-  if (args.size() <= index) return fallback;
-  const std::int64_t v = args[index].AsInt();
-  FWDECAY_CHECK_MSG(v > 0, "UDAF size parameter must be positive");
-  return static_cast<std::size_t>(v);
-}
-
-double OptDouble(std::span<const Value> args, std::size_t index,
-                 double fallback) {
-  return args.size() <= index ? fallback : args[index].AsDouble();
-}
-
-// Column-indexed variants for UpdateBatch overrides: read one row's
-// optional parameter straight out of the argument columns, so batched
-// lazy initialization never gathers a per-row argument vector.
+// Read an optional literal parameter from row `row` of the argument
+// columns, or `fallback` when the call omits it. The plan compiler has
+// range-checked the literal (see the signatures in RegisterPaperUdafs).
 std::size_t OptColSize(std::span<const ValueColumn> args_columns,
                        std::size_t index, std::uint32_t row,
                        std::size_t fallback) {
@@ -135,42 +122,69 @@ std::unique_ptr<TopKHeap<double>> ReadHeap(ByteReader* reader) {
 
 // --- Samplers ---------------------------------------------------------------
 
+// PRISAMP and WRSAMP: a generator and a lazily built heap of the k
+// top-scored (score, item) pairs. They differ only in the score drawn
+// per row and in how the sample is read out.
+class HeapSamplerUdaf : public AggState {
+ public:
+  HeapSamplerUdaf() : rng_(NextStateSeed()) {}
+
+  void Merge(AggState& other) override {
+    auto& o = static_cast<HeapSamplerUdaf&>(other);
+    if (o.heap_ == nullptr) return;
+    EnsureHeap(o.heap_->capacity());
+    for (const auto& e : o.heap_->entries()) heap_->Offer(e.score, e.value);
+  }
+
+  bool SerializeTo(ByteWriter* writer) const override {
+    WriteRngState(writer, rng_);
+    writer->WriteU8(heap_ != nullptr ? 1 : 0);
+    if (heap_ != nullptr) WriteHeap(writer, *heap_);
+    return true;
+  }
+
+  bool RestoreFrom(ByteReader* reader) override {
+    if (!ReadRngState(reader, &rng_)) return false;
+    std::uint8_t flag = 0;
+    if (!reader->ReadU8(&flag) || flag > 1) return false;
+    heap_.reset();
+    if (flag != 0) {
+      heap_ = ReadHeap(reader);
+      if (heap_ == nullptr) return false;
+    }
+    return true;
+  }
+
+ protected:
+  static constexpr std::size_t kDefaultK = 64;
+
+  void EnsureHeap(std::size_t capacity) {
+    if (heap_ == nullptr) heap_ = std::make_unique<TopKHeap<double>>(capacity);
+  }
+
+  Rng rng_;
+  std::unique_ptr<TopKHeap<double>> heap_;
+};
+
 /// PRISAMP(item, weight [, k]): priority sampling. Priorities w/u are
 /// kept in the linear domain — weights such as exp(time % 60) stay well
 /// within double range inside a one-minute group.
-class PrisampUdaf : public AggState {
+class PrisampUdaf : public HeapSamplerUdaf {
  public:
-  PrisampUdaf() : rng_(NextStateSeed()) {}
-
-  void Update(std::span<const Value> args) override {
-    FWDECAY_CHECK_MSG(args.size() >= 2, "PRISAMP(item, weight [, k])");
-    EnsureHeap(OptSize(args, 2, kDefaultK) + 1);  // +1: threshold slot
-    const double w = args[1].AsDouble();
-    if (w <= 0.0) return;
-    heap_->Offer(w / rng_.NextDoubleOpenZero(), args[0].AsDouble());
-  }
-
   void UpdateBatch(std::span<const ValueColumn> args_columns,
                    std::span<const std::uint32_t> rows) override {
-    FWDECAY_CHECK_MSG(args_columns.size() >= 2, "PRISAMP(item, weight [, k])");
     if (rows.empty()) return;
     if (heap_ == nullptr) {
+      // +1: threshold slot.
       EnsureHeap(OptColSize(args_columns, 2, rows.front(), kDefaultK) + 1);
     }
     const ValueColumn& items = args_columns[0];
     const ValueColumn& weights = args_columns[1];
     for (std::uint32_t row : rows) {
       const double w = weights[row].AsDouble();
-      if (w <= 0.0) continue;  // no RNG draw — matches the per-tuple path
+      if (w <= 0.0) continue;  // no RNG draw
       heap_->Offer(w / rng_.NextDoubleOpenZero(), items[row].AsDouble());
     }
-  }
-
-  void Merge(AggState& other) override {
-    auto& o = static_cast<PrisampUdaf&>(other);
-    if (o.heap_ == nullptr) return;
-    EnsureHeap(o.heap_->capacity());
-    for (const auto& e : o.heap_->entries()) heap_->Offer(e.score, e.value);
   }
 
   Value Finalize() const override {
@@ -183,55 +197,13 @@ class PrisampUdaf : public AggState {
     for (std::size_t i = 0; i < take; ++i) items.push_back(sorted[i].value);
     return Value(RenderSample(std::move(items)));
   }
-
-  bool SerializeTo(ByteWriter* writer) const override {
-    WriteRngState(writer, rng_);
-    writer->WriteU8(heap_ != nullptr ? 1 : 0);
-    if (heap_ != nullptr) WriteHeap(writer, *heap_);
-    return true;
-  }
-
-  bool RestoreFrom(ByteReader* reader) override {
-    if (!ReadRngState(reader, &rng_)) return false;
-    std::uint8_t flag = 0;
-    if (!reader->ReadU8(&flag) || flag > 1) return false;
-    heap_.reset();
-    if (flag != 0) {
-      heap_ = ReadHeap(reader);
-      if (heap_ == nullptr) return false;
-    }
-    return true;
-  }
-
- private:
-  static constexpr std::size_t kDefaultK = 64;
-
-  void EnsureHeap(std::size_t k_plus_1) {
-    if (heap_ == nullptr) heap_ = std::make_unique<TopKHeap<double>>(k_plus_1);
-  }
-
-  Rng rng_;
-  std::unique_ptr<TopKHeap<double>> heap_;
 };
 
 /// WRSAMP(item, weight [, k]): A-Res weighted reservoir, log-domain keys.
-class WrsampUdaf : public AggState {
+class WrsampUdaf : public HeapSamplerUdaf {
  public:
-  WrsampUdaf() : rng_(NextStateSeed()) {}
-
-  void Update(std::span<const Value> args) override {
-    FWDECAY_CHECK_MSG(args.size() >= 2, "WRSAMP(item, weight [, k])");
-    EnsureHeap(OptSize(args, 2, kDefaultK));
-    const double w = args[1].AsDouble();
-    if (w <= 0.0) return;
-    const double score =
-        std::log(w) - std::log(-std::log(rng_.NextDoubleOpenZero()));
-    heap_->Offer(score, args[0].AsDouble());
-  }
-
   void UpdateBatch(std::span<const ValueColumn> args_columns,
                    std::span<const std::uint32_t> rows) override {
-    FWDECAY_CHECK_MSG(args_columns.size() >= 2, "WRSAMP(item, weight [, k])");
     if (rows.empty()) return;
     if (heap_ == nullptr) {
       EnsureHeap(OptColSize(args_columns, 2, rows.front(), kDefaultK));
@@ -240,18 +212,11 @@ class WrsampUdaf : public AggState {
     const ValueColumn& weights = args_columns[1];
     for (std::uint32_t row : rows) {
       const double w = weights[row].AsDouble();
-      if (w <= 0.0) continue;  // no RNG draw — matches the per-tuple path
+      if (w <= 0.0) continue;  // no RNG draw
       const double score =
           std::log(w) - std::log(-std::log(rng_.NextDoubleOpenZero()));
       heap_->Offer(score, items[row].AsDouble());
     }
-  }
-
-  void Merge(AggState& other) override {
-    auto& o = static_cast<WrsampUdaf&>(other);
-    if (o.heap_ == nullptr) return;
-    EnsureHeap(o.heap_->capacity());
-    for (const auto& e : o.heap_->entries()) heap_->Offer(e.score, e.value);
   }
 
   Value Finalize() const override {
@@ -260,60 +225,36 @@ class WrsampUdaf : public AggState {
     for (const auto& e : heap_->entries()) items.push_back(e.value);
     return Value(RenderSample(std::move(items)));
   }
-
-  bool SerializeTo(ByteWriter* writer) const override {
-    WriteRngState(writer, rng_);
-    writer->WriteU8(heap_ != nullptr ? 1 : 0);
-    if (heap_ != nullptr) WriteHeap(writer, *heap_);
-    return true;
-  }
-
-  bool RestoreFrom(ByteReader* reader) override {
-    if (!ReadRngState(reader, &rng_)) return false;
-    std::uint8_t flag = 0;
-    if (!reader->ReadU8(&flag) || flag > 1) return false;
-    heap_.reset();
-    if (flag != 0) {
-      heap_ = ReadHeap(reader);
-      if (heap_ == nullptr) return false;
-    }
-    return true;
-  }
-
- private:
-  static constexpr std::size_t kDefaultK = 64;
-
-  void EnsureHeap(std::size_t k) {
-    if (heap_ == nullptr) heap_ = std::make_unique<TopKHeap<double>>(k);
-  }
-
-  Rng rng_;
-  std::unique_ptr<TopKHeap<double>> heap_;
 };
 
-/// RESSAMP(item [, k]): Vitter's undecayed reservoir (baseline).
-class RessampUdaf : public AggState {
+/// RESSAMP(item [, k]) with Sampler = ReservoirSampler: Vitter's
+/// undecayed reservoir; AGGSAMP(item [, k]) with BiasedReservoirSampler:
+/// Aggarwal's biased reservoir. Both are baselines.
+template <class Sampler>
+class ReservoirUdaf : public AggState {
  public:
-  RessampUdaf() : rng_(NextStateSeed()) {}
+  ReservoirUdaf() : rng_(NextStateSeed()) {}
 
-  void Update(std::span<const Value> args) override {
-    FWDECAY_CHECK_MSG(!args.empty(), "RESSAMP(item [, k])");
+  void UpdateBatch(std::span<const ValueColumn> args_columns,
+                   std::span<const std::uint32_t> rows) override {
+    if (rows.empty()) return;
     if (sampler_ == nullptr) {
-      sampler_ = std::make_unique<ReservoirSampler<double>>(
-          OptSize(args, 1, kDefaultK));
+      // fwdecay: hotpath-cold(one-time lazy sampler init on the group's first update)
+      sampler_ = std::make_unique<Sampler>(
+          OptColSize(args_columns, 1, rows.front(), kDefaultK));
     }
-    sampler_->Add(args[0].AsDouble(), rng_);
+    const ValueColumn& items = args_columns[0];
+    for (std::uint32_t row : rows) sampler_->Add(items[row].AsDouble(), rng_);
   }
 
   void Merge(AggState& other) override {
     // Approximate merge: re-offer the peer's sample. Fine for the
     // two-level engine split (partial groups are disjoint stream
     // segments) though not an exact reservoir union.
-    auto& o = static_cast<RessampUdaf&>(other);
+    auto& o = static_cast<ReservoirUdaf&>(other);
     if (o.sampler_ == nullptr) return;
     if (sampler_ == nullptr) {
-      sampler_ = std::make_unique<ReservoirSampler<double>>(
-          o.sampler_->capacity());
+      sampler_ = std::make_unique<Sampler>(o.sampler_->capacity());
     }
     for (double v : o.sampler_->sample()) sampler_->Add(v, rng_);
   }
@@ -359,8 +300,7 @@ class RessampUdaf : public AggState {
       if (!reader->ReadDouble(&v)) return false;
       sample.push_back(v);
     }
-    sampler_ = std::make_unique<ReservoirSampler<double>>(
-        static_cast<std::size_t>(capacity));
+    sampler_ = std::make_unique<Sampler>(static_cast<std::size_t>(capacity));
     return sampler_->RestoreState(seen, std::move(sample));
   }
 
@@ -368,84 +308,7 @@ class RessampUdaf : public AggState {
   static constexpr std::size_t kDefaultK = 64;
 
   Rng rng_;
-  std::unique_ptr<ReservoirSampler<double>> sampler_;
-};
-
-/// AGGSAMP(item [, k]): Aggarwal's biased reservoir (baseline).
-class AggsampUdaf : public AggState {
- public:
-  AggsampUdaf() : rng_(NextStateSeed()) {}
-
-  void Update(std::span<const Value> args) override {
-    FWDECAY_CHECK_MSG(!args.empty(), "AGGSAMP(item [, k])");
-    if (sampler_ == nullptr) {
-      sampler_ = std::make_unique<BiasedReservoirSampler<double>>(
-          OptSize(args, 1, kDefaultK));
-    }
-    sampler_->Add(args[0].AsDouble(), rng_);
-  }
-
-  void Merge(AggState& other) override {
-    auto& o = static_cast<AggsampUdaf&>(other);
-    if (o.sampler_ == nullptr) return;
-    if (sampler_ == nullptr) {
-      sampler_ = std::make_unique<BiasedReservoirSampler<double>>(
-          o.sampler_->capacity());
-    }
-    for (double v : o.sampler_->sample()) sampler_->Add(v, rng_);
-  }
-
-  Value Finalize() const override {
-    if (sampler_ == nullptr) return Value(std::string());
-    return Value(RenderSample(sampler_->sample()));
-  }
-
-  bool SerializeTo(ByteWriter* writer) const override {
-    WriteRngState(writer, rng_);
-    writer->WriteU8(sampler_ != nullptr ? 1 : 0);
-    if (sampler_ != nullptr) {
-      writer->WriteU64(sampler_->capacity());
-      writer->WriteU64(sampler_->seen());
-      writer->WriteU32(static_cast<std::uint32_t>(sampler_->sample().size()));
-      for (double v : sampler_->sample()) writer->WriteDouble(v);
-    }
-    return true;
-  }
-
-  bool RestoreFrom(ByteReader* reader) override {
-    if (!ReadRngState(reader, &rng_)) return false;
-    std::uint8_t flag = 0;
-    if (!reader->ReadU8(&flag) || flag > 1) return false;
-    sampler_.reset();
-    if (flag == 0) return true;
-    std::uint64_t capacity = 0;
-    std::uint64_t seen = 0;
-    std::uint32_t n = 0;
-    if (!reader->ReadU64(&capacity) || capacity == 0 ||
-        capacity > (std::uint64_t{1} << 26)) {
-      return false;
-    }
-    if (!reader->ReadU64(&seen) || !reader->ReadU32(&n) || n > capacity ||
-        n > reader->Remaining() / 8) {
-      return false;
-    }
-    std::vector<double> sample;
-    sample.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      double v = 0.0;
-      if (!reader->ReadDouble(&v)) return false;
-      sample.push_back(v);
-    }
-    sampler_ = std::make_unique<BiasedReservoirSampler<double>>(
-        static_cast<std::size_t>(capacity));
-    return sampler_->RestoreState(seen, std::move(sample));
-  }
-
- private:
-  static constexpr std::size_t kDefaultK = 64;
-
-  Rng rng_;
-  std::unique_ptr<BiasedReservoirSampler<double>> sampler_;
+  std::unique_ptr<Sampler> sampler_;
 };
 
 // --- Heavy hitters ----------------------------------------------------------
@@ -468,24 +331,8 @@ std::string RenderHitters(const std::vector<HeavyHitter>& hitters) {
 /// weight g(t_i - L) generated by the query.
 class FdhhUdaf : public AggState {
  public:
-  void Update(std::span<const Value> args) override {
-    FWDECAY_CHECK_MSG(args.size() >= 2, "FDHH(key, weight [, phi [, eps]])");
-    if (sketch_ == nullptr) {
-      phi_ = OptDouble(args, 2, 0.05);
-      const double eps = OptDouble(args, 3, 0.01);
-      // fwdecay: hotpath-cold(one-time lazy sketch init on the group's first update)
-      sketch_ = std::make_unique<WeightedSpaceSaving>(
-          static_cast<std::size_t>(std::ceil(1.0 / eps)));
-    }
-    const double w = args[1].AsDouble();
-    if (w <= 0.0) return;
-    sketch_->Update(static_cast<std::uint64_t>(args[0].AsInt()), w);
-  }
-
   void UpdateBatch(std::span<const ValueColumn> args_columns,
                    std::span<const std::uint32_t> rows) override {
-    FWDECAY_CHECK_MSG(args_columns.size() >= 2,
-                      "FDHH(key, weight [, phi [, eps]])");
     if (rows.empty()) return;
     if (sketch_ == nullptr) {
       phi_ = OptColDouble(args_columns, 2, rows.front(), 0.05);
@@ -549,16 +396,20 @@ class FdhhUdaf : public AggState {
 /// unary-optimized SpaceSaving (the paper's "Unary HH").
 class UnaryhhUdaf : public AggState {
  public:
-  void Update(std::span<const Value> args) override {
-    FWDECAY_CHECK_MSG(!args.empty(), "UNARYHH(key [, phi [, eps]])");
+  void UpdateBatch(std::span<const ValueColumn> args_columns,
+                   std::span<const std::uint32_t> rows) override {
+    if (rows.empty()) return;
     if (sketch_ == nullptr) {
-      phi_ = OptDouble(args, 1, 0.05);
-      const double eps = OptDouble(args, 2, 0.01);
+      phi_ = OptColDouble(args_columns, 1, rows.front(), 0.05);
+      const double eps = OptColDouble(args_columns, 2, rows.front(), 0.01);
       // fwdecay: hotpath-cold(one-time lazy sketch init on the group's first update)
       sketch_ = std::make_unique<UnarySpaceSaving>(
           static_cast<std::size_t>(std::ceil(1.0 / eps)));
     }
-    sketch_->Update(static_cast<std::uint64_t>(args[0].AsInt()));
+    const ValueColumn& keys = args_columns[0];
+    for (std::uint32_t row : rows) {
+      sketch_->Update(static_cast<std::uint64_t>(keys[row].AsInt()));
+    }
   }
 
   void Merge(AggState&) override {
@@ -603,18 +454,23 @@ class UnaryhhUdaf : public AggState {
 /// baseline; finalizes to the HH set over the whole group span.
 class SwhhUdaf : public AggState {
  public:
-  void Update(std::span<const Value> args) override {
-    FWDECAY_CHECK_MSG(args.size() >= 2, "SWHH(time, key [, phi [, eps]])");
+  void UpdateBatch(std::span<const ValueColumn> args_columns,
+                   std::span<const std::uint32_t> rows) override {
+    if (rows.empty()) return;
     if (sketch_ == nullptr) {
-      phi_ = OptDouble(args, 2, 0.05);
-      const double eps = OptDouble(args, 3, 0.01);
+      phi_ = OptColDouble(args_columns, 2, rows.front(), 0.05);
+      const double eps = OptColDouble(args_columns, 3, rows.front(), 0.01);
       // fwdecay: hotpath-cold(one-time lazy sketch init on the group's first update)
       sketch_ = std::make_unique<SlidingWindowHeavyHitters>(eps);
     }
-    const double ts = args[0].AsDouble();
-    last_ts_ = std::max(last_ts_, ts);
-    if (first_ts_ < 0.0) first_ts_ = ts;
-    sketch_->Update(ts, static_cast<std::uint64_t>(args[1].AsInt()));
+    const ValueColumn& times = args_columns[0];
+    const ValueColumn& keys = args_columns[1];
+    for (std::uint32_t row : rows) {
+      const double ts = times[row].AsDouble();
+      last_ts_ = std::max(last_ts_, ts);
+      if (first_ts_ < 0.0) first_ts_ = ts;
+      sketch_->Update(ts, static_cast<std::uint64_t>(keys[row].AsInt()));
+    }
   }
 
   void Merge(AggState&) override {
@@ -669,17 +525,22 @@ class SwhhUdaf : public AggState {
 /// evaluated at the group's last timestamp — the Figure 2 baseline.
 class EhdsumUdaf : public AggState {
  public:
-  void Update(std::span<const Value> args) override {
-    FWDECAY_CHECK_MSG(args.size() >= 2, "EHDSUM(time, value [, eps])");
+  void UpdateBatch(std::span<const ValueColumn> args_columns,
+                   std::span<const std::uint32_t> rows) override {
+    if (rows.empty()) return;
     if (agg_ == nullptr) {
-      const double eps = OptDouble(args, 2, 0.1);
+      const double eps = OptColDouble(args_columns, 2, rows.front(), 0.1);
       // fwdecay: hotpath-cold(one-time lazy sketch init on the group's first update)
       agg_ = std::make_unique<BackwardDecayedAggregator>(eps,
                                                          /*value_bits=*/16);
     }
-    const double ts = args[0].AsDouble();
-    last_ts_ = std::max(last_ts_, ts);
-    agg_->Insert(ts, static_cast<std::uint64_t>(args[1].AsInt()));
+    const ValueColumn& times = args_columns[0];
+    const ValueColumn& values = args_columns[1];
+    for (std::uint32_t row : rows) {
+      const double ts = times[row].AsDouble();
+      last_ts_ = std::max(last_ts_, ts);
+      agg_->Insert(ts, static_cast<std::uint64_t>(values[row].AsInt()));
+    }
   }
 
   void Merge(AggState&) override {
@@ -727,16 +588,8 @@ class EhdsumUdaf : public AggState {
 template <bool kIsMax>
 class FdExtremumUdaf : public AggState {
  public:
-  void Update(std::span<const Value> args) override {
-    FWDECAY_CHECK_MSG(args.size() >= 2, "FDMIN/FDMAX(value, weight)");
-    const double w = args[1].AsDouble();
-    if (w <= 0.0) return;
-    Offer(w * args[0].AsDouble());
-  }
-
   void UpdateBatch(std::span<const ValueColumn> args_columns,
                    std::span<const std::uint32_t> rows) override {
-    FWDECAY_CHECK_MSG(args_columns.size() >= 2, "FDMIN/FDMAX(value, weight)");
     const ValueColumn& values = args_columns[0];
     const ValueColumn& weights = args_columns[1];
     for (std::uint32_t row : rows) {
@@ -783,28 +636,14 @@ class FdExtremumUdaf : public AggState {
 // --- Quantiles and distinct -------------------------------------------------
 
 /// FDQUANTILE(value, weight, phi [, bits [, eps]]): weighted q-digest
-/// quantile under forward decay (Theorem 3).
+/// quantile under forward decay (Theorem 3). Values outside the
+/// digest's universe saturate into [0, 2^bits - 1] — negatives count as
+/// 0, values at or above 2^bits as the top of the universe — the way
+/// floor() saturates its int64 (FloorToI64 in expr.cc).
 class FdquantileUdaf : public AggState {
  public:
-  void Update(std::span<const Value> args) override {
-    FWDECAY_CHECK_MSG(args.size() >= 3,
-                      "FDQUANTILE(value, weight, phi [, bits [, eps]])");
-    if (digest_ == nullptr) {
-      phi_ = args[2].AsDouble();
-      const int bits = static_cast<int>(OptSize(args, 3, 16));
-      const double eps = OptDouble(args, 4, 0.01);
-      // fwdecay: hotpath-cold(one-time lazy sketch init on the group's first update)
-      digest_ = std::make_unique<QDigest>(bits, eps);
-    }
-    const double w = args[1].AsDouble();
-    if (w <= 0.0) return;
-    digest_->Update(static_cast<std::uint64_t>(args[0].AsInt()), w);
-  }
-
   void UpdateBatch(std::span<const ValueColumn> args_columns,
                    std::span<const std::uint32_t> rows) override {
-    FWDECAY_CHECK_MSG(args_columns.size() >= 3,
-                      "FDQUANTILE(value, weight, phi [, bits [, eps]])");
     if (rows.empty()) return;
     if (digest_ == nullptr) {
       phi_ = args_columns[2][rows.front()].AsDouble();
@@ -816,10 +655,14 @@ class FdquantileUdaf : public AggState {
     }
     const ValueColumn& values = args_columns[0];
     const ValueColumn& weights = args_columns[1];
+    const auto top = static_cast<std::int64_t>(
+        (std::uint64_t{1} << digest_->universe_bits()) - 1);
     for (std::uint32_t row : rows) {
       const double w = weights[row].AsDouble();
       if (w <= 0.0) continue;
-      digest_->Update(static_cast<std::uint64_t>(values[row].AsInt()), w);
+      const std::int64_t v =
+          std::clamp<std::int64_t>(values[row].AsInt(), 0, top);
+      digest_->Update(static_cast<std::uint64_t>(v), w);
     }
   }
 
@@ -873,20 +716,8 @@ class FdquantileUdaf : public AggState {
 /// dominance norm; divide by g(t - L) downstream if needed.
 class FddistinctUdaf : public AggState {
  public:
-  void Update(std::span<const Value> args) override {
-    FWDECAY_CHECK_MSG(args.size() >= 2, "FDDISTINCT(key, weight [, k])");
-    if (sketch_ == nullptr) {
-      // fwdecay: hotpath-cold(one-time lazy sketch init on the group's first update)
-      sketch_ = std::make_unique<DominanceNormSketch>(OptSize(args, 2, 1024));
-    }
-    const double w = args[1].AsDouble();
-    if (w <= 0.0) return;
-    sketch_->Update(static_cast<std::uint64_t>(args[0].AsInt()), w);
-  }
-
   void UpdateBatch(std::span<const ValueColumn> args_columns,
                    std::span<const std::uint32_t> rows) override {
-    FWDECAY_CHECK_MSG(args_columns.size() >= 2, "FDDISTINCT(key, weight [, k])");
     if (rows.empty()) return;
     if (sketch_ == nullptr) {
       // fwdecay: hotpath-cold(one-time lazy sketch init on the group's first update)
@@ -938,22 +769,51 @@ class FddistinctUdaf : public AggState {
   std::unique_ptr<DominanceNormSketch> sketch_;
 };
 
+// --- Literal-parameter bounds -----------------------------------------------
+//
+// Sizes stop at 2^26, the cap every sampler's and sketch's Deserialize
+// puts on what a header may allocate. SpaceSaving keeps ceil(1/eps)
+// counters and an exponential histogram ceil(1/eps) buckets per size,
+// so their eps starts at 2^-26; a q-digest reserves 8/eps nodes up
+// front, so its eps starts at 2^-23.
+constexpr double kMaxSize = 1 << 26;
+constexpr AggParam kPhi{"phi", 0.0, 1.0};
+constexpr AggParam kSampleK{"k", 1.0, kMaxSize};
+constexpr AggParam kCounterEps{"eps", 1.0 / kMaxSize, 1.0};
+
 }  // namespace
 
 void RegisterPaperUdafs() {
   AggRegistry& r = AggRegistry::Instance();
-  r.Register<PrisampUdaf>("prisamp");
-  r.Register<WrsampUdaf>("wrsamp");
-  r.Register<RessampUdaf>("ressamp");
-  r.Register<AggsampUdaf>("aggsamp");
-  r.Register<FdhhUdaf>("fdhh");
-  r.Register<UnaryhhUdaf>("unaryhh");
-  r.Register<SwhhUdaf>("swhh");
-  r.Register<EhdsumUdaf>("ehdsum");
-  r.Register<FdquantileUdaf>("fdquantile");
-  r.Register<FddistinctUdaf>("fddistinct");
-  r.Register<FdExtremumUdaf<false>>("fdmin");
-  r.Register<FdExtremumUdaf<true>>("fdmax");
+  // PRISAMP's heap holds k + 1 entries (the threshold slot).
+  r.Register<PrisampUdaf>("prisamp", {"PRISAMP(item, weight [, k])", 2, 2,
+                                      {{"k", 1.0, kMaxSize - 1.0}}});
+  r.Register<WrsampUdaf>("wrsamp",
+                         {"WRSAMP(item, weight [, k])", 2, 2, {kSampleK}});
+  r.Register<ReservoirUdaf<ReservoirSampler<double>>>(
+      "ressamp", {"RESSAMP(item [, k])", 1, 1, {kSampleK}});
+  r.Register<ReservoirUdaf<BiasedReservoirSampler<double>>>(
+      "aggsamp", {"AGGSAMP(item [, k])", 1, 1, {kSampleK}});
+  r.Register<FdhhUdaf>("fdhh", {"FDHH(key, weight [, phi [, eps]])", 2, 2,
+                                {kPhi, kCounterEps}});
+  r.Register<UnaryhhUdaf>(
+      "unaryhh", {"UNARYHH(key [, phi [, eps]])", 1, 1, {kPhi, kCounterEps}});
+  // The sliding-window sketch needs eps < 1.
+  r.Register<SwhhUdaf>("swhh", {"SWHH(time, key [, phi [, eps]])", 2, 2,
+                                {kPhi, {"eps", 1.0 / kMaxSize, 1.0, true}}});
+  r.Register<EhdsumUdaf>("ehdsum",
+                         {"EHDSUM(time, value [, eps])", 2, 2, {kCounterEps}});
+  r.Register<FdquantileUdaf>(
+      "fdquantile", {"FDQUANTILE(value, weight, phi [, bits [, eps]])", 3, 2,
+                     {kPhi, {"bits", 1.0, 62.0},
+                      {"eps", 8.0 / kMaxSize, 1.0, true}}});
+  // KMV keeps at least 3 hashes per level.
+  r.Register<FddistinctUdaf>("fddistinct", {"FDDISTINCT(key, weight [, k])",
+                                            2, 2, {{"k", 3.0, kMaxSize}}});
+  r.Register<FdExtremumUdaf<false>>("fdmin",
+                                    {"FDMIN(value, weight)", 2, 2, {}});
+  r.Register<FdExtremumUdaf<true>>("fdmax",
+                                   {"FDMAX(value, weight)", 2, 2, {}});
 }
 
 }  // namespace fwdecay::dsms

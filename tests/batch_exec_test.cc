@@ -332,6 +332,35 @@ TEST(BatchDifferentialTest, TwoLevelUdafs) {
   RunBatchDifferential(kUdafQuery, options, nullptr);
 }
 
+// FDQUANTILE saturates values outside its q-digest universe into
+// [0, 2^bits - 1]: negative lengths, 32-bit addresses against the
+// default 16-bit universe, and both sides of a 4-bit one.
+constexpr char kFdquantileOutOfUniverseQuery[] =
+    "select destPort, fdquantile(len - 1000, 1, 0.5), "
+    "fdquantile(srcIP, expweight(time, 60, 0.1), 0.9), "
+    "fdquantile(len - 500, 1, 0.5, 4) "
+    "from TCP group by destPort";
+
+TEST(BatchDifferentialTest, FdquantileSaturatesOutOfUniverseValues) {
+  RunBatchDifferential(kFdquantileOutOfUniverseQuery, {}, nullptr);
+  CompiledQuery::Options options;
+  options.two_level = true;
+  options.low_level_slots = 32;
+  RunBatchDifferential(kFdquantileOutOfUniverseQuery, options, nullptr);
+
+  auto plan = MustCompile(
+      "select fdquantile(len - 100000, 1, 0.5), "
+      "fdquantile(len + 100000, 1, 0.5, 4) from TCP",
+      {});
+  ASSERT_NE(plan, nullptr);
+  auto exec = plan->NewExecution();
+  for (const PacketBatch& b : Rebatch(MakeTrace(2000), 256)) exec->Consume(b);
+  const ResultSet rs = exec->Finish();
+  ASSERT_EQ(rs.rows.size(), 1u);
+  EXPECT_EQ(rs.rows[0][0].AsInt(), 0);   // every value below the universe
+  EXPECT_EQ(rs.rows[0][1].AsInt(), 15);  // every value above 2^4 - 1
+}
+
 TEST(BatchDifferentialTest, OneLevelWithOverloadPolicy) {
   OverloadPolicy policy;
   policy.max_groups = 40;  // well below the trace's group cardinality

@@ -456,6 +456,55 @@ TEST(EngineTest, CompileErrorsAreDiagnosed) {
   EXPECT_FALSE(error.empty());
 }
 
+// Each aggregate's signature is checked when the plan compiles: a call
+// with the wrong arity, a non-literal parameter, or a parameter outside
+// what its sketch's constructor CHECKs and Deserialize accepts is a
+// compile error naming the aggregate, never an abort at the first tuple.
+TEST(EngineTest, AggregateSignaturesAreCheckedAtCompile) {
+  RegisterPaperUdafs();
+  const std::pair<const char*, const char*> rejected[] = {
+      {"select FDHH(destIP) from TCP", "FDHH"},
+      {"select sum() from TCP", "sum"},
+      {"select avg(len, len) from TCP", "avg"},
+      {"select count(len, len) from TCP", "count"},
+      {"select PRISAMP(srcIP, 1, 0) from TCP", "PRISAMP"},
+      {"select PRISAMP(srcIP, 1, 67108864) from TCP", "PRISAMP"},
+      {"select PRISAMP(srcIP, 1, len) from TCP", "PRISAMP"},
+      {"select FDHH(destIP, 1, 0.05, 0) from TCP", "FDHH"},
+      {"select FDHH(destIP, 1, 0.05, 1e-12) from TCP", "FDHH"},
+      {"select FDHH(destIP, 1, 'x') from TCP", "FDHH"},
+      {"select FDHH(destIP, 1, 0.05, 0.01, 7) from TCP", "FDHH"},
+      {"select FDQUANTILE(len, 1) from TCP", "FDQUANTILE"},
+      {"select FDQUANTILE(len, 1, 2.0) from TCP", "FDQUANTILE"},
+      {"select FDQUANTILE(len, 1, 0.5, 70) from TCP", "FDQUANTILE"},
+      {"select FDQUANTILE(len, 1, 0.5, 16, 1) from TCP", "FDQUANTILE"},
+      {"select RESSAMP(srcIP, 1000000000000) from TCP", "RESSAMP"},
+      {"select SWHH(time, destIP, 0.05, 1) from TCP", "SWHH"},
+      {"select FDDISTINCT(destIP, 1, 2) from TCP", "FDDISTINCT"},
+      {"select tb, sum(len) from TCP group by time/60 as tb "
+       "having UNARYHH(destIP, 0.05, 0) = ''", "UNARYHH"},
+  };
+  for (const auto& [gsql, name] : rejected) {
+    std::string error;
+    EXPECT_EQ(CompiledQuery::Compile(gsql, &error), nullptr) << gsql;
+    EXPECT_NE(error.find(name), std::string::npos) << gsql << ": " << error;
+  }
+  // The bounds themselves compile.
+  for (const char* gsql : {
+           "select count(), count(*) from TCP",
+           "select PRISAMP(srcIP, 1, 67108863), WRSAMP(srcIP, 1, 67108864) "
+           "from TCP",
+           "select FDHH(destIP, 1, 0, 1), FDHH(destIP, 1, 1.0, 0.5) from TCP",
+           "select FDQUANTILE(len, 1, 0, 1), FDQUANTILE(len, 1, 1, 62, 0.5) "
+           "from TCP",
+           "select FDDISTINCT(destIP, 1, 3), EHDSUM(dtime, len, 1) from TCP",
+       }) {
+    std::string error;
+    EXPECT_NE(CompiledQuery::Compile(gsql, &error), nullptr)
+        << gsql << ": " << error;
+  }
+}
+
 TEST(EngineTest, UdafPrisampRunsInsideQuery) {
   RegisterPaperUdafs();
   std::string error;

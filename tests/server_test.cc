@@ -19,6 +19,7 @@
 #include "dsms/engine.h"
 #include "dsms/netgen.h"
 #include "dsms/parser.h"
+#include "dsms/udafs.h"
 #include "gtest/gtest.h"
 #include "server/client.h"
 #include "server/daemon.h"
@@ -215,6 +216,68 @@ TEST_F(ServerTest, RegisterValidationAndQuotas) {
   EXPECT_EQ(code, ErrCode::kQuotaExceeded);
   EXPECT_EQ(daemon.query_count(), 1u);
 
+  daemon.Stop();
+}
+
+// Aggregate signatures are checked when a registration compiles: calls
+// that would abort the first batch (wrong arity, a sketch size past what
+// a snapshot may restore, a universe wider than the q-digest's) get
+// kParseError, nothing reaches the journal, so a restart has no abort to
+// replay, and the daemon keeps serving the same connection.
+TEST_F(ServerTest, HostileAggregateCallsAreRefusedBeforeJournaling) {
+  dsms::RegisterPaperUdafs();
+  const auto packets = dsms::PacketGenerator(dsms::TraceConfig{}).Generate(500);
+  Daemon daemon(options_);
+  std::string error;
+  ASSERT_TRUE(daemon.Start(&error)) << error;
+  Client client;
+  ASSERT_TRUE(client.Connect(daemon.ingest_port(), &error)) << error;
+  ASSERT_TRUE(client.Hello("acme", &error)) << error;
+
+  const auto journaled_registrations = [&] {
+    std::size_t registrations = 0;
+    for (std::uint64_t e = 0; e < 4; ++e) {
+      const std::string path = SnapshotManager(dir_, 1).JournalPath(e);
+      if (!FaultFs::Instance().FileExists(path)) continue;
+      std::vector<JournalRecord> records;
+      bool torn_tail = false;
+      std::string read_error;
+      EXPECT_TRUE(ReadJournalFile(path, &records, &torn_tail, &read_error))
+          << read_error;
+      for (const JournalRecord& r : records) {
+        registrations += r.type == JournalRecordType::kRegister ? 1 : 0;
+      }
+    }
+    return registrations;
+  };
+
+  std::uint64_t id = 0;
+  ErrCode code = ErrCode::kNone;
+  for (const char* gsql : {
+           "select sum() from TCP",
+           "select FDQUANTILE(len, 1, 0.5, 70) from TCP",
+           "select RESSAMP(srcIP, 1000000000000) from TCP",
+           "select destPort, FDHH(destIP, 1, 0.05, 1e-12) from TCP "
+           "group by destPort",
+       }) {
+    EXPECT_FALSE(client.RegisterQuery("bad", gsql, false, &id, &code, &error))
+        << gsql;
+    EXPECT_EQ(code, ErrCode::kParseError) << gsql;
+  }
+  EXPECT_EQ(daemon.query_count(), 0u);
+  EXPECT_EQ(journaled_registrations(), 0u);
+
+  ASSERT_TRUE(client.RegisterQuery("q", kGsql, false, &id, &code, &error))
+      << error;
+  IngestReply reply;
+  ASSERT_TRUE(client.Ingest(0, MakeBatch(packets, 0, packets.size()), &reply,
+                            &error))
+      << error;
+  EXPECT_TRUE(reply.ok) << reply.message;
+  dsms::ResultSet result;
+  ASSERT_TRUE(client.PollResult(id, &result, &code, &error)) << error;
+  EXPECT_FALSE(result.rows.empty());
+  EXPECT_EQ(journaled_registrations(), 1u);
   daemon.Stop();
 }
 
