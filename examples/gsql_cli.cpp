@@ -19,6 +19,16 @@
 //                       result table over the whole input)
 //   --csv               print CSV instead of the aligned table
 //
+// Expressions are numeric: every column, literal and scalar call is an
+// int64 or a double, and a query that compiles runs to completion. A
+// string literal, an unknown column or function, an aggregate inside
+// WHERE / GROUP BY / another aggregate, and a string-valued aggregate
+// (the samplers and heavy hitters) used anywhere but as a whole SELECT
+// item are query errors, as are UNARYHH, SWHH and EHDSUM with
+// --two-level. Integer arithmetic is total: + - * wrap in two's
+// complement, x / 0 = 0, x % 0 = x, and INT64_MIN / -1 = INT64_MIN.
+// A double converted to an integer truncates and saturates (NaN -> 0).
+//
 // Examples:
 //   gsql_cli "select tb, destIP, count(*) from TCP
 //             group by time/60 as tb, destIP order by 3 desc limit 10"

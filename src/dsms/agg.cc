@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "util/check.h"
+#include "util/int_div.h"
 
 namespace fwdecay::dsms {
 
@@ -65,7 +66,7 @@ class SumAgg : public AggState {
     all_int_ = all_int_ && o.all_int_;
   }
   Value Finalize() const override {
-    if (all_int_) return Value(static_cast<std::int64_t>(sum_));
+    if (all_int_) return Value(SaturatingI64(sum_));
     return Value(sum_);
   }
   bool SerializeTo(ByteWriter* writer) const override {
@@ -84,37 +85,24 @@ class SumAgg : public AggState {
 
  private:
   // Adds row rows[k] of `col` to the state state_at(k), in row order, so
-  // each state's FP additions are the per-tuple path's. Typed columns
-  // skip the per-row type test: a kI64 column is int in every row
-  // (all_int_ unchanged), a kF64 column in none.
+  // each state's FP additions are the per-tuple path's. A kI64 column is
+  // int in every row (all_int_ unchanged), a kF64 column in none.
   template <class StateAt>
   static void AddRows(const ValueColumn& col,
                       std::span<const std::uint32_t> rows,
                       const StateAt& state_at) {
-    switch (col.rep()) {
-      case ValueColumn::Rep::kI64: {
-        const std::int64_t* v = col.i64_data();
-        for (std::size_t k = 0; k < rows.size(); ++k) {
-          state_at(k)->sum_ += static_cast<double>(v[rows[k]]);
-        }
-        return;
+    if (col.rep() == ValueColumn::Rep::kI64) {
+      const std::int64_t* v = col.i64_data();
+      for (std::size_t k = 0; k < rows.size(); ++k) {
+        state_at(k)->sum_ += static_cast<double>(v[rows[k]]);
       }
-      case ValueColumn::Rep::kF64: {
-        const double* v = col.f64_data();
-        for (std::size_t k = 0; k < rows.size(); ++k) {
-          SumAgg* s = state_at(k);
-          s->all_int_ = false;
-          s->sum_ += v[rows[k]];
-        }
-        return;
-      }
-      case ValueColumn::Rep::kBoxed:
-        break;
+      return;
     }
+    const double* v = col.f64_data();
     for (std::size_t k = 0; k < rows.size(); ++k) {
       SumAgg* s = state_at(k);
-      if (!col[rows[k]].is_int()) s->all_int_ = false;
-      s->sum_ += col[rows[k]].AsDouble();
+      s->all_int_ = false;
+      s->sum_ += v[rows[k]];
     }
   }
 
@@ -164,25 +152,15 @@ class AvgAgg : public AggState {
       s->sum_ += x;
       ++s->count_;
     };
-    switch (col.rep()) {
-      case ValueColumn::Rep::kI64: {
-        const std::int64_t* v = col.i64_data();
-        for (std::size_t k = 0; k < rows.size(); ++k) {
-          add(k, static_cast<double>(v[rows[k]]));
-        }
-        return;
+    if (col.rep() == ValueColumn::Rep::kI64) {
+      const std::int64_t* v = col.i64_data();
+      for (std::size_t k = 0; k < rows.size(); ++k) {
+        add(k, static_cast<double>(v[rows[k]]));
       }
-      case ValueColumn::Rep::kF64: {
-        const double* v = col.f64_data();
-        for (std::size_t k = 0; k < rows.size(); ++k) add(k, v[rows[k]]);
-        return;
-      }
-      case ValueColumn::Rep::kBoxed:
-        for (std::size_t k = 0; k < rows.size(); ++k) {
-          add(k, col[rows[k]].AsDouble());
-        }
-        return;
+      return;
     }
+    const double* v = col.f64_data();
+    for (std::size_t k = 0; k < rows.size(); ++k) add(k, v[rows[k]]);
   }
 
   double sum_ = 0.0;

@@ -61,8 +61,8 @@ class AggState {
 
   /// Merges another state of the same concrete type (used by the
   /// two-level aggregation split when the low level evicts a partial
-  /// group, and by distributed combination). Implementations may
-  /// CHECK-fail if merging is not meaningful for them.
+  /// group, and by distributed combination). Aggregates whose signature
+  /// is not `mergeable` never reach it from a plan; theirs CHECK-fails.
   virtual void Merge(AggState& other) = 0;
 
   /// Produces the output value for the group.
@@ -105,6 +105,12 @@ struct AggSignature {
   std::size_t min_args = 0;
   std::size_t data_args = 0;
   std::vector<AggParam> params;
+  /// Finalizes to a string (the sampler and heavy-hitter UDAFs): a plan
+  /// may output it only as a whole SELECT item, never as an operand.
+  bool string_result = false;
+  /// Merge() is defined. The two-level split merges evicted partial
+  /// groups, so a two-level plan rejects aggregates without it.
+  bool mergeable = true;
 };
 
 /// How to make one aggregate's state and call it: its size and

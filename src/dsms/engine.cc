@@ -37,26 +37,16 @@ std::uint64_t HashKey(const std::vector<Value>& key) {
   return h;
 }
 
-// True when every group-key column is kI64 (ints, IPs, ports, time/c):
-// keys then hash, compare and probe as raw int64 arrays.
-bool AllKeysI64(const std::vector<ValueColumn>& key_cols,
-                std::size_t num_groups) {
-  for (std::size_t g = 0; g < num_groups; ++g) {
-    if (key_cols[g].rep() != ValueColumn::Rep::kI64) return false;
-  }
-  return num_groups > 0;
-}
-
 // Group hash per selected row — HashKey replicated over the dense key
-// columns. All-int64 keys of any arity hash column by column through
-// the vectorized kernels (GroupHashI64 for column 0, then
-// GroupHashCombineI64 per further column), bit-identical to HashKey of
-// the boxed key; keys with a double, string or mixed column walk the
+// columns. All-int64 keys (`all_i64`, a plan constant) of any arity hash
+// column by column through the vectorized kernels (GroupHashI64 for
+// column 0, then GroupHashCombineI64 per further column), bit-identical
+// to HashKey of the Value key; keys with a double column walk the
 // columns per row.
 void ComputeGroupHashes(const std::vector<ValueColumn>& key_cols,
-                        std::size_t num_groups, std::size_t n,
+                        bool all_i64, std::size_t num_groups, std::size_t n,
                         std::uint64_t* out) {
-  if (AllKeysI64(key_cols, num_groups)) {
+  if (all_i64) {
     simd::GroupHashI64(key_cols[0].i64_data(), n, kGroupHashSeed, out);
     for (std::size_t g = 1; g < num_groups; ++g) {
       simd::GroupHashCombineI64(key_cols[g].i64_data(), n, out);
@@ -230,6 +220,73 @@ bool CheckAggCall(const AggSignature& sig,
                " must be a numeric literal in " + range;
       return false;
     }
+  }
+  return true;
+}
+
+// The type pass: what may appear where once names are bound (Expr nodes
+// bind when the parser builds them). Row expressions — WHERE, GROUP BY
+// and aggregate arguments — must type as int64 or double, so an unknown
+// column or function, an aggregate, a short scalar call and a string
+// literal are errors there. Post-aggregation expressions — SELECT items
+// and HAVING, checked with their aggregate slots' signatures in
+// `post_slots` (null for a row expression) — are numeric too, except
+// that a string-valued aggregate may stand alone as a SELECT item; the
+// caller skips such a root. One walk per expression.
+bool CheckTypes(const Expr& e,
+                const std::vector<const AggSignature*>* post_slots,
+                std::string* error) {
+  switch (e.kind) {
+    case Expr::Kind::kColumn:
+      if (e.column == ColumnId::kUnknown) {
+        *error = "unknown column '" + e.name + "'";
+        return false;
+      }
+      break;
+    case Expr::Kind::kLiteral:
+      if (e.literal.is_string()) {
+        *error = "string literal '" + e.literal.AsString() +
+                 "': GSQL expressions are numeric";
+        return false;
+      }
+      break;
+    case Expr::Kind::kStar:
+      if (post_slots == nullptr) break;  // a row expression: reads as 1
+      *error = "'*' outside an aggregate call";
+      return false;
+    case Expr::Kind::kCall:
+      if (e.fn == ScalarFn::kNone) {
+        *error = AggRegistry::Instance().Contains(e.name)
+                     ? "aggregate '" + Lower(e.name) +
+                           "' inside a row expression (WHERE, GROUP BY or "
+                           "an aggregate argument)"
+                     : "unknown function '" + e.name + "'";
+        return false;
+      }
+      if (e.args.size() < ScalarFnArity(e.fn)) {
+        *error = "function '" + Lower(e.name) + "' needs " +
+                 std::to_string(ScalarFnArity(e.fn)) + " arguments, got " +
+                 std::to_string(e.args.size());
+        return false;
+      }
+      break;
+    case Expr::Kind::kAggRef: {
+      const AggSignature& sig =
+          *(*post_slots)[static_cast<std::size_t>(e.agg_index)];
+      if (sig.string_result) {
+        *error = std::string(sig.usage) +
+                 " returns a string: it can only be a whole SELECT item";
+        return false;
+      }
+      break;
+    }
+    case Expr::Kind::kNeg:
+    case Expr::Kind::kBinary:
+    case Expr::Kind::kGroupRef:
+      break;
+  }
+  for (const auto& arg : e.args) {
+    if (!CheckTypes(*arg, post_slots, error)) return false;
   }
   return true;
 }
@@ -408,13 +465,43 @@ std::unique_ptr<CompiledQuery> CompiledQuery::CompileParsed(Query query,
   }
   // Each slot's signature is checked and its kind and block offset
   // resolved once for every group.
+  std::vector<const AggSignature*> slot_sigs;
   for (std::size_t slot = 0; slot < plan->agg_names_.size(); ++slot) {
     const AggKind& kind = AggRegistry::Instance().Kind(plan->agg_names_[slot]);
     if (!CheckAggCall(kind.signature, plan->agg_args_[slot], error)) {
       return nullptr;
     }
+    if (options.two_level && !kind.signature.mergeable) {
+      *error = std::string(kind.signature.usage) +
+               " cannot run in a two-level plan: its state does not merge";
+      return nullptr;
+    }
+    slot_sigs.push_back(&kind.signature);
     plan->agg_layout_.Append(kind);
   }
+
+  // The type pass, after the signature checks.
+  bool typed =
+      plan->where_ == nullptr || CheckTypes(*plan->where_, nullptr, error);
+  for (const auto& g : plan->group_exprs_) {
+    typed = typed && CheckTypes(*g, nullptr, error);
+  }
+  for (const auto& args : plan->agg_args_) {
+    for (const auto& arg : args) {
+      typed = typed && CheckTypes(*arg, nullptr, error);
+    }
+  }
+  for (const OutputItem& out : plan->outputs_) {
+    typed = typed && (out.post->kind == Expr::Kind::kAggRef ||
+                      CheckTypes(*out.post, &slot_sigs, error));
+  }
+  typed = typed && (plan->having_ == nullptr ||
+                    CheckTypes(*plan->having_, &slot_sigs, error));
+  if (!typed) return nullptr;
+  plan->keys_i64_ =
+      !plan->group_exprs_.empty() &&
+      std::all_of(plan->group_exprs_.begin(), plan->group_exprs_.end(),
+                  [](const auto& g) { return g->type == ExprType::kI64; });
 
   // ORDER BY: resolve each entry to an output column — by 1-based
   // position, by alias/column name, or by expression text.
@@ -942,8 +1029,9 @@ void QueryExecution::AggregateSelection(const PacketBatch& batch,
   }
 
   // Group hash per selected row (vectorized for all-int64 keys).
+  const bool all_i64 = plan_->keys_i64_;
   hashes_.resize(n);
-  ComputeGroupHashes(key_cols_, num_groups, n, hashes_.data());
+  ComputeGroupHashes(key_cols_, all_i64, num_groups, n, hashes_.data());
   row_index_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     row_index_[i] = static_cast<std::uint32_t>(i);
@@ -962,7 +1050,6 @@ void QueryExecution::AggregateSelection(const PacketBatch& batch,
   // Run scans, slot hit tests and high-table probes read the key
   // columns in place (raw int64 arrays when every key column is kI64);
   // a key is materialized into Values only when a group is admitted.
-  const bool all_i64 = AllKeysI64(key_cols_, num_groups);
   const double* times = batch.time();
   seg_begin_ = 0;
   seg_runs_ = 0;
@@ -1613,7 +1700,8 @@ void PipelinedQueryExecution::Consume(const PacketBatch& batch) {
                   &eval_scratch_, &key_cols_[g]);
   }
   hashes_.resize(n);
-  ComputeGroupHashes(key_cols_, num_groups, n, hashes_.data());
+  ComputeGroupHashes(key_cols_, plan_->keys_i64_, num_groups, n,
+                     hashes_.data());
   shard_ids_.resize(n);
   simd::ShardIndexU64(hashes_.data(), n, kShardRouteSeed,
                       static_cast<std::uint32_t>(shards_.size()),

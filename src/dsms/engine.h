@@ -119,6 +119,7 @@ class CompiledQuery {
   std::uint8_t protocol_filter_ = 0;     // 0 = all, else exact match
   std::unique_ptr<Expr> where_;          // may be null
   std::vector<std::unique_ptr<Expr>> group_exprs_;
+  bool keys_i64_ = false;                // every group expr types kI64
   std::vector<std::string> agg_names_;   // aggregate function per slot
   AggStateLayout agg_layout_;            // kind + block offset per slot
   // Argument expressions per aggregate slot.

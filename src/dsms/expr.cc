@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <limits>
+#include <utility>
 
 #include "util/check.h"
 #include "util/int_div.h"
@@ -11,9 +11,49 @@
 
 namespace fwdecay::dsms {
 
+namespace {
+
+std::string Lower(std::string s) {
+  std::transform(s.begin(), s.end(), s.begin(),
+                 [](unsigned char c) { return std::tolower(c); });
+  return s;
+}
+
+// Name lookups, run once when a node is built (case-insensitive).
+ColumnId LookupColumn(const std::string& name) {
+  static constexpr std::pair<const char*, ColumnId> kColumns[] = {
+      {"time", ColumnId::kTime},         {"dtime", ColumnId::kDtime},
+      {"srcip", ColumnId::kSrcIp},       {"destip", ColumnId::kDestIp},
+      {"srcport", ColumnId::kSrcPort},   {"destport", ColumnId::kDestPort},
+      {"len", ColumnId::kLen},           {"protocol", ColumnId::kProtocol}};
+  const std::string lower = Lower(name);
+  for (const auto& [column_name, id] : kColumns) {
+    if (lower == column_name) return id;
+  }
+  return ColumnId::kUnknown;
+}
+
+ScalarFn LookupScalarFn(const std::string& name) {
+  static constexpr std::pair<const char*, ScalarFn> kFns[] = {
+      {"exp", ScalarFn::kExp},     {"ln", ScalarFn::kLn},
+      {"sqrt", ScalarFn::kSqrt},   {"abs", ScalarFn::kAbs},
+      {"floor", ScalarFn::kFloor}, {"pow", ScalarFn::kPow},
+      {"polyweight", ScalarFn::kPolyweight},
+      {"expweight", ScalarFn::kExpweight}};
+  const std::string lower = Lower(name);
+  for (const auto& [fn_name, fn] : kFns) {
+    if (lower == fn_name) return fn;
+  }
+  return ScalarFn::kNone;
+}
+
+}  // namespace
+
 std::unique_ptr<Expr> Expr::Column(std::string name) {
   auto e = std::make_unique<Expr>();
   e->kind = Kind::kColumn;
+  e->column = LookupColumn(name);
+  e->type = e->column == ColumnId::kDtime ? ExprType::kF64 : ExprType::kI64;
   e->name = std::move(name);
   return e;
 }
@@ -21,6 +61,7 @@ std::unique_ptr<Expr> Expr::Column(std::string name) {
 std::unique_ptr<Expr> Expr::Literal(Value v) {
   auto e = std::make_unique<Expr>();
   e->kind = Kind::kLiteral;
+  e->type = v.is_double() ? ExprType::kF64 : ExprType::kI64;
   e->literal = std::move(v);
   return e;
 }
@@ -50,6 +91,15 @@ std::unique_ptr<Expr> Expr::Binary(BinOp op, std::unique_ptr<Expr> lhs,
   auto e = std::make_unique<Expr>();
   e->kind = Kind::kBinary;
   e->op = op;
+  // Arithmetic promotes to double when either operand is one;
+  // comparisons and logic yield int 0/1.
+  const bool arith = op == BinOp::kAdd || op == BinOp::kSub ||
+                     op == BinOp::kMul || op == BinOp::kDiv ||
+                     op == BinOp::kMod;
+  e->type = arith && (lhs->type == ExprType::kF64 ||
+                      rhs->type == ExprType::kF64)
+                ? ExprType::kF64
+                : ExprType::kI64;
   e->args.push_back(std::move(lhs));
   e->args.push_back(std::move(rhs));
   return e;
@@ -58,6 +108,7 @@ std::unique_ptr<Expr> Expr::Binary(BinOp op, std::unique_ptr<Expr> lhs,
 std::unique_ptr<Expr> Expr::Neg(std::unique_ptr<Expr> operand) {
   auto e = std::make_unique<Expr>();
   e->kind = Kind::kNeg;
+  e->type = operand->type;
   e->args.push_back(std::move(operand));
   return e;
 }
@@ -66,6 +117,11 @@ std::unique_ptr<Expr> Expr::Call(std::string func,
                                  std::vector<std::unique_ptr<Expr>> args) {
   auto e = std::make_unique<Expr>();
   e->kind = Kind::kCall;
+  e->fn = LookupScalarFn(func);
+  // floor yields an int, every other scalar function a double.
+  e->type = e->fn == ScalarFn::kFloor || e->fn == ScalarFn::kNone
+                ? ExprType::kI64
+                : ExprType::kF64;
   e->name = std::move(func);
   e->args = std::move(args);
   return e;
@@ -79,18 +135,15 @@ std::unique_ptr<Expr> Expr::Clone() const {
   e->op = op;
   e->agg_index = agg_index;
   e->group_index = group_index;
+  e->column = column;
+  e->fn = fn;
+  e->type = type;
   e->args.reserve(args.size());
   for (const auto& a : args) e->args.push_back(a->Clone());
   return e;
 }
 
 namespace {
-
-std::string Lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  return s;
-}
 
 const char* OpText(BinOp op) {
   switch (op) {
@@ -166,78 +219,39 @@ std::string Expr::ToString() const {
   return "?";
 }
 
-bool IsKnownColumn(const std::string& name) {
-  const std::string n = Lower(name);
-  return n == "time" || n == "dtime" || n == "srcip" || n == "destip" ||
-         n == "srcport" || n == "destport" || n == "len" || n == "protocol";
-}
-
-Value ReadColumn(const std::string& name, const Packet& p) {
-  const std::string n = Lower(name);
-  if (n == "time") return Value(static_cast<std::int64_t>(p.time));
-  if (n == "dtime") return Value(p.time);
-  if (n == "srcip") return Value(static_cast<std::int64_t>(p.src_ip));
-  if (n == "destip") return Value(static_cast<std::int64_t>(p.dest_ip));
-  if (n == "srcport") return Value(static_cast<std::int64_t>(p.src_port));
-  if (n == "destport") return Value(static_cast<std::int64_t>(p.dest_port));
-  if (n == "len") return Value(static_cast<std::int64_t>(p.len));
-  if (n == "protocol") return Value(static_cast<std::int64_t>(p.protocol));
-  FWDECAY_CHECK_MSG(false, "unknown column");
-  return Value();
-}
-
-namespace {
-
-// Built-in scalar functions, resolved from the call name once per
-// expression (per batch in the batched evaluator) instead of re-matching
-// the string per tuple.
-enum class ScalarFn {
-  kExp, kLn, kSqrt, kAbs, kFloor, kPow, kPolyweight, kExpweight,
-};
-
-// Case-insensitive match against a lowercase literal without building
-// a lowered copy: the resolvers below run once per batch per expression
-// node, and the batched evaluator must stay allocation-free.
-bool NameIs(const std::string& name, const char* lower) {
-  const char* p = lower;
-  for (char c : name) {
-    if (*p == '\0' ||
-        std::tolower(static_cast<unsigned char>(c)) != *p) {
-      return false;
-    }
-    ++p;
-  }
-  return *p == '\0';
-}
-
-ScalarFn ResolveScalarFn(const std::string& name) {
-  if (NameIs(name, "exp")) return ScalarFn::kExp;
-  if (NameIs(name, "ln")) return ScalarFn::kLn;
-  if (NameIs(name, "sqrt")) return ScalarFn::kSqrt;
-  if (NameIs(name, "abs")) return ScalarFn::kAbs;
-  if (NameIs(name, "floor")) return ScalarFn::kFloor;
-  if (NameIs(name, "pow")) return ScalarFn::kPow;
-  if (NameIs(name, "polyweight")) return ScalarFn::kPolyweight;
-  if (NameIs(name, "expweight")) return ScalarFn::kExpweight;
-  FWDECAY_CHECK_MSG(false, "unknown scalar function (aggregates cannot be "
-                           "evaluated per tuple)");
-  return ScalarFn::kExp;
-}
-
-// Leading arguments each scalar function reads (extra ones are ignored).
-constexpr std::size_t kMaxScalarArity = 3;
 std::size_t ScalarFnArity(ScalarFn fn) {
   switch (fn) {
     case ScalarFn::kPow: return 2;
     case ScalarFn::kPolyweight:
     case ScalarFn::kExpweight: return 3;
+    case ScalarFn::kNone: return 0;
     default: return 1;
   }
 }
 
+Value ReadColumn(ColumnId column, const Packet& p) {
+  switch (column) {
+    case ColumnId::kTime: return Value(SaturatingI64(p.time));
+    case ColumnId::kDtime: return Value(p.time);
+    case ColumnId::kSrcIp: return Value(std::int64_t{p.src_ip});
+    case ColumnId::kDestIp: return Value(std::int64_t{p.dest_ip});
+    case ColumnId::kSrcPort: return Value(std::int64_t{p.src_port});
+    case ColumnId::kDestPort: return Value(std::int64_t{p.dest_port});
+    case ColumnId::kLen: return Value(std::int64_t{p.len});
+    case ColumnId::kProtocol: return Value(std::int64_t{p.protocol});
+    case ColumnId::kUnknown: break;
+  }
+  FWDECAY_CHECK_MSG(false, "unbound column (the query was not compiled)");
+  return Value();
+}
+
+namespace {
+
+constexpr std::size_t kMaxScalarArity = 3;
+
 // The one definition of each scalar function, over its arguments
 // widened to double (x[0..ScalarFnArity(fn))). kFloor returns floor(x)
-// as a double; its callers store it through FloorToI64. Shared by the
+// as a double; its callers store it through SaturatingI64. Shared by the
 // per-tuple, post-aggregation and batched evaluators.
 double ScalarFnF64(ScalarFn fn, const double* x) {
   switch (fn) {
@@ -254,60 +268,20 @@ double ScalarFnF64(ScalarFn fn, const double* x) {
     //   expweight(time, 60, 0.1) ==  exp(0.1 * (time % 60))
     case ScalarFn::kPolyweight: return std::pow(std::fmod(x[0], x[1]), x[2]);
     case ScalarFn::kExpweight: return std::exp(x[2] * std::fmod(x[0], x[1]));
+    case ScalarFn::kNone: break;
   }
   FWDECAY_CHECK_MSG(false, "unreachable scalar function");
   return 0.0;
 }
 
-// Stores floor()'s double result as an int64, saturating where the
-// plain conversion would be undefined: NaN -> 0, below -2^63 (or -inf)
-// -> INT64_MIN, at or above 2^63 (or +inf) -> INT64_MAX. Every value in
-// between is already integral and converts exactly. The per-tuple,
-// post-aggregation and batched evaluators all convert through here.
-// FDQUANTILE saturates the same way where an int64 has no image in its
-// q-digest universe: into [0, 2^bits - 1] (udafs.cc).
-std::int64_t FloorToI64(double y) {
-  constexpr double kTwo63 = 9223372036854775808.0;  // 2^63, exact
-  if (std::isnan(y)) return 0;
-  if (y < -kTwo63) return std::numeric_limits<std::int64_t>::min();
-  if (y >= kTwo63) return std::numeric_limits<std::int64_t>::max();
-  return static_cast<std::int64_t>(y);
-}
-
-// Applies a resolved scalar function to already-evaluated arguments:
-// floor yields an int, every other function a double.
-Value ApplyScalarFn(ScalarFn fn, const std::vector<Value>& args) {
-  const std::size_t arity = ScalarFnArity(fn);
-  FWDECAY_CHECK_MSG(args.size() >= arity, "missing scalar function argument");
-  double x[kMaxScalarArity];
-  for (std::size_t i = 0; i < arity; ++i) x[i] = args[i].AsDouble();
-  const double y = ScalarFnF64(fn, x);
-  if (fn == ScalarFn::kFloor) return Value(FloorToI64(y));
-  return Value(y);
-}
-
-// The one definition of each binary operator over Values, shared by the
-// row evaluator and the batched evaluator's boxed fallback. Logical
-// operators short-circuit, so their callers handle them first.
-Value ApplyBinOp(BinOp op, const Value& lhs, const Value& rhs) {
-  switch (op) {
-    case BinOp::kAdd: return lhs + rhs;
-    case BinOp::kSub: return lhs - rhs;
-    case BinOp::kMul: return lhs * rhs;
-    case BinOp::kDiv: return lhs / rhs;
-    case BinOp::kMod: return lhs % rhs;
-    case BinOp::kEq: return Value(std::int64_t{lhs == rhs});
-    case BinOp::kNe: return Value(std::int64_t{!(lhs == rhs)});
-    case BinOp::kLt: return Value(std::int64_t{Compare(lhs, rhs) < 0});
-    case BinOp::kLe: return Value(std::int64_t{Compare(lhs, rhs) <= 0});
-    case BinOp::kGt: return Value(std::int64_t{Compare(lhs, rhs) > 0});
-    case BinOp::kGe: return Value(std::int64_t{Compare(lhs, rhs) >= 0});
-    case BinOp::kAnd:
-    case BinOp::kOr:
-      break;
-  }
-  FWDECAY_CHECK_MSG(false, "unreachable logical operator");
-  return Value();
+// A call node's function, checked once per node evaluation (per batch
+// on the batched path): Compile rejects unknown names and short calls,
+// so only a hand-built, uncompiled tree can fail here.
+std::size_t CheckedArity(const Expr& call) {
+  const std::size_t arity = ScalarFnArity(call.fn);
+  FWDECAY_CHECK_MSG(call.fn != ScalarFn::kNone && call.args.size() >= arity,
+                    "unbound scalar call (the query was not compiled)");
+  return arity;
 }
 
 // Predicate truth of a value: nonzero numbers and non-empty strings.
@@ -321,7 +295,7 @@ bool Truthy(const Value& v) {
 // only in where leaves come from, so `leaf(e)` reads every kColumn,
 // kStar, kAggRef and kGroupRef node (and CHECK-fails on the kinds its
 // caller refuses); literals, negation, scalar calls and operators are
-// evaluated here, operands left to right.
+// evaluated here, operands left to right, through the Value operators.
 template <class Leaf>
 Value EvalRow(const Expr& e, const Leaf& leaf) {
   switch (e.kind) {
@@ -335,11 +309,14 @@ Value EvalRow(const Expr& e, const Leaf& leaf) {
     case Expr::Kind::kNeg:
       return Value(std::int64_t{0}) - EvalRow(*e.args[0], leaf);
     case Expr::Kind::kCall: {
-      const ScalarFn fn = ResolveScalarFn(e.name);
-      std::vector<Value> args;
-      args.reserve(e.args.size());
-      for (const auto& a : e.args) args.push_back(EvalRow(*a, leaf));
-      return ApplyScalarFn(fn, args);
+      const std::size_t arity = CheckedArity(e);
+      double x[kMaxScalarArity];
+      for (std::size_t a = 0; a < arity; ++a) {
+        x[a] = EvalRow(*e.args[a], leaf).AsDouble();
+      }
+      const double y = ScalarFnF64(e.fn, x);
+      if (e.type == ExprType::kI64) return Value(SaturatingI64(y));  // floor
+      return Value(y);
     }
     case Expr::Kind::kBinary: {
       if (e.op == BinOp::kAnd) {
@@ -352,7 +329,23 @@ Value EvalRow(const Expr& e, const Leaf& leaf) {
       }
       const Value lhs = EvalRow(*e.args[0], leaf);
       const Value rhs = EvalRow(*e.args[1], leaf);
-      return ApplyBinOp(e.op, lhs, rhs);
+      switch (e.op) {
+        case BinOp::kAdd: return lhs + rhs;
+        case BinOp::kSub: return lhs - rhs;
+        case BinOp::kMul: return lhs * rhs;
+        case BinOp::kDiv: return lhs / rhs;
+        case BinOp::kMod: return lhs % rhs;
+        case BinOp::kEq: return Value(std::int64_t{lhs == rhs});
+        case BinOp::kNe: return Value(std::int64_t{!(lhs == rhs)});
+        case BinOp::kLt: return Value(std::int64_t{Compare(lhs, rhs) < 0});
+        case BinOp::kLe: return Value(std::int64_t{Compare(lhs, rhs) <= 0});
+        case BinOp::kGt: return Value(std::int64_t{Compare(lhs, rhs) > 0});
+        case BinOp::kGe: return Value(std::int64_t{Compare(lhs, rhs) >= 0});
+        case BinOp::kAnd:
+        case BinOp::kOr:
+          break;  // handled above
+      }
+      break;
     }
   }
   FWDECAY_CHECK_MSG(false, "unreachable expression kind");
@@ -363,7 +356,7 @@ Value EvalRow(const Expr& e, const Leaf& leaf) {
 
 Value EvalExpr(const Expr& e, const Packet& p) {
   return EvalRow(e, [&p](const Expr& leaf) {
-    if (leaf.kind == Expr::Kind::kColumn) return ReadColumn(leaf.name, p);
+    if (leaf.kind == Expr::Kind::kColumn) return ReadColumn(leaf.column, p);
     if (leaf.kind == Expr::Kind::kStar) return Value(std::int64_t{1});
     FWDECAY_CHECK_MSG(false,
                       "post-aggregation placeholder evaluated per tuple — "
@@ -409,90 +402,48 @@ bool EvalPostPredicate(const Expr& e, const std::vector<Value>& agg_values,
 
 namespace {
 
-// Packet schema columns, resolved from the name once per batch. Mirrors
-// ReadColumn exactly (same types, same int widening).
-enum class ColumnId {
-  kTime, kDtime, kSrcIp, kDestIp, kSrcPort, kDestPort, kLen, kProtocol,
-};
-
-ColumnId ResolveColumn(const std::string& name) {
-  if (NameIs(name, "time")) return ColumnId::kTime;
-  if (NameIs(name, "dtime")) return ColumnId::kDtime;
-  if (NameIs(name, "srcip")) return ColumnId::kSrcIp;
-  if (NameIs(name, "destip")) return ColumnId::kDestIp;
-  if (NameIs(name, "srcport")) return ColumnId::kSrcPort;
-  if (NameIs(name, "destport")) return ColumnId::kDestPort;
-  if (NameIs(name, "len")) return ColumnId::kLen;
-  if (NameIs(name, "protocol")) return ColumnId::kProtocol;
-  FWDECAY_CHECK_MSG(false, "unknown column");
-  return ColumnId::kTime;
+template <class T>
+void GatherI64(const T* src, const std::uint32_t* sel, std::size_t n,
+               std::int64_t* dst) {
+  for (std::size_t i = 0; i < n; ++i) {
+    dst[i] = static_cast<std::int64_t>(src[sel[i]]);
+  }
 }
 
-// Gathers a schema column into typed storage: every column is int64
-// (same widening as ReadColumn) except dtime, which is double.
+// Gathers a schema column into typed storage, exactly as ReadColumn
+// reads it: every column is int64 except dtime, which is double.
 void ReadColumnBatch(ColumnId col, const PacketBatch& batch,
                      const std::uint32_t* sel, std::size_t n,
                      ValueColumn* out) {
-  if (col == ColumnId::kDtime) {
-    double* dst = out->AppendF64(n);
-    const double* t = batch.time();
-    for (std::size_t i = 0; i < n; ++i) dst[i] = t[sel[i]];
-    return;
-  }
-  std::int64_t* dst = out->AppendI64(n);
   switch (col) {
     case ColumnId::kTime: {
       const double* t = batch.time();
-      for (std::size_t i = 0; i < n; ++i) {
-        dst[i] = static_cast<std::int64_t>(t[sel[i]]);
-      }
+      std::int64_t* dst = out->AppendI64(n);
+      for (std::size_t i = 0; i < n; ++i) dst[i] = SaturatingI64(t[sel[i]]);
       return;
     }
-    case ColumnId::kDtime:
-      return;  // handled above
-    case ColumnId::kSrcIp: {
-      const std::uint32_t* c = batch.src_ip();
-      for (std::size_t i = 0; i < n; ++i) {
-        dst[i] = static_cast<std::int64_t>(c[sel[i]]);
-      }
+    case ColumnId::kDtime: {
+      const double* t = batch.time();
+      double* dst = out->AppendF64(n);
+      for (std::size_t i = 0; i < n; ++i) dst[i] = t[sel[i]];
       return;
     }
-    case ColumnId::kDestIp: {
-      const std::uint32_t* c = batch.dest_ip();
-      for (std::size_t i = 0; i < n; ++i) {
-        dst[i] = static_cast<std::int64_t>(c[sel[i]]);
-      }
-      return;
-    }
-    case ColumnId::kSrcPort: {
-      const std::uint16_t* c = batch.src_port();
-      for (std::size_t i = 0; i < n; ++i) {
-        dst[i] = static_cast<std::int64_t>(c[sel[i]]);
-      }
-      return;
-    }
-    case ColumnId::kDestPort: {
-      const std::uint16_t* c = batch.dest_port();
-      for (std::size_t i = 0; i < n; ++i) {
-        dst[i] = static_cast<std::int64_t>(c[sel[i]]);
-      }
-      return;
-    }
-    case ColumnId::kLen: {
-      const std::uint32_t* c = batch.len();
-      for (std::size_t i = 0; i < n; ++i) {
-        dst[i] = static_cast<std::int64_t>(c[sel[i]]);
-      }
-      return;
-    }
-    case ColumnId::kProtocol: {
-      const std::uint8_t* c = batch.protocol();
-      for (std::size_t i = 0; i < n; ++i) {
-        dst[i] = static_cast<std::int64_t>(c[sel[i]]);
-      }
-      return;
-    }
+    case ColumnId::kSrcIp:
+      return GatherI64(batch.src_ip(), sel, n, out->AppendI64(n));
+    case ColumnId::kDestIp:
+      return GatherI64(batch.dest_ip(), sel, n, out->AppendI64(n));
+    case ColumnId::kSrcPort:
+      return GatherI64(batch.src_port(), sel, n, out->AppendI64(n));
+    case ColumnId::kDestPort:
+      return GatherI64(batch.dest_port(), sel, n, out->AppendI64(n));
+    case ColumnId::kLen:
+      return GatherI64(batch.len(), sel, n, out->AppendI64(n));
+    case ColumnId::kProtocol:
+      return GatherI64(batch.protocol(), sel, n, out->AppendI64(n));
+    case ColumnId::kUnknown:
+      break;
   }
+  FWDECAY_CHECK_MSG(false, "unbound column (the query was not compiled)");
 }
 
 // RAII pool borrow, so early CHECK-aborts cannot leak pool entries on
@@ -555,15 +506,6 @@ const double* AsF64(const ValueColumn& col, std::size_t n,
   return dst;
 }
 
-// Per-row Value fallback for binary operators over boxed columns (mixed
-// types or strings): exactly the per-tuple operator semantics.
-void EvalBinaryBoxed(BinOp op, const ValueColumn& lhs, const ValueColumn& rhs,
-                     std::size_t n, ValueColumn* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out->push_back(ApplyBinOp(op, lhs[i], rhs[i]));
-  }
-}
-
 }  // namespace
 
 std::size_t EvalPredicateBatch(const Expr& e, const PacketBatch& batch,
@@ -609,52 +551,36 @@ std::size_t EvalPredicateBatch(const Expr& e, const PacketBatch& batch,
     std::copy(merged->begin(), merged->end(), sel);
     return merged->size();
   }
-  // Any other expression: evaluate as a column and keep the truthy rows.
-  // Typed columns compact through the SIMD kernels (NaN is truthy, as in
-  // the scalar Truthy); boxed columns fall back to the per-row test.
+  // Any other expression: evaluate as a column and keep the truthy rows
+  // through the SIMD kernels (NaN is truthy, as in the scalar Truthy).
   ScratchColumn col(scratch);
   EvalExprBatch(e, batch, sel, n, scratch, col.get());
-  switch (col->rep()) {
-    case ValueColumn::Rep::kI64:
-      return simd::CompactNonZeroI64(col->i64_data(), sel, n);
-    case ValueColumn::Rep::kF64:
-      return simd::CompactNonZeroF64(col->f64_data(), sel, n);
-    case ValueColumn::Rep::kBoxed:
-      break;
+  if (col->rep() == ValueColumn::Rep::kI64) {
+    return simd::CompactNonZeroI64(col->i64_data(), sel, n);
   }
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (Truthy(col->boxed_at(i))) sel[kept++] = sel[i];
-  }
-  return kept;
+  return simd::CompactNonZeroF64(col->f64_data(), sel, n);
 }
 
 void EvalExprBatch(const Expr& e, const PacketBatch& batch,
                    const std::uint32_t* sel, std::size_t n,
                    BatchEvalScratch* scratch, ValueColumn* out) {
   out->clear();
+  if (n == 0) return;
   out->reserve(n);
   switch (e.kind) {
     case Expr::Kind::kColumn:
-      ReadColumnBatch(ResolveColumn(e.name), batch, sel, n, out);
+      ReadColumnBatch(e.column, batch, sel, n, out);
       return;
     case Expr::Kind::kLiteral:
-      // Numeric literals broadcast into typed storage. String literals,
-      // and empty batches (an empty column keeps its kI64 rep), take
-      // the per-row append.
-      if (n > 0 && e.literal.is_int()) {
+      if (e.type == ExprType::kI64) {
         std::fill_n(out->AppendI64(n), n, e.literal.AsInt());
-      } else if (n > 0 && e.literal.is_double()) {
-        std::fill_n(out->AppendF64(n), n, e.literal.AsDouble());
       } else {
-        for (std::size_t i = 0; i < n; ++i) out->push_back(e.literal);
+        std::fill_n(out->AppendF64(n), n, e.literal.AsDouble());
       }
       return;
-    case Expr::Kind::kStar: {
-      std::int64_t* dst = out->AppendI64(n);
-      for (std::size_t i = 0; i < n; ++i) dst[i] = 1;
+    case Expr::Kind::kStar:
+      std::fill_n(out->AppendI64(n), n, std::int64_t{1});
       return;
-    }
     case Expr::Kind::kAggRef:
     case Expr::Kind::kGroupRef:
       FWDECAY_CHECK_MSG(false,
@@ -664,85 +590,52 @@ void EvalExprBatch(const Expr& e, const PacketBatch& batch,
     case Expr::Kind::kNeg: {
       ScratchColumn operand(scratch);
       EvalExprBatch(*e.args[0], batch, sel, n, scratch, operand.get());
-      switch (operand->rep()) {
-        case ValueColumn::Rep::kI64: {
-          const std::int64_t* src = operand->i64_data();
-          std::int64_t* dst = out->AppendI64(n);
-          for (std::size_t i = 0; i < n; ++i) dst[i] = std::int64_t{0} - src[i];
-          return;
-        }
-        case ValueColumn::Rep::kF64: {
-          // Value(0) - Value(d) promotes the int zero: 0.0 - d, which
-          // differs from -d on d == +0.0 — keep the subtraction form.
-          const double* src = operand->f64_data();
-          double* dst = out->AppendF64(n);
-          for (std::size_t i = 0; i < n; ++i) dst[i] = 0.0 - src[i];
-          return;
-        }
-        case ValueColumn::Rep::kBoxed:
-          for (std::size_t i = 0; i < n; ++i) {
-            out->push_back(Value(std::int64_t{0}) - operand->boxed_at(i));
-          }
-          return;
+      if (operand->rep() == ValueColumn::Rep::kI64) {
+        const std::int64_t* src = operand->i64_data();
+        std::int64_t* dst = out->AppendI64(n);
+        for (std::size_t i = 0; i < n; ++i) dst[i] = WrapSub(0, src[i]);
+        return;
       }
+      // Value(0) - Value(d) promotes the int zero: 0.0 - d, which
+      // differs from -d on d == +0.0 — keep the subtraction form.
+      const double* src = operand->f64_data();
+      double* dst = out->AppendF64(n);
+      for (std::size_t i = 0; i < n; ++i) dst[i] = 0.0 - src[i];
       return;
     }
     case Expr::Kind::kCall: {
-      const ScalarFn fn = ResolveScalarFn(e.name);
-      // Evaluate every argument as a column, then apply the resolved
-      // function row by row — scalar functions are libm-bound, so they
-      // stay in stream order (the bit-exactness rule in util/simd.h).
-      // The argument columns, their widened copies and the pointer list
-      // holding them come from the scratch pools, so steady-state
-      // evaluation allocates nothing.
-      const std::size_t arity = ScalarFnArity(fn);
-      std::vector<ValueColumn*>* arg_cols = scratch->AcquireColumnList();
-      arg_cols->reserve(e.args.size() + arity);
-      bool typed = n > 0;
-      for (const auto& a : e.args) {
-        arg_cols->push_back(scratch->AcquireColumn());
-        EvalExprBatch(*a, batch, sel, n, scratch, arg_cols->back());
-        typed = typed && arg_cols->back()->rep() != ValueColumn::Rep::kBoxed;
+      // Evaluate each argument the function reads as a column and widen
+      // it to double once (the int->double promotion Value::AsDouble
+      // performs), then apply the function row by row — scalar
+      // functions are libm-bound, so they stay in stream order (the
+      // bit-exactness rule in util/simd.h). The columns come from the
+      // scratch pool, so steady-state evaluation allocates nothing.
+      const std::size_t arity = CheckedArity(e);
+      ValueColumn* held[2 * kMaxScalarArity];
+      const double* cols[kMaxScalarArity];
+      for (std::size_t a = 0; a < arity; ++a) {
+        held[2 * a] = scratch->AcquireColumn();
+        held[2 * a + 1] = scratch->AcquireColumn();
+        EvalExprBatch(*e.args[a], batch, sel, n, scratch, held[2 * a]);
+        cols[a] = AsF64(*held[2 * a], n, held[2 * a + 1]);
       }
-      if (typed) {
-        // Typed arguments: widen each once (the int->double promotion
-        // Value::AsDouble performs), then one double call per row.
-        FWDECAY_CHECK_MSG(e.args.size() >= arity,
-                          "missing scalar function argument");
-        const double* cols[kMaxScalarArity];
-        for (std::size_t a = 0; a < arity; ++a) {
-          ValueColumn* conv = scratch->AcquireColumn();
-          cols[a] = AsF64(*(*arg_cols)[a], n, conv);
-          arg_cols->push_back(conv);
-        }
-        double x[kMaxScalarArity];
-        if (fn == ScalarFn::kFloor) {
-          std::int64_t* dst = out->AppendI64(n);
-          for (std::size_t i = 0; i < n; ++i) {
-            x[0] = cols[0][i];
-            dst[i] = FloorToI64(ScalarFnF64(fn, x));
-          }
-        } else {
-          double* dst = out->AppendF64(n);
-          for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t a = 0; a < arity; ++a) x[a] = cols[a][i];
-            dst[i] = ScalarFnF64(fn, x);
-          }
+      double x[kMaxScalarArity];
+      if (e.type == ExprType::kI64) {  // floor
+        std::int64_t* dst = out->AppendI64(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          x[0] = cols[0][i];
+          dst[i] = SaturatingI64(ScalarFnF64(e.fn, x));
         }
       } else {
-        // A boxed argument (a string literal): per-row Values, with
-        // ApplyScalarFn's CHECKs.
-        std::vector<Value>* row_args = scratch->RowArgsBuf();
-        row_args->resize(e.args.size());
+        double* dst = out->AppendF64(n);
         for (std::size_t i = 0; i < n; ++i) {
-          for (std::size_t a = 0; a < e.args.size(); ++a) {
-            (*row_args)[a] = (*(*arg_cols)[a])[i];
-          }
-          out->push_back(ApplyScalarFn(fn, *row_args));
+          for (std::size_t a = 0; a < arity; ++a) x[a] = cols[a][i];
+          dst[i] = ScalarFnF64(e.fn, x);
         }
       }
-      for (ValueColumn* col : *arg_cols) scratch->ReleaseColumn(col);
-      scratch->ReleaseColumnList(arg_cols);
+      for (std::size_t k = 0; k < 2 * arity; ++k) {
+        scratch->ReleaseColumn(held[k]);
+      }
       return;
     }
     case Expr::Kind::kBinary: {
@@ -768,13 +661,11 @@ void EvalExprBatch(const Expr& e, const PacketBatch& batch,
       EvalExprBatch(*e.args[0], batch, sel, n, scratch, lhs.get());
       const Expr& rhs_expr = *e.args[1];
       if ((e.op == BinOp::kDiv || e.op == BinOp::kMod) &&
-          lhs->rep() == ValueColumn::Rep::kI64 &&
-          rhs_expr.kind == Expr::Kind::kLiteral &&
-          rhs_expr.literal.is_int() && rhs_expr.literal.AsInt() != 0) {
-        // Integer division by a nonzero int literal (`time / 60`,
-        // `time % 60`): the divisor is checked once and every row takes
-        // a multiply-shift instead of a checked idiv; the right-hand
-        // column is never built.
+          e.type == ExprType::kI64 && rhs_expr.kind == Expr::Kind::kLiteral) {
+        // Integer division by an int literal (`time / 60`, `time % 60`):
+        // the divisor is analysed once and every row takes a
+        // multiply-shift instead of an idiv; the right-hand column is
+        // never built.
         const ConstDivisorI64 d(rhs_expr.literal.AsInt());
         const std::int64_t* a = lhs->i64_data();
         std::int64_t* dst = out->AppendI64(n);
@@ -786,51 +677,36 @@ void EvalExprBatch(const Expr& e, const PacketBatch& batch,
         return;
       }
       EvalExprBatch(rhs_expr, batch, sel, n, scratch, rhs.get());
-      if (lhs->rep() == ValueColumn::Rep::kBoxed ||
-          rhs->rep() == ValueColumn::Rep::kBoxed) {
-        EvalBinaryBoxed(e.op, *lhs, *rhs, n, out);
-        return;
-      }
       if (lhs->rep() == ValueColumn::Rep::kI64 &&
           rhs->rep() == ValueColumn::Rep::kI64) {
-        // Integer arithmetic stays in integers (Value promotion rules).
+        // Integer arithmetic stays in integers (Value promotion rules),
+        // total as util/int_div.h defines it.
         const std::int64_t* a = lhs->i64_data();
         const std::int64_t* b = rhs->i64_data();
+        std::int64_t* dst = out->AppendI64(n);
         switch (e.op) {
           case BinOp::kAdd:
-            simd::AddI64(a, b, n, out->AppendI64(n));
+            simd::AddI64(a, b, n, dst);
             return;
           case BinOp::kSub:
-            simd::SubI64(a, b, n, out->AppendI64(n));
+            simd::SubI64(a, b, n, dst);
             return;
-          case BinOp::kMul: {
-            std::int64_t* dst = out->AppendI64(n);
-            for (std::size_t i = 0; i < n; ++i) dst[i] = a[i] * b[i];
+          case BinOp::kMul:
+            for (std::size_t i = 0; i < n; ++i) dst[i] = WrapMul(a[i], b[i]);
             return;
-          }
-          case BinOp::kDiv: {
-            std::int64_t* dst = out->AppendI64(n);
-            for (std::size_t i = 0; i < n; ++i) {
-              FWDECAY_CHECK_MSG(b[i] != 0, "integer division by zero");
-              dst[i] = a[i] / b[i];
-            }
+          case BinOp::kDiv:
+            for (std::size_t i = 0; i < n; ++i) dst[i] = DivI64(a[i], b[i]);
             return;
-          }
-          case BinOp::kMod: {
-            std::int64_t* dst = out->AppendI64(n);
-            for (std::size_t i = 0; i < n; ++i) {
-              FWDECAY_CHECK_MSG(b[i] != 0, "integer modulo by zero");
-              dst[i] = a[i] % b[i];
-            }
+          case BinOp::kMod:
+            for (std::size_t i = 0; i < n; ++i) dst[i] = ModI64(a[i], b[i]);
             return;
-          }
           case BinOp::kEq:
           case BinOp::kNe:
           case BinOp::kLt:
           case BinOp::kLe:
           case BinOp::kGt:
           case BinOp::kGe:
-            simd::CmpI64(ToCmpOp(e.op), a, b, n, out->AppendI64(n));
+            simd::CmpI64(ToCmpOp(e.op), a, b, n, dst);
             return;
           case BinOp::kAnd:
           case BinOp::kOr:

@@ -21,9 +21,38 @@ enum class BinOp {
   kAnd, kOr,
 };
 
+/// Packet schema columns. Every column reads as an int64 except dtime
+/// (ReadColumn).
+enum class ColumnId : std::uint8_t {
+  kTime, kDtime, kSrcIp, kDestIp, kSrcPort, kDestPort, kLen, kProtocol,
+  kUnknown,  // no such column; CompiledQuery::Compile rejects it
+};
+
+/// Built-in scalar functions: exp, ln, sqrt, abs, floor, pow, polyweight,
+/// expweight.
+enum class ScalarFn : std::uint8_t {
+  kExp, kLn, kSqrt, kAbs, kFloor, kPow, kPolyweight, kExpweight,
+  kNone,  // an aggregate, or no such function
+};
+
+/// Leading arguments `fn` reads; a call may pass more (they are
+/// ignored), never fewer (a compile error).
+std::size_t ScalarFnArity(ScalarFn fn);
+
+/// Static type of a row expression's value: every GSQL row expression
+/// is int64 or double, by the Value promotion rules (DESIGN.md §13.2),
+/// and its batched column takes that representation.
+using ExprType = ValueColumn::Rep;
+
 /// Expression AST node. The same node type covers scalar expressions,
 /// predicates (comparisons yield int 0/1), and function/aggregate calls;
 /// the planner decides which calls are aggregates.
+///
+/// Nodes bind when they are built: Column() resolves the column name,
+/// Call() the scalar function, and every factory records the node's
+/// static type from its operands' (a string literal types as kI64 and
+/// is rejected by CompiledQuery::Compile, like an unknown name). The
+/// evaluators read `column`, `fn` and `type` and never look at a name.
 struct Expr {
   enum class Kind {
     kColumn, kLiteral, kStar, kBinary, kNeg, kCall,
@@ -38,6 +67,9 @@ struct Expr {
   int agg_index = -1;           // kAggRef: slot in the group's agg states
   int group_index = -1;         // kGroupRef: position in the group key
   std::vector<std::unique_ptr<Expr>> args;  // operands / call arguments
+  ColumnId column = ColumnId::kUnknown;     // kColumn: the bound column
+  ScalarFn fn = ScalarFn::kNone;            // kCall: the bound function
+  ExprType type = ExprType::kI64;           // static type of the value
 
   static std::unique_ptr<Expr> Column(std::string name);
   static std::unique_ptr<Expr> Literal(Value v);
@@ -66,18 +98,17 @@ struct Expr {
   std::string ToString() const;
 };
 
-/// True if the packet schema has a column of this name.
-bool IsKnownColumn(const std::string& name);
-
 /// Reads a schema column from a packet. Columns (all integer-valued
-/// except dtime): time (whole seconds), dtime (fractional seconds),
-/// srcIP, destIP, srcPort, destPort, len, protocol.
-Value ReadColumn(const std::string& name, const Packet& p);
+/// except dtime): time (whole seconds, truncated and saturated by
+/// SaturatingI64), dtime (fractional seconds), srcIP, destIP, srcPort,
+/// destPort, len, protocol.
+Value ReadColumn(ColumnId column, const Packet& p);
 
-/// Evaluates a scalar expression (no aggregate calls) against a packet.
-/// Scalar functions available: exp, ln, sqrt, abs, floor, pow. floor
-/// returns an int and saturates where its double has no int64 image:
-/// NaN -> 0, below -2^63 -> INT64_MIN, at or above 2^63 -> INT64_MAX.
+/// Evaluates a scalar expression (no aggregate calls) against a packet:
+/// the per-tuple reference the batched evaluator must match bit for bit.
+/// Integer arithmetic is total (util/int_div.h). floor returns an int
+/// and saturates where its double has no int64 image: NaN -> 0, below
+/// -2^63 -> INT64_MIN, at or above 2^63 -> INT64_MAX.
 Value EvalExpr(const Expr& e, const Packet& p);
 
 /// Evaluates a predicate: nonzero numeric result = true.
@@ -118,29 +149,6 @@ class BatchEvalScratch {
     free_columns_.push_back(col);
   }
 
-  /// Borrows an empty column-pointer list (kCall argument columns;
-  /// calls nest, so these pool like the columns themselves).
-  std::vector<ValueColumn*>* AcquireColumnList() {
-    if (free_column_lists_.empty()) {
-      owned_column_lists_.push_back(
-          std::make_unique<std::vector<ValueColumn*>>());
-      return owned_column_lists_.back().get();
-    }
-    std::vector<ValueColumn*>* list = free_column_lists_.back();
-    free_column_lists_.pop_back();
-    return list;
-  }
-  void ReleaseColumnList(std::vector<ValueColumn*>* list) {
-    list->clear();
-    free_column_lists_.push_back(list);
-  }
-
-  /// Row-gather buffer for applying scalar functions over evaluated
-  /// argument columns. Never nested: a kCall node's argument columns are
-  /// fully evaluated (including inner calls) before its gather loop
-  /// runs, so one buffer per scratch suffices.
-  std::vector<Value>* RowArgsBuf() { return &row_args_; }
-
   /// Borrows an empty row-index vector (for selection merging).
   std::vector<std::uint32_t>* AcquireIndex() {
     if (free_indexes_.empty()) {
@@ -160,10 +168,6 @@ class BatchEvalScratch {
  private:
   std::vector<std::unique_ptr<ValueColumn>> owned_columns_;
   std::vector<ValueColumn*> free_columns_;
-  std::vector<std::unique_ptr<std::vector<ValueColumn*>>>
-      owned_column_lists_;
-  std::vector<std::vector<ValueColumn*>*> free_column_lists_;
-  std::vector<Value> row_args_;
   std::vector<std::unique_ptr<std::vector<std::uint32_t>>> owned_indexes_;
   std::vector<std::vector<std::uint32_t>*> free_indexes_;
 };
@@ -181,10 +185,11 @@ std::size_t EvalPredicateBatch(const Expr& e, const PacketBatch& batch,
 
 /// Batched scalar-expression evaluation: fills `*out` with one value per
 /// selected row (out->size() == n, out[i] = e evaluated on row sel[i]).
-/// Column and scalar-function names are resolved once per call, not once
-/// per row; columns over int64/double rows stay in typed storage and run
-/// through the util/simd.h kernels, bit-exact with the per-tuple
-/// evaluator. `out` is caller-owned; its capacity is reused across calls.
+/// The column's rep is e.type (an empty selection leaves it empty,
+/// kI64) and it is computed through the util/simd.h
+/// kernels, bit-exact with the per-tuple evaluator. `e` must be a tree
+/// CompiledQuery::Compile accepts as a row expression. `out` is
+/// caller-owned; its capacity is reused across calls.
 void EvalExprBatch(const Expr& e, const PacketBatch& batch,
                    const std::uint32_t* sel, std::size_t n,
                    BatchEvalScratch* scratch, ValueColumn* out);

@@ -29,6 +29,9 @@
 //                or < and < comparisons < +,- < *,/,% < unary- < primary
 //   primary   := number | 'string' | ident | ident '(' [expr,*|*] ')' |
 //                '(' expr ')'
+//
+// The grammar is untyped: names, arities and string literals are
+// checked by CompiledQuery::Compile's type pass (DESIGN.md §13.2).
 
 namespace fwdecay::dsms {
 

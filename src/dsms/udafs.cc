@@ -639,7 +639,7 @@ class FdExtremumUdaf : public AggState {
 /// quantile under forward decay (Theorem 3). Values outside the
 /// digest's universe saturate into [0, 2^bits - 1] — negatives count as
 /// 0, values at or above 2^bits as the top of the universe — the way
-/// floor() saturates its int64 (FloorToI64 in expr.cc).
+/// floor() saturates its int64 (SaturatingI64 in util/int_div.h).
 class FdquantileUdaf : public AggState {
  public:
   void UpdateBatch(std::span<const ValueColumn> args_columns,
@@ -786,23 +786,25 @@ constexpr AggParam kCounterEps{"eps", 1.0 / kMaxSize, 1.0};
 void RegisterPaperUdafs() {
   AggRegistry& r = AggRegistry::Instance();
   // PRISAMP's heap holds k + 1 entries (the threshold slot).
+  // Trailing flags: string_result, mergeable (AggSignature).
   r.Register<PrisampUdaf>("prisamp", {"PRISAMP(item, weight [, k])", 2, 2,
-                                      {{"k", 1.0, kMaxSize - 1.0}}});
-  r.Register<WrsampUdaf>("wrsamp",
-                         {"WRSAMP(item, weight [, k])", 2, 2, {kSampleK}});
+                                      {{"k", 1.0, kMaxSize - 1.0}}, true});
+  r.Register<WrsampUdaf>(
+      "wrsamp", {"WRSAMP(item, weight [, k])", 2, 2, {kSampleK}, true});
   r.Register<ReservoirUdaf<ReservoirSampler<double>>>(
-      "ressamp", {"RESSAMP(item [, k])", 1, 1, {kSampleK}});
+      "ressamp", {"RESSAMP(item [, k])", 1, 1, {kSampleK}, true});
   r.Register<ReservoirUdaf<BiasedReservoirSampler<double>>>(
-      "aggsamp", {"AGGSAMP(item [, k])", 1, 1, {kSampleK}});
+      "aggsamp", {"AGGSAMP(item [, k])", 1, 1, {kSampleK}, true});
   r.Register<FdhhUdaf>("fdhh", {"FDHH(key, weight [, phi [, eps]])", 2, 2,
-                                {kPhi, kCounterEps}});
-  r.Register<UnaryhhUdaf>(
-      "unaryhh", {"UNARYHH(key [, phi [, eps]])", 1, 1, {kPhi, kCounterEps}});
+                                {kPhi, kCounterEps}, true});
+  r.Register<UnaryhhUdaf>("unaryhh", {"UNARYHH(key [, phi [, eps]])", 1, 1,
+                                      {kPhi, kCounterEps}, true, false});
   // The sliding-window sketch needs eps < 1.
   r.Register<SwhhUdaf>("swhh", {"SWHH(time, key [, phi [, eps]])", 2, 2,
-                                {kPhi, {"eps", 1.0 / kMaxSize, 1.0, true}}});
-  r.Register<EhdsumUdaf>("ehdsum",
-                         {"EHDSUM(time, value [, eps])", 2, 2, {kCounterEps}});
+                                {kPhi, {"eps", 1.0 / kMaxSize, 1.0, true}},
+                                true, false});
+  r.Register<EhdsumUdaf>("ehdsum", {"EHDSUM(time, value [, eps])", 2, 2,
+                                    {kCounterEps}, false, false});
   r.Register<FdquantileUdaf>(
       "fdquantile", {"FDQUANTILE(value, weight, phi [, bits [, eps]])", 3, 2,
                      {kPhi, {"bits", 1.0, 62.0},

@@ -5,12 +5,13 @@
 
 #include "util/check.h"
 #include "util/hash.h"
+#include "util/int_div.h"
 
 namespace fwdecay::dsms {
 
 std::int64_t Value::AsInt() const {
   if (is_int()) return std::get<std::int64_t>(v_);
-  if (is_double()) return static_cast<std::int64_t>(std::get<double>(v_));
+  if (is_double()) return SaturatingI64(std::get<double>(v_));
   FWDECAY_CHECK_MSG(false, "string value used as integer");
   return 0;
 }
@@ -115,41 +116,24 @@ Value Arith(const Value& a, const Value& b, IntOp iop, DblOp dop) {
 }  // namespace
 
 Value operator+(const Value& a, const Value& b) {
-  return Arith(
-      a, b, [](std::int64_t x, std::int64_t y) { return x + y; },
-      [](double x, double y) { return x + y; });
+  return Arith(a, b, WrapAdd, [](double x, double y) { return x + y; });
 }
 
 Value operator-(const Value& a, const Value& b) {
-  return Arith(
-      a, b, [](std::int64_t x, std::int64_t y) { return x - y; },
-      [](double x, double y) { return x - y; });
+  return Arith(a, b, WrapSub, [](double x, double y) { return x - y; });
 }
 
 Value operator*(const Value& a, const Value& b) {
-  return Arith(
-      a, b, [](std::int64_t x, std::int64_t y) { return x * y; },
-      [](double x, double y) { return x * y; });
+  return Arith(a, b, WrapMul, [](double x, double y) { return x * y; });
 }
 
 Value operator/(const Value& a, const Value& b) {
-  return Arith(
-      a, b,
-      [](std::int64_t x, std::int64_t y) {
-        FWDECAY_CHECK_MSG(y != 0, "integer division by zero");
-        return x / y;
-      },
-      [](double x, double y) { return x / y; });
+  return Arith(a, b, DivI64, [](double x, double y) { return x / y; });
 }
 
 Value operator%(const Value& a, const Value& b) {
-  return Arith(
-      a, b,
-      [](std::int64_t x, std::int64_t y) {
-        FWDECAY_CHECK_MSG(y != 0, "integer modulo by zero");
-        return x % y;
-      },
-      [](double x, double y) { return std::fmod(x, y); });
+  return Arith(a, b, ModI64,
+               [](double x, double y) { return std::fmod(x, y); });
 }
 
 int Compare(const Value& a, const Value& b) {

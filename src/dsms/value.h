@@ -13,8 +13,12 @@ namespace fwdecay::dsms {
 /// Runtime value in the GSQL engine: 64-bit integer, double, or string.
 ///
 /// Integer arithmetic stays in integers (so `time/60` is the paper's
-/// time-bucket truncation and `time % 60` its in-bucket offset); mixing
-/// an integer with a double promotes to double.
+/// time-bucket truncation and `time % 60` its in-bucket offset) and is
+/// total (util/int_div.h: wrapping + - *, x / 0 == 0, x % 0 == x);
+/// mixing an integer with a double promotes to double. AsInt() of a
+/// double truncates and saturates (SaturatingI64). Strings exist only
+/// as finalized aggregate results: GSQL expressions have no string
+/// operands (CompiledQuery::Compile rejects them).
 class Value {
  public:
   Value() : v_(std::int64_t{0}) {}
@@ -44,7 +48,7 @@ class Value {
 
   friend bool operator==(const Value& a, const Value& b);
 
-  // Arithmetic with int/double promotion; CHECK-fails on strings.
+  // Total arithmetic with int/double promotion; CHECK-fails on strings.
   friend Value operator+(const Value& a, const Value& b);
   friend Value operator-(const Value& a, const Value& b);
   friend Value operator*(const Value& a, const Value& b);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "util/check.h"
 
@@ -176,7 +178,13 @@ void QDigest::SerializeTo(ByteWriter* writer) const {
   writer->WriteDouble(total_weight_);
   writer->WriteU64(updates_since_compress_);
   writer->WriteU32(static_cast<std::uint32_t>(nodes_.size()));
-  for (const auto& [id, w] : nodes_) {
+  // Ascending ids, not hash-map order: equal digests serialize to equal
+  // bytes whatever order their maps were filled in (a restored digest's
+  // map is filled from the snapshot, the original's by its updates).
+  std::vector<std::pair<std::uint64_t, double>> nodes(nodes_.begin(),
+                                                      nodes_.end());
+  std::sort(nodes.begin(), nodes.end());
+  for (const auto& [id, w] : nodes) {
     writer->WriteU64(id);
     writer->WriteDouble(w);
   }

@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "util/hash.h"
+#include "util/int_div.h"
 
 #if defined(__x86_64__) && !defined(FWDECAY_SIMD_DISABLED)
 #define FWDECAY_SIMD_X86 1
@@ -110,11 +111,11 @@ void DivF64(const double* a, const double* b, std::size_t n, double* out) {
 }
 void AddI64(const std::int64_t* a, const std::int64_t* b, std::size_t n,
             std::int64_t* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
+  for (std::size_t i = 0; i < n; ++i) out[i] = WrapAdd(a[i], b[i]);
 }
 void SubI64(const std::int64_t* a, const std::int64_t* b, std::size_t n,
             std::int64_t* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
+  for (std::size_t i = 0; i < n; ++i) out[i] = WrapSub(a[i], b[i]);
 }
 
 void CmpF64(CmpOp op, const double* a, const double* b, std::size_t n,
@@ -380,7 +381,7 @@ __attribute__((target("avx2"))) void AddI64(const std::int64_t* a,
             _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
             _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i))));
   }
-  for (; i < n; ++i) out[i] = a[i] + b[i];
+  for (; i < n; ++i) out[i] = WrapAdd(a[i], b[i]);
 }
 
 __attribute__((target("avx2"))) void SubI64(const std::int64_t* a,
@@ -394,7 +395,7 @@ __attribute__((target("avx2"))) void SubI64(const std::int64_t* a,
             _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
             _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i))));
   }
-  for (; i < n; ++i) out[i] = a[i] - b[i];
+  for (; i < n; ++i) out[i] = WrapSub(a[i], b[i]);
 }
 
 __attribute__((target("avx2"))) void CmpF64(CmpOp op, const double* a,

@@ -72,7 +72,8 @@ void ShardIndexU64(const std::uint64_t* hashes, std::size_t n,
                    std::uint64_t seed, std::uint32_t num_shards,
                    std::uint32_t* out);
 
-// Elementwise arithmetic, one IEEE operation per element.
+// Elementwise arithmetic, one IEEE operation per element. The int64
+// forms wrap in two's complement (util/int_div.h WrapAdd/WrapSub).
 void AddF64(const double* a, const double* b, std::size_t n, double* out);
 void SubF64(const double* a, const double* b, std::size_t n, double* out);
 void MulF64(const double* a, const double* b, std::size_t n, double* out);

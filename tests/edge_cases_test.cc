@@ -220,9 +220,16 @@ TEST(ValueEdgeTest, DivisionByZeroContracts) {
   using dsms::Value;
   const Value a(std::int64_t{10});
   const Value zero(std::int64_t{0});
-  EXPECT_DEATH(a / zero, "division by zero");
-  EXPECT_DEATH(a % zero, "modulo by zero");
-  // Floating division by zero is IEEE inf, not a contract violation.
+  // Integer division is total (util/int_div.h): x / 0 == 0 and
+  // x % 0 == x, so (x / y) * y + x % y == x still holds.
+  EXPECT_EQ((a / zero).AsInt(), 0);
+  EXPECT_TRUE((a / zero).is_int());
+  EXPECT_EQ((a % zero).AsInt(), 10);
+  const Value min(std::numeric_limits<std::int64_t>::min());
+  const Value minus_one(std::int64_t{-1});
+  EXPECT_EQ((min / minus_one).AsInt(), min.AsInt());
+  EXPECT_EQ((min % minus_one).AsInt(), 0);
+  // Floating division by zero is IEEE inf.
   const Value fz(0.0);
   EXPECT_TRUE(std::isinf((a / fz).AsDouble()));
 }

@@ -11,6 +11,10 @@
 //
 // Run under ASan/UBSan this is the memory-safety harness for the whole
 // lexer/parser; the per-result invariants catch state-machine bugs.
+//
+// The compile-then-run oracle closes the loop past the parser: every
+// generated query CompiledQuery::Compile accepts, one-level and
+// two-level, must run batched ingest and Finish() without aborting.
 
 // GCC 12 emits spurious -Wrestrict ("accessing 9223372036854775810
 // bytes") through inlined std::string appends in the recursive query
@@ -27,7 +31,11 @@
 
 #include <gtest/gtest.h>
 
+#include "dsms/batch.h"
+#include "dsms/engine.h"
+#include "dsms/netgen.h"
 #include "dsms/parser.h"
+#include "dsms/udafs.h"
 #include "util/random.h"
 
 namespace fwdecay {
@@ -231,6 +239,44 @@ TEST(ParserStructuredFuzzTest, GeneratedValidQueriesAlwaysParse) {
                           << "\n  diagnostic: " << res.error;
     ASSERT_TRUE(res.error.empty()) << q;
   }
+}
+
+// The oracle: a query that compiles never aborts. Each accepted query
+// runs over the same short seeded trace in batches, then finishes.
+TEST(CompileRunOracleTest, EveryCompiledQueryRunsToFinish) {
+  dsms::RegisterPaperUdafs();
+  dsms::TraceConfig trace_config;
+  trace_config.seed = 7;
+  trace_config.num_servers = 50;
+  dsms::PacketGenerator gen(trace_config);
+  std::vector<dsms::PacketBatch> batches;
+  for (int b = 0; b < 4; ++b) batches.push_back(gen.GenerateBatch(256));
+  Rng rng(0xfeed0003);
+  std::size_t ran = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const std::string q = RandomValidQuery(rng);
+    for (const bool two_level : {false, true}) {
+      dsms::CompiledQuery::Options options;
+      options.two_level = two_level;
+      options.low_level_slots = 8;  // small: evictions merge often
+      std::string error;
+      const auto plan = dsms::CompiledQuery::Compile(q, &error, options);
+      if (plan == nullptr) {
+        ASSERT_FALSE(error.empty()) << q;
+        continue;
+      }
+      SCOPED_TRACE(q);
+      auto exec = plan->NewExecution();
+      for (const dsms::PacketBatch& batch : batches) exec->Consume(batch);
+      const dsms::ResultSet result = exec->Finish();
+      for (const auto& row : result.rows) {
+        ASSERT_EQ(row.size(), result.columns.size()) << q;
+      }
+      ++ran;
+    }
+  }
+  // Enough of the generated queries compile for the oracle to bite.
+  EXPECT_GT(ran, 400u);
 }
 
 TEST(ParserStructuredFuzzTest, MutatedQueriesUpholdInvariants) {

@@ -2,6 +2,8 @@
 // merge, and the decayed-quantiles wrapper (Theorem 3).
 
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,6 +11,7 @@
 #include "core/exact_reference.h"
 #include "core/quantiles.h"
 #include "sketch/qdigest.h"
+#include "util/bytes.h"
 #include "util/random.h"
 #include "util/zipf.h"
 
@@ -160,6 +163,38 @@ TEST(QDigestTest, ScaleWeightsKeepsQuantiles) {
 }
 
 // --- DecayedQuantiles (Theorem 3) -------------------------------------------
+
+std::vector<std::uint8_t> Bytes(const QDigest& qd) {
+  ByteWriter w;
+  qd.SerializeTo(&w);
+  return w.bytes();
+}
+
+// Serialized bytes are canonical (ids ascending): a digest restored from
+// a snapshot serializes to exactly the bytes it was restored from, and
+// stays byte-identical to the original under further identical updates,
+// although the two hash maps were filled in different orders. This is
+// what makes an FDQUANTILE snapshot taken after recovery equal to the
+// never-crashed run's.
+TEST(QDigestTest, RestoredDigestSerializesToIdenticalBytes) {
+  QDigest original(11, 0.01);
+  Rng rng(0x9d1);
+  const auto update = [&](QDigest* a, QDigest* b) {
+    const std::uint64_t v = rng.NextBounded(1 << 11);
+    const double w = 1.0 + rng.NextDouble() * 7.0;
+    a->Update(v, w);
+    if (b != nullptr) b->Update(v, w);
+  };
+  for (int i = 0; i < 5000; ++i) update(&original, nullptr);
+  const std::vector<std::uint8_t> bytes = Bytes(original);
+  ByteReader reader(bytes.data(), bytes.size());
+  std::optional<QDigest> restored = QDigest::Deserialize(&reader);
+  ASSERT_TRUE(restored.has_value());
+  EXPECT_EQ(Bytes(*restored), bytes);
+  for (int i = 0; i < 3000; ++i) update(&original, &*restored);
+  EXPECT_EQ(Bytes(*restored), Bytes(original));
+  EXPECT_EQ(restored->Quantile(0.5), original.Quantile(0.5));
+}
 
 TEST(DecayedQuantilesTest, MatchesExactReferenceUnderPolyDecay) {
   Rng rng(8);

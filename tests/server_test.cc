@@ -14,6 +14,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dsms/engine.h"
@@ -253,14 +254,26 @@ TEST_F(ServerTest, HostileAggregateCallsAreRefusedBeforeJournaling) {
 
   std::uint64_t id = 0;
   ErrCode code = ErrCode::kNone;
-  for (const char* gsql : {
-           "select sum() from TCP",
-           "select FDQUANTILE(len, 1, 0.5, 70) from TCP",
-           "select RESSAMP(srcIP, 1000000000000) from TCP",
-           "select destPort, FDHH(destIP, 1, 0.05, 1e-12) from TCP "
-           "group by destPort",
-       }) {
-    EXPECT_FALSE(client.RegisterQuery("bad", gsql, false, &id, &code, &error))
+  // None of these can run (an out-of-range parameter, an unknown name, an
+  // aggregate or short call in a row expression, a string operand, a
+  // non-mergeable UDAF split two-level), so each is a compile error.
+  const std::pair<const char*, bool> hostile[] = {
+      {"select sum() from TCP", false},
+      {"select FDQUANTILE(len, 1, 0.5, 70) from TCP", false},
+      {"select RESSAMP(srcIP, 1000000000000) from TCP", false},
+      {"select destPort, FDHH(destIP, 1, 0.05, 1e-12) from TCP "
+       "group by destPort",
+       false},
+      {"select foo, count(*) from TCP group by foo", false},
+      {"select count(*) from TCP where count(*) > 1", false},
+      {"select log(len), count(*) from TCP group by log(len)", false},
+      {"select sum(pow(len)) from TCP", false},
+      {"select sum('x') from TCP", false},
+      {"select srcIP, UNARYHH(destIP, 0.05) from TCP group by srcIP", true},
+  };
+  for (const auto& [gsql, two_level] : hostile) {
+    EXPECT_FALSE(
+        client.RegisterQuery("bad", gsql, two_level, &id, &code, &error))
         << gsql;
     EXPECT_EQ(code, ErrCode::kParseError) << gsql;
   }
@@ -269,15 +282,26 @@ TEST_F(ServerTest, HostileAggregateCallsAreRefusedBeforeJournaling) {
 
   ASSERT_TRUE(client.RegisterQuery("q", kGsql, false, &id, &code, &error))
       << error;
+  // Integer division by zero is defined (x / 0 == 0), so this query
+  // compiles, runs and returns every group.
+  std::uint64_t div_id = 0;
+  ASSERT_TRUE(client.RegisterQuery(
+      "div", "select destPort, sum(len) from TCP group by destPort "
+             "having sum(len) / min(len - len) >= 0",
+      false, &div_id, &code, &error))
+      << error;
   IngestReply reply;
   ASSERT_TRUE(client.Ingest(0, MakeBatch(packets, 0, packets.size()), &reply,
                             &error))
       << error;
   EXPECT_TRUE(reply.ok) << reply.message;
   dsms::ResultSet result;
+  ASSERT_TRUE(client.PollResult(div_id, &result, &code, &error)) << error;
+  EXPECT_FALSE(result.rows.empty());
+  // The daemon keeps serving.
   ASSERT_TRUE(client.PollResult(id, &result, &code, &error)) << error;
   EXPECT_FALSE(result.rows.empty());
-  EXPECT_EQ(journaled_registrations(), 1u);
+  EXPECT_EQ(journaled_registrations(), 2u);
   daemon.Stop();
 }
 

@@ -1,8 +1,10 @@
 // Differential tests for the typed batched evaluator (DESIGN.md §13.2):
 // literal broadcast, scalar calls over typed columns and integer
 // division by a constant must reproduce per-row EvalExpr bit for bit —
-// same Value type per row, doubles compared by bit pattern — and keep
-// the per-row CHECKs (division by zero, strings used as numbers).
+// same Value type per row, doubles compared by bit pattern. Integer
+// arithmetic is total (util/int_div.h), every double -> int64
+// conversion saturates, and what the typed evaluator cannot run (a
+// string, an unknown name, a short call) is a compile error.
 
 #include <bit>
 #include <cmath>
@@ -17,8 +19,10 @@
 
 #include "dsms/batch.h"
 #include "dsms/column.h"
+#include "dsms/engine.h"
 #include "dsms/expr.h"
 #include "dsms/packet.h"
+#include "dsms/udafs.h"
 #include "dsms/value.h"
 #include "util/int_div.h"
 #include "util/random.h"
@@ -43,12 +47,18 @@ std::unique_ptr<Expr> Call(const char* fn, std::unique_ptr<Expr> a,
   return Expr::Call(fn, std::move(args));
 }
 
-// Packets whose time column spans signs, bucket edges and fractions;
-// the other columns vary so int arguments differ per row.
+// Packets whose time column spans signs, bucket edges and fractions,
+// and times with no int64 image (NaN, infinities, 1e300: a client
+// packet may carry any double); the other columns vary so int arguments
+// differ per row.
 std::vector<Packet> Trace() {
   const double times[] = {0.0,   1.0,    -1.0,    59.0,  60.0,  61.0,
                           -59.0, -60.0,  -61.0,   0.5,   -0.5,  119.99,
-                          1e12,  -1e12,  0x1p52,  -0x1p52};
+                          1e12,  -1e12,  0x1p52,  -0x1p52,
+                          std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity(),
+                          1e300, -1e300, 0x1p63};
   std::vector<Packet> trace;
   std::uint32_t k = 0;
   for (const double t : times) {
@@ -88,13 +98,11 @@ ValueColumn::Rep ExpectBatchMatchesPerRow(const Expr& e,
                     << got.ToString() << " vs " << want.ToString() << ")";
     } else if (want.is_int()) {
       EXPECT_EQ(got.AsInt(), want.AsInt()) << e.ToString() << " row " << i;
-    } else if (want.is_double()) {
+    } else {
       EXPECT_EQ(std::bit_cast<std::uint64_t>(got.AsDouble()),
                 std::bit_cast<std::uint64_t>(want.AsDouble()))
           << e.ToString() << " row " << i << ": " << got.ToString()
           << " vs " << want.ToString();
-    } else {
-      EXPECT_EQ(got.AsString(), want.AsString()) << e.ToString();
     }
   }
   return out.rep();
@@ -120,8 +128,6 @@ TEST(TypedEvalTest, LiteralsBroadcastWithTheirType) {
             ValueColumn::Rep::kF64);
   EXPECT_EQ(ExpectBatchMatchesPerRow(*Lit(-0.0), trace),
             ValueColumn::Rep::kF64);
-  EXPECT_EQ(ExpectBatchMatchesPerRow(*Expr::Literal(Value("tcp")), trace),
-            ValueColumn::Rep::kBoxed);
   // Literals inside arithmetic take the typed kernels.
   EXPECT_EQ(ExpectBatchMatchesPerRow(
                 *Expr::Binary(BinOp::kMul, Lit(10.0), Col("len")), trace),
@@ -234,7 +240,8 @@ TEST(TypedEvalTest, FloorSaturatesNaNInfinitiesAndOutOfRange) {
   ExpectBatchMatchesPerRow(*scaled, trace);
   for (const Packet& p : trace) {
     const double y = std::floor(p.time * 1e7);
-    const std::int64_t want = y >= 0x1p63    ? kMax
+    const std::int64_t want = std::isnan(y)   ? 0
+                              : y >= 0x1p63  ? kMax
                               : y < -0x1p63 ? kMin
                                             : static_cast<std::int64_t>(y);
     EXPECT_EQ(EvalExpr(*scaled, p).AsInt(), want) << p.time;
@@ -245,11 +252,9 @@ TEST(TypedEvalTest, ZeroRowBatchesKeepTheEmptyColumnRep) {
   std::vector<std::unique_ptr<Expr>> exprs;
   exprs.push_back(Lit(std::int64_t{60}));
   exprs.push_back(Lit(0.05));
-  exprs.push_back(Expr::Literal(Value("x")));
   exprs.push_back(Call("exp", Col("dtime")));
   exprs.push_back(Call("expweight", Col("time"), Lit(std::int64_t{60}),
                        Lit(0.1)));
-  exprs.push_back(Call("exp", Expr::Literal(Value("x"))));
   exprs.push_back(
       Expr::Binary(BinOp::kDiv, Col("time"), Lit(std::int64_t{60})));
   exprs.push_back(
@@ -265,7 +270,7 @@ TEST(TypedEvalTest, ConstDivisorMatchesNativeDivision) {
   Rng rng(0x5eed17);
   std::vector<std::int64_t> divisors = {
       2,        3, 7,  60, 61, -2, -7, -60, kMax, kMin,
-      kMin + 1, 1, -1, (std::int64_t{1} << 40) + 3, std::int64_t{1} << 62};
+      kMin + 1, 1, -1, 0, (std::int64_t{1} << 40) + 3, std::int64_t{1} << 62};
   for (int k = 0; k < 500; ++k) {
     // Random magnitudes across every bit length, both signs.
     const auto d =
@@ -275,9 +280,15 @@ TEST(TypedEvalTest, ConstDivisorMatchesNativeDivision) {
   for (const std::int64_t d : divisors) {
     const ConstDivisorI64 div(d);
     const auto check = [&](std::int64_t n) {
-      if (n == kMin && d == -1) return;  // overflows natively too
-      ASSERT_EQ(div.Div(n), n / d) << n << " / " << d;
-      ASSERT_EQ(div.Mod(n), n % d) << n << " % " << d;
+      ASSERT_EQ(div.Div(n), DivI64(n, d)) << n << " / " << d;
+      ASSERT_EQ(div.Mod(n), ModI64(n, d)) << n << " % " << d;
+      // The total operators are the native ones wherever those are
+      // defined, and keep (n / d) * d + n % d == n everywhere.
+      if (d != 0 && !(n == kMin && d == -1)) {
+        ASSERT_EQ(DivI64(n, d), n / d) << n << " / " << d;
+        ASSERT_EQ(ModI64(n, d), n % d) << n << " % " << d;
+      }
+      ASSERT_EQ(WrapAdd(WrapMul(DivI64(n, d), d), ModI64(n, d)), n);
     };
     for (const std::int64_t n : {std::int64_t{0}, std::int64_t{1},
                                  std::int64_t{-1}, kMax, kMin, kMin + 1}) {
@@ -298,26 +309,183 @@ TEST(TypedEvalTest, ConstDivisorMatchesNativeDivision) {
   }
 }
 
-TEST(TypedEvalDeathTest, DivisionByZeroLiteralStillChecks) {
+// Integer arithmetic is total and identical per tuple and batched:
+// x / 0 == 0, x % 0 == x, INT64_MIN / -1 == INT64_MIN, INT64_MIN % -1
+// == 0, and + - * and negation wrap. Divisors are literals (the
+// ConstDivisorI64 path) and columns (the per-row loop).
+TEST(TypedEvalTest, IntegerArithmeticIsTotal) {
   const auto trace = Trace();
-  for (const BinOp op : {BinOp::kDiv, BinOp::kMod}) {
-    const auto e = Expr::Binary(op, Col("time"), Lit(std::int64_t{0}));
-    EXPECT_DEATH(ExpectBatchMatchesPerRow(*e, trace), "by zero");
-    EXPECT_DEATH((void)EvalExpr(*e, trace[0]), "by zero");
+  const auto bin = [](BinOp op, std::unique_ptr<Expr> a,
+                      std::unique_ptr<Expr> b) {
+    return Expr::Binary(op, std::move(a), std::move(b));
+  };
+  const auto zero_col = [&] { return bin(BinOp::kSub, Col("len"), Col("len")); };
+  const auto min_col = [&] {  // INT64_MIN in every row
+    return bin(BinOp::kSub, bin(BinOp::kMul, zero_col(), Col("len")),
+               bin(BinOp::kAdd, Lit(kMax), Lit(std::int64_t{1})));
+  };
+  const auto neg_one_col = [&] {
+    return bin(BinOp::kSub, zero_col(), Lit(std::int64_t{1}));
+  };
+  for (const Packet& p : trace) {
+    const std::int64_t len = p.len;
+    struct Case {
+      std::unique_ptr<Expr> e;
+      std::int64_t want;
+    };
+    std::vector<Case> cases;
+    cases.push_back({bin(BinOp::kDiv, Col("len"), Lit(std::int64_t{0})), 0});
+    cases.push_back({bin(BinOp::kMod, Col("len"), Lit(std::int64_t{0})), len});
+    cases.push_back({bin(BinOp::kDiv, Col("len"), zero_col()), 0});
+    cases.push_back({bin(BinOp::kMod, Col("len"), zero_col()), len});
+    cases.push_back({bin(BinOp::kDiv, min_col(), Lit(std::int64_t{-1})), kMin});
+    cases.push_back({bin(BinOp::kMod, min_col(), Lit(std::int64_t{-1})), 0});
+    cases.push_back({bin(BinOp::kDiv, min_col(), neg_one_col()), kMin});
+    cases.push_back({bin(BinOp::kMod, min_col(), neg_one_col()), 0});
+    cases.push_back({bin(BinOp::kAdd, Lit(kMax), Col("len")),
+                     kMin + len - 1});
+    cases.push_back({Expr::Neg(min_col()), kMin});
+    cases.push_back({bin(BinOp::kMul, min_col(), neg_one_col()), kMin});
+    for (const Case& c : cases) {
+      EXPECT_EQ(EvalExpr(*c.e, p).AsInt(), c.want) << c.e->ToString();
+    }
   }
-  EXPECT_DEATH((void)ConstDivisorI64(0), "by zero");
+  for (const auto& e :
+       {bin(BinOp::kDiv, Col("time"), Lit(std::int64_t{0})),
+        bin(BinOp::kMod, Col("time"), Lit(std::int64_t{0})),
+        bin(BinOp::kDiv, Col("srcport"), zero_col()),
+        bin(BinOp::kMod, Col("time"), zero_col()),
+        bin(BinOp::kDiv, min_col(), neg_one_col()),
+        bin(BinOp::kMod, min_col(), neg_one_col()),
+        bin(BinOp::kDiv, Col("time"), Lit(std::int64_t{-1})),
+        bin(BinOp::kAdd, Lit(kMax), Col("len")),
+        bin(BinOp::kSub, min_col(), Col("len")),
+        bin(BinOp::kMul, Col("time"), Col("time")),
+        Expr::Neg(Col("time"))}) {
+    EXPECT_EQ(ExpectBatchMatchesPerRow(*e, trace), ValueColumn::Rep::kI64)
+        << e->ToString();
+  }
 }
 
-TEST(TypedEvalDeathTest, BoxedScalarArgumentsKeepTheirChecks) {
-  // A string argument boxes the column; the per-row path CHECK-fails
-  // exactly as per-tuple evaluation does.
+// Every double -> int64 conversion truncates and saturates: the time
+// column, Value::AsInt and a typed column row's AsInt (which feeds the
+// FDHH, FDQUANTILE, FDDISTINCT and EHDSUM keys).
+TEST(TypedEvalTest, DoubleToIntConversionsSaturate) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<double, std::int64_t> cases[] = {
+      {nan, 0},        {inf, kMax},  {-inf, kMin}, {1e300, kMax},
+      {-1e300, kMin},  {0x1p63, kMax}, {-0x1p63, kMin}, {-2.5, -2},
+      {0x1p62, std::int64_t{1} << 62}};
+  for (const auto& [x, want] : cases) {
+    EXPECT_EQ(Value(x).AsInt(), want) << x;
+    ValueColumn col;
+    col.push_back(Value(x));
+    EXPECT_EQ(col[0].AsInt(), want) << x;
+    Packet p;
+    p.time = x;
+    EXPECT_EQ(ReadColumn(ColumnId::kTime, p).AsInt(), want) << x;
+  }
+  // The key an FDHH over an out-of-range double reports is the
+  // saturated one.
+  RegisterPaperUdafs();
+  std::string error;
+  auto plan = CompiledQuery::Compile(
+      "select FDHH(dtime * 1e300, 1) from TCP", &error);
+  ASSERT_NE(plan, nullptr) << error;
+  auto exec = plan->NewExecution();
+  Packet p;
+  p.time = 5.0;
+  p.protocol = kProtoTcp;
+  exec->Consume(p);
+  const ResultSet rs = exec->Finish();
+  ASSERT_EQ(rs.rows.size(), 1u);
+  EXPECT_EQ(rs.rows[0][0].AsString().rfind("9223372036854775807:", 0), 0u)
+      << rs.rows[0][0].AsString();
+}
+
+// What the typed evaluator cannot run does not compile, and the error
+// names the offending column, function, aggregate or literal.
+TEST(TypedEvalTest, CompileRejectsWhatTheTypedEvaluatorCannotRun) {
+  RegisterPaperUdafs();
+  const std::pair<const char*, const char*> rejected[] = {
+      {"select foo, count(*) from TCP group by foo", "'foo'"},
+      {"select count(*) from TCP where count(*) > 1", "'count'"},
+      {"select log(len), count(*) from TCP group by log(len)", "'log'"},
+      {"select sum(pow(len)) from TCP", "'pow'"},
+      {"select sum(sum(len)) from TCP", "'sum'"},
+      {"select sum('x') from TCP", "'x'"},
+      {"select count(*) from TCP where -'a'", "'a'"},
+      {"select destPort, max(len) from TCP group by destPort "
+       "having max(len) > 'x'",
+       "'x'"},
+      {"select tb, PRISAMP(srcIP, 1, 8) + 1 from TCP group by time/60 as tb",
+       "PRISAMP"},
+      {"select destPort, foo(destPort) from TCP group by destPort", "'foo'"},
+      {"select sum(exp('x')) from TCP", "'x'"},
+      {"select * from TCP", "'*'"},
+      {"select tb, count(*) from TCP group by time/60 as tb "
+       "having FDHH(destIP, 1) = 0",
+       "FDHH"},
+  };
+  for (const auto& [gsql, name] : rejected) {
+    std::string error;
+    EXPECT_EQ(CompiledQuery::Compile(gsql, &error), nullptr) << gsql;
+    EXPECT_NE(error.find(name), std::string::npos) << gsql << ": " << error;
+  }
+  CompiledQuery::Options two_level;
+  two_level.two_level = true;
+  for (const char* gsql :
+       {"select srcIP, UNARYHH(destIP, 0.05) from TCP group by srcIP",
+        "select srcIP, SWHH(dtime, destIP) from TCP group by srcIP",
+        "select srcIP, EHDSUM(dtime, len) from TCP group by srcIP"}) {
+    std::string error;
+    EXPECT_EQ(CompiledQuery::Compile(gsql, &error, two_level), nullptr)
+        << gsql;
+    EXPECT_NE(error.find("two-level"), std::string::npos) << error;
+    // One-level, the same query compiles.
+    EXPECT_NE(CompiledQuery::Compile(gsql, &error), nullptr) << error;
+  }
+}
+
+// A query of the total operators compiles, runs and gives its defined
+// values, the same from the per-tuple entry point and batched, one- and
+// two-level.
+TEST(TypedEvalTest, TotalArithmeticQueriesRunPerTupleAndBatched) {
+  const char* gsql =
+      "select destPort, sum(len / 0), sum(len % 0), sum(len), "
+      "min((0 - 9223372036854775807 - 1) / -1), "
+      "max((0 - 9223372036854775807 - 1) % -1), "
+      "min(9223372036854775807 + len), min(len), "
+      "sum(len) / min(len - len) "
+      "from TCP group by destPort having sum(len) / min(len - len) >= 0";
   const auto trace = Trace();
-  const auto e = Call("exp", Expr::Literal(Value("x")));
-  EXPECT_DEATH(ExpectBatchMatchesPerRow(*e, trace), "string value used as");
-  EXPECT_DEATH((void)EvalExpr(*e, trace[0]), "string value used as");
-  const auto missing = Call("pow", Col("len"));
-  EXPECT_DEATH(ExpectBatchMatchesPerRow(*missing, trace),
-               "missing scalar function argument");
+  for (const bool two : {false, true}) {
+    CompiledQuery::Options options;
+    options.two_level = two;
+    options.low_level_slots = 2;
+    std::string error;
+    auto plan = CompiledQuery::Compile(gsql, &error, options);
+    ASSERT_NE(plan, nullptr) << error;
+    auto per_tuple = plan->NewExecution();
+    for (const Packet& p : trace) per_tuple->Consume(p);
+    PacketBatch batch(trace.size());
+    for (const Packet& p : trace) batch.Append(p);
+    auto batched = plan->NewExecution();
+    batched->Consume(batch);
+    const ResultSet want = per_tuple->Finish();
+    const ResultSet got = batched->Finish();
+    ASSERT_EQ(got.ToString(), want.ToString());
+    ASSERT_EQ(want.rows.size(), 2u);  // destPort 80 and 443
+    for (const auto& row : want.rows) {
+      EXPECT_EQ(row[1].AsInt(), 0);                   // sum(len / 0)
+      EXPECT_EQ(row[2].AsInt(), row[3].AsInt());      // sum(len % 0)
+      EXPECT_EQ(row[4].AsInt(), kMin);                // INT64_MIN / -1
+      EXPECT_EQ(row[5].AsInt(), 0);                   // INT64_MIN % -1
+      EXPECT_EQ(row[6].AsInt(), kMin + row[7].AsInt() - 1);  // wraps
+      EXPECT_EQ(row[8].AsInt(), 0);                   // x / 0 after agg
+    }
+  }
 }
 
 }  // namespace

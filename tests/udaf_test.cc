@@ -372,7 +372,7 @@ std::uint32_t PinnedCrc(const std::string& name) {
       {"unaryhh", 0x77755acdu},
       {"swhh", 0x1744c617u},
       {"ehdsum", 0xdf00ccd6u},
-      {"fdquantile", 0x4115d93au},
+      {"fdquantile", 0x863c72bcu},  // q-digest ids ascending
       {"fddistinct", 0xe8fa2c11u},
       {"fdmin", 0xe48d9b94u},
       {"fdmax", 0x8abd63feu},
