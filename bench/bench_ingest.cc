@@ -18,8 +18,8 @@
 // measure router + handoff overhead, not parallel speedup, and must be
 // read alongside the "nproc" field. Pipeline rows also carry a
 // "pipeline" generation tag ("spsc-v2"; older rows in the file also
-// hold the retired "router-v1" mutex router) so scripts/check_bench.py
-// never gates one generation against another.
+// hold the retired "router-v1" mutex router) so one generation is never
+// compared against another.
 
 #include <unistd.h>
 
@@ -186,7 +186,7 @@ void AppendJson(const std::string& path, const ModeResult& r,
     return;
   }
   // Pipeline rows carry the generation tag; unsharded rows
-  // omit the field (check_bench.py treats absence as its own key).
+  // omit the field.
   char pipeline_field[48] = "";
   if (!r.pipeline.empty()) {
     std::snprintf(pipeline_field, sizeof(pipeline_field),

@@ -28,6 +28,9 @@
 // --two-level. Integer arithmetic is total: + - * wrap in two's
 // complement, x / 0 = 0, x % 0 = x, and INT64_MIN / -1 = INT64_MIN.
 // A double converted to an integer truncates and saturates (NaN -> 0).
+// GROUP BY keys are equal when their bits are: a double key groups
+// every NaN of one bit pattern together and keeps -0 and +0 apart, and
+// rows come out in key order, doubles in IEEE totalOrder (-0 before +0).
 //
 // Examples:
 //   gsql_cli "select tb, destIP, count(*) from TCP

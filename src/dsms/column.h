@@ -1,6 +1,7 @@
 #ifndef FWDECAY_DSMS_COLUMN_H_
 #define FWDECAY_DSMS_COLUMN_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -19,15 +20,13 @@
 // directly. Rows convert to Values only on demand, with the type the
 // per-tuple evaluator produces, so `is_int()`, hash seeds and SumAgg's
 // integer-exactness observe exactly the per-tuple Value types.
+//
+// A GROUP BY column is read as 8-byte key words (word(), words()): the
+// int64 value, or the double's bit pattern. The engine stores, hashes,
+// compares and orders group keys as those words and builds Values from
+// them only where a key leaves the engine (DESIGN.md §13.1).
 
 namespace fwdecay::dsms {
-
-/// Value equality of an int64 against a Value (int/int exact, string
-/// false, otherwise compared as doubles): Value(x) == v without boxing x.
-inline bool I64EqualsValue(std::int64_t x, const Value& v) {
-  if (v.is_int()) return x == v.AsInt();
-  return !v.is_string() && static_cast<double>(x) == v.AsDouble();
-}
 
 class ValueColumn {
  public:
@@ -53,33 +52,12 @@ class ValueColumn {
 
     /// Identical to Value::Hash() on the equivalent Value (same seeds).
     std::uint64_t Hash() const {
-      if (is_int()) {
-        return HashU64(static_cast<std::uint64_t>(col_->i64_[row_]), 1);
-      }
-      const double d = col_->f64_[row_];
-      std::uint64_t bits;
-      __builtin_memcpy(&bits, &d, sizeof(bits));
-      return HashU64(bits, 2);
+      return HashU64(col_->word(row_), is_int() ? 1 : 2);
     }
 
     operator Value() const {  // NOLINT(google-explicit-constructor)
       return is_int() ? Value(col_->i64_[row_]) : Value(col_->f64_[row_]);
     }
-
-    /// Equality with Value semantics (int/int exact, otherwise compared
-    /// as doubles) without materializing Values.
-    friend bool operator==(const RowRef& a, const RowRef& b) {
-      if (a.is_int() && b.is_int()) return a.AsInt() == b.AsInt();
-      return a.AsDouble() == b.AsDouble();
-    }
-
-    /// Equality with a stored Value (a group key; strings, which only a
-    /// restored snapshot can hold there, never match).
-    friend bool operator==(const RowRef& a, const Value& v) {
-      if (a.is_int()) return I64EqualsValue(a.AsInt(), v);
-      return !v.is_string() && a.AsDouble() == v.AsDouble();
-    }
-    friend bool operator==(const Value& v, const RowRef& a) { return a == v; }
 
    private:
     const ValueColumn* col_;
@@ -146,6 +124,19 @@ class ValueColumn {
 
   const std::int64_t* i64_data() const { return i64_.data(); }
   const double* f64_data() const { return f64_.data(); }
+
+  /// Row `row` as a group-key word: the int64 value, or the double's
+  /// bit pattern.
+  std::uint64_t word(std::size_t row) const {
+    return rep_ == Rep::kI64 ? static_cast<std::uint64_t>(i64_[row])
+                             : std::bit_cast<std::uint64_t>(f64_[row]);
+  }
+
+  /// Every row's key word, contiguous (simd::GroupHashI64's input).
+  const void* words() const {
+    return rep_ == Rep::kI64 ? static_cast<const void*>(i64_.data())
+                             : static_cast<const void*>(f64_.data());
+  }
 
  private:
   Rep rep_ = Rep::kI64;

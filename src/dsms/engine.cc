@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cctype>
 #include <cmath>
+#include <compare>
 #include <cstdio>
 #include <cstring>
 #include <span>
@@ -31,62 +33,86 @@ std::string Lower(std::string s) {
   return s;
 }
 
-std::uint64_t HashKey(const std::vector<Value>& key) {
-  std::uint64_t h = kGroupHashSeed;
-  for (const Value& v : key) h = HashCombine(h, v.Hash());
+// --- Group keys (DESIGN.md §13.1) -----------------------------------------
+//
+// A group key is one 8-byte word per GROUP BY column: the int64 value,
+// or the double's bit pattern (ValueColumn::word). Each column's type
+// comes from the plan (CompiledQuery::key_types_). Hash, equality and
+// order are defined here, once, over the words.
+
+// The seed a key word hashes under: Value::Hash's seed for the type.
+std::uint64_t WordSeed(ExprType type) {
+  return type == ExprType::kI64 ? 1 : 2;
+}
+
+// Group hash of n keys, column at a time (`column(g)`: column g's n
+// words): HashCombine from kGroupHashSeed of each column's
+// HashU64(word, WordSeed), which is its Value::Hash. A stored key
+// (restore, audit) passes its words as n = 1 columns.
+template <class Column>
+void HashKeys(const std::vector<ExprType>& types, const Column& column,
+              std::size_t n, std::uint64_t* out) {
+  if (types.empty()) {
+    std::fill_n(out, n, kGroupHashSeed);
+    return;
+  }
+  simd::GroupHashI64(column(0), n, WordSeed(types[0]), kGroupHashSeed, out);
+  for (std::size_t g = 1; g < types.size(); ++g) {
+    simd::GroupHashCombineI64(column(g), n, WordSeed(types[g]), out);
+  }
+}
+
+std::uint64_t WordsHash(const std::vector<ExprType>& types,
+                        const std::uint64_t* key) {
+  std::uint64_t h = 0;
+  HashKeys(types, [key](std::size_t g) { return key + g; }, 1, &h);
   return h;
 }
 
-// Group hash per selected row — HashKey replicated over the dense key
-// columns. All-int64 keys (`all_i64`, a plan constant) of any arity hash
-// column by column through the vectorized kernels (GroupHashI64 for
-// column 0, then GroupHashCombineI64 per further column), bit-identical
-// to HashKey of the Value key; keys with a double column walk the
-// columns per row.
-void ComputeGroupHashes(const std::vector<ValueColumn>& key_cols,
-                        bool all_i64, std::size_t num_groups, std::size_t n,
-                        std::uint64_t* out) {
-  if (all_i64) {
-    simd::GroupHashI64(key_cols[0].i64_data(), n, kGroupHashSeed, out);
-    for (std::size_t g = 1; g < num_groups; ++g) {
-      simd::GroupHashCombineI64(key_cols[g].i64_data(), n, out);
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t h = kGroupHashSeed;
-    for (std::size_t g = 0; g < num_groups; ++g) {
-      h = HashCombine(h, key_cols[g][i].Hash());
-    }
-    out[i] = h;
-  }
+// Equal keys are equal words: NaNs with one bit pattern are one key,
+// -0.0 and +0.0 are two.
+bool WordsEqual(const std::uint64_t* a, const std::uint64_t* b,
+                std::size_t arity) {
+  return std::equal(a, a + arity, b);
 }
 
-// Rows a and b of the key columns hold equal keys (Value equality).
-bool RowKeysEqual(const std::vector<ValueColumn>& key_cols, bool all_i64,
-                  std::size_t a, std::size_t b) {
+// Strict total order, column by column: signed < on int64 columns, IEEE
+// totalOrder on double columns (-NaN < -inf < ... < -0.0 < +0.0 < ... <
+// +inf < +NaN). Finish, snapshots, the shed tie-break and the pipeline's
+// k-way merge all sort by it.
+bool WordsLess(const std::vector<ExprType>& types, const std::uint64_t* a,
+               const std::uint64_t* b) {
+  for (std::size_t g = 0; g < types.size(); ++g) {
+    if (a[g] == b[g]) continue;
+    if (types[g] == ExprType::kI64) {
+      return static_cast<std::int64_t>(a[g]) <
+             static_cast<std::int64_t>(b[g]);
+    }
+    return std::strong_order(std::bit_cast<double>(a[g]),
+                             std::bit_cast<double>(b[g])) < 0;
+  }
+  return false;
+}
+
+// WordsEqual of row `row`'s key, read in place from the key columns,
+// and `key`.
+bool RowKeyEquals(const std::vector<ValueColumn>& key_cols, std::size_t row,
+                  const std::uint64_t* key) {
   for (std::size_t g = 0; g < key_cols.size(); ++g) {
-    const bool same =
-        all_i64 ? key_cols[g].i64_data()[a] == key_cols[g].i64_data()[b]
-                : key_cols[g][a] == key_cols[g][b];
-    if (!same) return false;
+    if (key_cols[g].word(row) != key[g]) return false;
   }
   return true;
 }
 
-// Row `row` of the key columns equals a stored group key (KeysEqual of
-// the row's boxed key and `key`).
-bool RowKeyEquals(const std::vector<ValueColumn>& key_cols, bool all_i64,
-                  std::size_t row, const std::vector<Value>& key) {
-  if (key.size() != key_cols.size()) return false;
-  for (std::size_t g = 0; g < key.size(); ++g) {
-    const bool same =
-        all_i64 ? I64EqualsValue(key_cols[g].i64_data()[row], key[g])
-                : key_cols[g][row] == key[g];
-    if (!same) return false;
-  }
-  return true;
+// A key column's value as it leaves the engine in a result row.
+Value WordValue(ExprType type, std::uint64_t word) {
+  return type == ExprType::kI64 ? Value(static_cast<std::int64_t>(word))
+                                : Value(std::bit_cast<double>(word));
 }
+
+// A key column's snapshot tag: Value::SerializeTo's (0 int, 1 double),
+// so a key word is written as exactly the bytes of its Value frame.
+std::uint8_t KeyTag(ExprType type) { return type == ExprType::kI64 ? 0 : 1; }
 
 // The filter stage: the protocol filter (a vectorized byte compare over
 // the column; 0 keeps every row), then WHERE (null keeps every row).
@@ -111,31 +137,6 @@ std::size_t SelectRows(const PacketBatch& batch, std::uint8_t protocol_filter,
     n = EvalPredicateBatch(*where, batch, sel->data(), n, scratch);
   }
   return n;
-}
-
-bool KeysEqual(const std::vector<Value>& a, const std::vector<Value>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (!(a[i] == b[i])) return false;
-  }
-  return true;
-}
-
-// Total order on group keys (mixed types ordered int < double < string
-// per slot). Shared by Finish()'s output sort and the shedding scan's
-// tie-break so both are deterministic regardless of hash-map iteration
-// order.
-bool KeyLess(const std::vector<Value>& a, const std::vector<Value>& b) {
-  const std::size_t n = std::min(a.size(), b.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const Value& x = a[i];
-    const Value& y = b[i];
-    if (!(x == y)) {
-      if (x.is_string() != y.is_string()) return y.is_string();
-      return Compare(x, y) < 0;
-    }
-  }
-  return a.size() < b.size();
 }
 
 // Binds an expression for post-aggregation evaluation: aggregate calls
@@ -498,10 +499,7 @@ std::unique_ptr<CompiledQuery> CompiledQuery::CompileParsed(Query query,
   typed = typed && (plan->having_ == nullptr ||
                     CheckTypes(*plan->having_, &slot_sigs, error));
   if (!typed) return nullptr;
-  plan->keys_i64_ =
-      !plan->group_exprs_.empty() &&
-      std::all_of(plan->group_exprs_.begin(), plan->group_exprs_.end(),
-                  [](const auto& g) { return g->type == ExprType::kI64; });
+  for (const auto& g : plan->group_exprs_) plan->key_types_.push_back(g->type);
 
   // ORDER BY: resolve each entry to an output column — by 1-based
   // position, by alias/column name, or by expression text.
@@ -582,12 +580,13 @@ std::uint64_t CompiledQuery::Fingerprint() const {
 // ---------------------------------------------------------------------------
 
 struct QueryExecution::Group {
-  std::vector<Value> key;
-  // The group's aggregate states, one per plan slot at the plan's
-  // AggStateLayout offsets. The block is carved from the execution's
-  // arena when the shell (or low slot) is first used and kept for its
-  // life; states are constructed at admission and destroyed at
-  // release, eviction or shedding.
+  // The group's arena block, carved when the shell (or low slot) is
+  // first used and kept for its life: the key's words (one per GROUP BY
+  // column), then the aggregate states, one per plan slot at the plan's
+  // AggStateLayout offsets. Each part is null when the plan has none.
+  // States are constructed at admission and destroyed at release,
+  // eviction or shedding.
+  std::uint64_t* key = nullptr;
   std::byte* states = nullptr;
   // Forward-decayed weight Σ g(t_i - L) and tuple count, maintained for
   // the overload-shedding eviction rule (cheap: one add per update).
@@ -607,12 +606,12 @@ struct QueryExecution::LowSlot {
 // line of hashes before it ever dereferences a group. Group shells live
 // out-of-line in a bump arena and are recycled through a free list:
 // pointers stay stable across rehash (only the slot arrays move), and a
-// shell released by shedding or a window Reset() keeps its key
-// capacity and its state block for the next admission. Tombstone-free:
-// removal backward-shifts the probe chain, so layout is a pure function
-// of the insertion sequence — but no observable order ever reads the
-// layout (Finish/CheckpointBytes sort by KeyLess, and the shed victim
-// is a deterministic (weight, KeyLess) minimum).
+// shell released by shedding or a window Reset() keeps its block (key
+// words and states) for the next admission. Tombstone-free: removal
+// backward-shifts the probe chain, so layout is a pure function of the
+// insertion sequence — but no observable order ever reads the layout
+// (Finish/CheckpointBytes sort by WordsLess, and the shed victim is a
+// deterministic (weight, WordsLess) minimum).
 struct QueryExecution::HighTable {
   std::vector<std::uint64_t> hashes;  // slot -> cached key hash
   std::vector<Group*> slots;          // slot -> shell, nullptr = empty
@@ -621,52 +620,52 @@ struct QueryExecution::HighTable {
 
   const AggStateLayout& layout;       // the plan's state block layout
   const std::size_t key_arity;        // group-key columns per group
-  util::Arena arena;                  // shells and every state block
-  std::vector<Group*> free_shells;    // released, capacity-retaining
-  std::vector<Group*> all_shells;     // every shell ever built (dtors)
+  util::Arena arena;                  // shells and every block
+  std::vector<Group*> free_shells;    // released, block-retaining
 
   HighTable(const AggStateLayout& state_layout, std::size_t arity)
       : layout(state_layout), key_arity(arity) {}
 
   ~HighTable() {
-    // Arena memory is freed wholesale; live states and the shells'
-    // key vectors are ordinary objects and need their destructors.
+    // Arena memory (trivially destructible shells, key words) is freed
+    // wholesale; live states are ordinary objects.
     for (Group* g : slots) {
       if (g != nullptr) layout.Destroy(g->states);
     }
-    for (Group* g : all_shells) g->~Group();
   }
 
-  // A state block for one group (nullptr when the plan has no
-  // aggregates: every slot offset is then out of use).
-  std::byte* NewBlock() {
-    if (layout.block_size() == 0) return nullptr;
-    return static_cast<std::byte*>(
-        arena.Allocate(layout.block_size(), layout.block_align()));
+  // Carves `g`'s block from the arena (DESIGN.md §13.3) unless it has
+  // one: the key words, padded to the states' alignment, then the
+  // state block.
+  void CarveBlock(Group* g) {
+    if (g->key != nullptr || g->states != nullptr) return;
+    const std::size_t align =
+        std::max(alignof(std::uint64_t), layout.block_align());
+    const std::size_t key_bytes =
+        (key_arity * sizeof(std::uint64_t) + align - 1) & ~(align - 1);
+    const std::size_t bytes = key_bytes + layout.block_size();
+    if (bytes == 0) return;  // no key columns, no aggregates
+    auto* block = static_cast<std::byte*>(arena.Allocate(bytes, align));
+    if (key_arity > 0) g->key = reinterpret_cast<std::uint64_t*>(block);
+    if (layout.block_size() > 0) g->states = block + key_bytes;
   }
 
-  // Walks the probe chain of `hash` for a key `key_eq` accepts. Returns
-  // its slot, or the empty slot that ends the chain — where Insert()
-  // places a new key when the table does not grow first. Needs slots.
-  template <class KeyEq>
-  std::size_t Probe(std::uint64_t hash, const KeyEq& key_eq) const {
+  // Walks the probe chain of `hash` for `key`. Returns its slot, or the
+  // empty slot that ends the chain — where Insert() places a new key
+  // when the table does not grow first. Needs slots.
+  std::size_t Probe(std::uint64_t hash, const std::uint64_t* key) const {
     std::size_t s = hash & mask;
     while (slots[s] != nullptr) {
-      if (hashes[s] == hash && key_eq(slots[s]->key)) return s;
+      if (hashes[s] == hash && WordsEqual(slots[s]->key, key, key_arity)) {
+        return s;
+      }
       s = (s + 1) & mask;
     }
     return s;
   }
 
-  Group* Find(std::uint64_t hash, const std::vector<Value>& key) const {
-    if (slots.empty()) return nullptr;
-    return slots[Probe(hash, [&](const std::vector<Value>& k) {
-      return KeysEqual(k, key);
-    })];
-  }
-
   // Inserts a shell whose key is already in place. The caller has
-  // established absence via Find (restore paths may insert duplicates
+  // established absence via Probe (restore paths may insert duplicates
   // from hostile snapshots; CheckInvariants rejects them afterwards,
   // exactly as the chained table did).
   void Insert(std::uint64_t hash, Group* g) {
@@ -716,21 +715,16 @@ struct QueryExecution::HighTable {
     }
     // fwdecay: hotpath-cold(shell construction: once per peak live group, arena-backed)
     Group* g = arena.New<Group>();
-    // fwdecay: hotpath-cold(key capacity reserved once per shell, at the plan's arity)
-    g->key.reserve(key_arity);
-    // fwdecay: hotpath-cold(state block carved from the arena once per shell)
-    g->states = NewBlock();
-    // fwdecay: hotpath-cold(destructor registry grows once per constructed shell)
-    all_shells.push_back(g);
+    // fwdecay: hotpath-cold(key words and state block carved from the arena once per shell)
+    CarveBlock(g);
     return g;
   }
 
   // Destroys a live group's states and empties its shell back into the
-  // pool. The key capacity and the state block survive, so readmission
-  // after shedding or a window turnover allocates nothing.
+  // pool. The block survives, so readmission after shedding or a window
+  // turnover allocates nothing.
   void ReleaseShell(Group* g) {
     layout.Destroy(g->states);
-    g->key.clear();
     g->weight = 0.0;
     g->tuples = 0;
     // fwdecay: hotpath-cold(pool vector growth bounded by peak live shells)
@@ -858,14 +852,13 @@ void QueryExecution::UseShardMetrics(std::size_t shard_index) {
   // tuple_rate / batch_ns stay bound to the shared engine-wide families.
 }
 
-template <class KeyEq, class WriteKey>
 QueryExecution::Group* QueryExecution::FindOrCreateHighGroup(
-    std::uint64_t hash, const KeyEq& key_eq, const WriteKey& write_key) {
+    std::uint64_t hash, const std::uint64_t* key) {
   HighTable& table = *high_;
   bool placed = !table.slots.empty();
   std::size_t slot = 0;
   if (placed) {
-    slot = table.Probe(hash, key_eq);
+    slot = table.Probe(hash, key);
     if (table.slots[slot] != nullptr) return table.slots[slot];
   }
   // A new group is about to be admitted; under a bounded-ingest policy
@@ -882,7 +875,7 @@ QueryExecution::Group* QueryExecution::FindOrCreateHighGroup(
     placed = false;
   }
   Group* g = table.AcquireShell();
-  write_key(&g->key);  // into the shell's retained capacity
+  std::copy_n(key, table.key_arity, g->key);
   // fwdecay: hotpath-cold(new-group admission: states constructed in place once per group, not per row)
   plan_->agg_layout_.Construct(g->states);
   if (placed) {
@@ -912,7 +905,8 @@ void QueryExecution::ShedLowestWeightGroup() {
     const Group* g = high_->slots[s];
     if (g == nullptr) continue;
     if (victim == nullptr || g->weight < victim->weight ||
-        (g->weight == victim->weight && KeyLess(g->key, victim->key))) {
+        (g->weight == victim->weight &&
+         WordsLess(plan_->key_types_, g->key, victim->key))) {
       victim = g;
       victim_slot = s;
     }
@@ -927,11 +921,7 @@ void QueryExecution::ShedLowestWeightGroup() {
 }
 
 void QueryExecution::EvictToHigh(LowSlot& slot) {
-  const std::vector<Value>& key = slot.group.key;
-  Group* target = FindOrCreateHighGroup(
-      slot.hash,
-      [&](const std::vector<Value>& k) { return KeysEqual(k, key); },
-      [&](std::vector<Value>* dst) { *dst = key; });
+  Group* target = FindOrCreateHighGroup(slot.hash, slot.group.key);
   const AggStateLayout& layout = plan_->agg_layout_;
   for (std::size_t i = 0; i < layout.num_slots(); ++i) {
     // fwdecay: hotpath-cold(amortized-rare eviction; Merge runs once per evicted group, not per row)
@@ -943,20 +933,17 @@ void QueryExecution::EvictToHigh(LowSlot& slot) {
   layout.Destroy(slot.group.states);
   slot.occupied = false;
   --low_occupied_;
-  // The slot's key capacity and state block stay for the next tenant.
-  slot.group.key.clear();
+  // The slot's block stays for the next tenant.
   slot.group.weight = 0.0;
   slot.group.tuples = 0;
   ++low_level_evictions_;
 }
 
-void QueryExecution::AdmitLow(LowSlot& slot, std::uint64_t hash) {
-  if (slot.group.states == nullptr) {
-    // fwdecay: hotpath-cold(key capacity reserved once per low slot, at the plan's arity)
-    slot.group.key.reserve(plan_->group_exprs_.size());
-    // fwdecay: hotpath-cold(state block carved from the arena once per low slot)
-    slot.group.states = high_->NewBlock();
-  }
+void QueryExecution::AdmitLow(LowSlot& slot, std::uint64_t hash,
+                              const std::uint64_t* key) {
+  // fwdecay: hotpath-cold(key words and state block carved from the arena once per low slot)
+  high_->CarveBlock(&slot.group);
+  std::copy_n(key, high_->key_arity, slot.group.key);
   // fwdecay: hotpath-cold(low-slot admission: states constructed in place once per group, not per row)
   plan_->agg_layout_.Construct(slot.group.states);
   slot.occupied = true;
@@ -1028,15 +1015,17 @@ void QueryExecution::AggregateSelection(const PacketBatch& batch,
     }
   }
 
-  // Group hash per selected row (vectorized for all-int64 keys).
-  const bool all_i64 = plan_->keys_i64_;
+  // Group hash per selected row, column at a time (vectorized).
   hashes_.resize(n);
-  ComputeGroupHashes(key_cols_, all_i64, num_groups, n, hashes_.data());
+  HashKeys(plan_->key_types_,
+           [this](std::size_t g) { return key_cols_[g].words(); }, n,
+           hashes_.data());
   row_index_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     row_index_[i] = static_cast<std::uint32_t>(i);
   }
   row_blocks_.resize(n);
+  row_key_.resize(num_groups);
 
   // Phase 1: resolve runs of consecutive equal-key rows to their
   // groups. A run resolves its group once; re-resolving an identical
@@ -1047,42 +1036,33 @@ void QueryExecution::AggregateSelection(const PacketBatch& batch,
   // Aggregate updates wait for phase 2 (FlushSegment), which runs
   // before any eviction or shed and once at the end of the batch.
   //
-  // Run scans, slot hit tests and high-table probes read the key
-  // columns in place (raw int64 arrays when every key column is kI64);
-  // a key is materialized into Values only when a group is admitted.
+  // A run's key is gathered once into row_key_ as words; run scans,
+  // slot hit tests and high-table probes compare words.
   const double* times = batch.time();
   seg_begin_ = 0;
   seg_runs_ = 0;
   std::size_t i = 0;
   while (i < n) {
+    for (std::size_t g = 0; g < num_groups; ++g) {
+      row_key_[g] = key_cols_[g].word(i);
+    }
+    const std::uint64_t* key = row_key_.data();
+    const std::uint64_t hash = hashes_[i];
     std::size_t j = i + 1;
-    while (j < n && hashes_[j] == hashes_[i] &&
-           RowKeysEqual(key_cols_, all_i64, j, i)) {
+    while (j < n && hashes_[j] == hash && RowKeyEquals(key_cols_, j, key)) {
       ++j;
     }
     seg_end_ = i;  // a flush from here on applies the rows before i
-    const std::uint64_t hash = hashes_[i];
-    const auto write_row_key = [&](std::vector<Value>* key) {
-      for (std::size_t g = 0; g < num_groups; ++g) {
-        key->push_back(key_cols_[g][i]);
-      }
-    };
 
     Group* target = nullptr;
     if (!plan_->options_.two_level) {
-      target = FindOrCreateHighGroup(
-          hash,
-          [&](const std::vector<Value>& key) {
-            return RowKeyEquals(key_cols_, all_i64, i, key);
-          },
-          write_row_key);
+      target = FindOrCreateHighGroup(hash, key);
     } else {
       LowSlot& slot =
           low_table_[low_mask_ != 0 ? (hash & low_mask_)
                                     : (hash % low_table_.size())];
-      // A hit — the steady state — materializes no Value at all.
       const bool hit = slot.occupied && slot.hash == hash &&
-                       RowKeyEquals(key_cols_, all_i64, i, slot.group.key);
+                       WordsEqual(slot.group.key, key, num_groups);
       if (!hit) {
         if (slot.occupied) {
           // The merge reads the tenant's states and its block is reused
@@ -1090,9 +1070,7 @@ void QueryExecution::AggregateSelection(const PacketBatch& batch,
           FlushSegment();
           EvictToHigh(slot);
         }
-        slot.group.key.clear();  // capacity stays
-        write_row_key(&slot.group.key);
-        AdmitLow(slot, hash);
+        AdmitLow(slot, hash, key);
       }
       target = &slot.group;
     }
@@ -1162,16 +1140,14 @@ void QueryExecution::CheckInvariants() const {
     if (g == nullptr) continue;
     ++high_n;
     const std::uint64_t hash = high_->hashes[s];
-    FWDECAY_CHECK_MSG(HashKey(g->key) == hash,
+    FWDECAY_CHECK_MSG(WordsHash(plan_->key_types_, g->key) == hash,
                       "group filed under the wrong hash");
-    FWDECAY_CHECK_MSG(g->key.size() == plan_->group_exprs_.size(),
-                      "group key arity differs from the plan");
     FWDECAY_CHECK_MSG(g->states != nullptr || plan_->agg_names_.empty(),
                       "group has no state block for the plan's aggregates");
     FWDECAY_CHECK_MSG(g->weight >= 0.0 && !std::isnan(g->weight),
                       "group forward-decay weight is negative or NaN");
     // Probe invariant: no empty slot between the key's home slot and
-    // where the group actually sits, or Find() could never reach it.
+    // where the group actually sits, or Probe() could never reach it.
     for (std::size_t p = hash & high_->mask; p != s;
          p = (p + 1) & high_->mask) {
       FWDECAY_CHECK_MSG(high_->slots[p] != nullptr,
@@ -1186,7 +1162,8 @@ void QueryExecution::CheckInvariants() const {
   for (std::size_t i = 0; i + 1 < seen.size(); ++i) {
     for (std::size_t j = i + 1;
          j < seen.size() && seen[j].first == seen[i].first; ++j) {
-      FWDECAY_CHECK_MSG(!KeysEqual(seen[i].second->key, seen[j].second->key),
+      FWDECAY_CHECK_MSG(!WordsEqual(seen[i].second->key, seen[j].second->key,
+                                    high_->key_arity),
                         "duplicate group key in the flat high table");
     }
   }
@@ -1212,10 +1189,8 @@ void QueryExecution::CheckInvariants() const {
     ++low_n;
     FWDECAY_CHECK_MSG(slot.hash % low_table_.size() == s,
                       "low-level slot holds a group mapped elsewhere");
-    FWDECAY_CHECK_MSG(HashKey(slot.group.key) == slot.hash,
+    FWDECAY_CHECK_MSG(WordsHash(plan_->key_types_, slot.group.key) == slot.hash,
                       "low-level slot hash diverged from its key");
-    FWDECAY_CHECK_MSG(slot.group.key.size() == plan_->group_exprs_.size(),
-                      "low-level group key arity differs from the plan");
     FWDECAY_CHECK_MSG(
         slot.group.states != nullptr || plan_->agg_names_.empty(),
         "low-level group has no state block for the plan's aggregates");
@@ -1245,7 +1220,6 @@ void QueryExecution::ReleaseAllGroups() {
     if (!slot.occupied) continue;
     plan_->agg_layout_.Destroy(slot.group.states);
     slot.occupied = false;
-    slot.group.key.clear();
     slot.group.weight = 0.0;
     slot.group.tuples = 0;
   }
@@ -1282,8 +1256,8 @@ std::vector<const QueryExecution::Group*> QueryExecution::SortedGroups()
     if (g != nullptr) groups.push_back(g);
   }
   std::sort(groups.begin(), groups.end(),
-            [](const Group* a, const Group* b) {
-              return KeyLess(a->key, b->key);
+            [this](const Group* a, const Group* b) {
+              return WordsLess(plan_->key_types_, a->key, b->key);
             });
   return groups;
 }
@@ -1303,19 +1277,24 @@ ResultSet QueryExecution::BuildResult(
   for (const auto& out : plan_->outputs_) result.columns.push_back(out.column_name);
 
   const AggStateLayout& layout = plan_->agg_layout_;
+  const std::vector<ExprType>& key_types = plan_->key_types_;
   std::vector<Value> agg_values(layout.num_slots());
+  std::vector<Value> key_values(key_types.size());
   for (const Group* g : groups) {
     for (std::size_t slot = 0; slot < layout.num_slots(); ++slot) {
       agg_values[slot] = layout.State(g->states, slot)->Finalize();
     }
+    for (std::size_t k = 0; k < key_types.size(); ++k) {
+      key_values[k] = WordValue(key_types[k], g->key[k]);
+    }
     if (plan_->having_ != nullptr &&
-        !EvalPostPredicate(*plan_->having_, agg_values, g->key)) {
+        !EvalPostPredicate(*plan_->having_, agg_values, key_values)) {
       continue;
     }
     std::vector<Value> row;
     row.reserve(plan_->outputs_.size());
     for (const auto& out : plan_->outputs_) {
-      row.push_back(EvalPostExpr(*out.post, agg_values, g->key));
+      row.push_back(EvalPostExpr(*out.post, agg_values, key_values));
     }
     result.rows.push_back(std::move(row));
   }
@@ -1364,8 +1343,13 @@ constexpr std::uint32_t kSnapshotVersion = 1;
 
 bool QueryExecution::SerializeGroup(const Group& group, ByteWriter* writer,
                                     std::string* error) const {
-  writer->WriteU32(static_cast<std::uint32_t>(group.key.size()));
-  for (const Value& v : group.key) v.SerializeTo(writer);
+  // Each key word as a tagged Value frame (Value::SerializeTo's tags).
+  const std::vector<ExprType>& key_types = plan_->key_types_;
+  writer->WriteU32(static_cast<std::uint32_t>(key_types.size()));
+  for (std::size_t k = 0; k < key_types.size(); ++k) {
+    writer->WriteU8(KeyTag(key_types[k]));
+    writer->WriteU64(group.key[k]);
+  }
   writer->WriteDouble(group.weight);
   writer->WriteU64(group.tuples);
   const AggStateLayout& layout = plan_->agg_layout_;
@@ -1386,17 +1370,19 @@ bool QueryExecution::SerializeGroup(const Group& group, ByteWriter* writer,
 }
 
 bool QueryExecution::RestoreGroup(ByteReader* reader, Group* group) {
+  // A key column's tag must be the plan's type for it: a snapshot key
+  // of another type would never equal a live row's key.
+  const std::vector<ExprType>& key_types = plan_->key_types_;
   std::uint32_t key_size = 0;
-  if (!reader->ReadU32(&key_size) ||
-      key_size != plan_->group_exprs_.size()) {
+  if (!reader->ReadU32(&key_size) || key_size != key_types.size()) {
     return false;
   }
-  group->key.clear();
-  group->key.reserve(key_size);
-  for (std::uint32_t i = 0; i < key_size; ++i) {
-    auto v = Value::Deserialize(reader);
-    if (!v) return false;
-    group->key.push_back(std::move(*v));
+  for (std::size_t k = 0; k < key_types.size(); ++k) {
+    std::uint8_t tag = 0;
+    if (!reader->ReadU8(&tag) || tag != KeyTag(key_types[k]) ||
+        !reader->ReadU64(&group->key[k])) {
+      return false;
+    }
   }
   if (!reader->ReadDouble(&group->weight) || !reader->ReadU64(&group->tuples)) {
     return false;
@@ -1577,12 +1563,8 @@ bool QueryExecution::RestoreBytes(const std::uint8_t* data, std::size_t size,
       return false;
     }
     LowSlot& slot = low_table_[index];
-    if (slot.group.states == nullptr) {
-      slot.group.key.reserve(plan_->group_exprs_.size());
-      slot.group.states = high_->NewBlock();
-    }
+    high_->CarveBlock(&slot.group);
     if (!RestoreGroup(&payload, &slot.group)) {
-      slot.group.key.clear();
       *error = "snapshot low-level group corrupt";
       return false;
     }
@@ -1601,12 +1583,11 @@ bool QueryExecution::RestoreBytes(const std::uint8_t* data, std::size_t size,
   for (std::uint32_t i = 0; i < n_groups; ++i) {
     Group* g = high_->AcquireShell();
     if (!RestoreGroup(&payload, g)) {
-      g->key.clear();
       high_->free_shells.push_back(g);  // no live states to destroy
       *error = "snapshot group corrupt";
       return false;
     }
-    high_->Insert(HashKey(g->key), g);
+    high_->Insert(WordsHash(plan_->key_types_, g->key), g);
     ++high_group_count_;
   }
   if (!payload.Exhausted()) {
@@ -1700,8 +1681,9 @@ void PipelinedQueryExecution::Consume(const PacketBatch& batch) {
                   &eval_scratch_, &key_cols_[g]);
   }
   hashes_.resize(n);
-  ComputeGroupHashes(key_cols_, plan_->keys_i64_, num_groups, n,
-                     hashes_.data());
+  HashKeys(plan_->key_types_,
+           [this](std::size_t g) { return key_cols_[g].words(); }, n,
+           hashes_.data());
   shard_ids_.resize(n);
   simd::ShardIndexU64(hashes_.data(), n, kShardRouteSeed,
                       static_cast<std::uint32_t>(shards_.size()),
@@ -1825,7 +1807,8 @@ ResultSet PipelinedQueryExecution::Finish() {
     for (std::size_t s = 0; s < sorted.size(); ++s) {
       if (next[s] == sorted[s].size()) continue;
       if (best == sorted.size() ||
-          KeyLess(sorted[s][next[s]]->key, sorted[best][next[best]]->key)) {
+          WordsLess(plan_->key_types_, sorted[s][next[s]]->key,
+                    sorted[best][next[best]]->key)) {
         best = s;
       }
     }

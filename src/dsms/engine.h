@@ -32,7 +32,8 @@
 // open-addressing flat table over arena-backed group shells
 // (DESIGN.md §13.1/§13.3), keyed by the 64-bit group hash the batch
 // pipeline already computes. Each shell and each low-level slot owns
-// one arena block holding its group's aggregate states in place.
+// one arena block holding its group's key, as one 8-byte word per
+// GROUP BY column, and its aggregate states in place.
 
 namespace fwdecay::dsms {
 
@@ -119,7 +120,7 @@ class CompiledQuery {
   std::uint8_t protocol_filter_ = 0;     // 0 = all, else exact match
   std::unique_ptr<Expr> where_;          // may be null
   std::vector<std::unique_ptr<Expr>> group_exprs_;
-  bool keys_i64_ = false;                // every group expr types kI64
+  std::vector<ExprType> key_types_;      // per group expr: its key words' type
   std::vector<std::string> agg_names_;   // aggregate function per slot
   AggStateLayout agg_layout_;            // kind + block offset per slot
   // Argument expressions per aggregate slot.
@@ -235,14 +236,11 @@ class QueryExecution {
   struct Group;
   struct LowSlot;
 
-  // Looks up the group whose key `key_eq` accepts in the flat high
-  // table; when absent, admits a pooled shell (shedding first under a
-  // bounded policy) and has `write_key` fill the shell's empty,
-  // capacity-retaining key vector. A miss that sheds nothing probes
+  // Looks up the group with key words `key` in the flat high table;
+  // when absent, admits a pooled shell (shedding first under a bounded
+  // policy) and copies `key` into it. A miss that sheds nothing probes
   // the table once.
-  template <class KeyEq, class WriteKey>
-  Group* FindOrCreateHighGroup(std::uint64_t hash, const KeyEq& key_eq,
-                               const WriteKey& write_key);
+  Group* FindOrCreateHighGroup(std::uint64_t hash, const std::uint64_t* key);
   // Groups and aggregates a pre-filtered selection: sel_[0..n) holds the
   // surviving batch rows; key/argument columns are evaluated densely
   // over it. Phase 1 resolves every row to its group's state block
@@ -257,9 +255,10 @@ class QueryExecution {
   // The batched hot path — must not allocate per tuple (scripts/lint.py
   // rule `hotpath`).
   void FlushSegment();
-  // Constructs a fresh group's states in a low-level slot, carving the
-  // slot's block on its first admission.
-  void AdmitLow(LowSlot& slot, std::uint64_t hash);
+  // Admits the group with key words `key` to an empty low-level slot:
+  // copies the key and constructs fresh states, carving the slot's
+  // block on its first admission.
+  void AdmitLow(LowSlot& slot, std::uint64_t hash, const std::uint64_t* key);
   // The batch ingest behind Consume(batch): counts the batch, selects
   // its rows through `protocol_filter` (0 keeps every row) and `where`
   // (null keeps every row), then groups and aggregates them. Consume()
@@ -273,7 +272,7 @@ class QueryExecution {
   // Destroys every group's states and empties both levels; blocks,
   // shells and slot arrays are retained.
   void ReleaseAllGroups();
-  // High-level groups in KeyLess order (Finish, snapshots, the
+  // High-level groups in key order (WordsLess: Finish, snapshots, the
   // pipeline's k-way merge).
   std::vector<const Group*> SortedGroups() const;
   // Finalizes `groups` (already in key order) into the result table:
@@ -361,15 +360,16 @@ class QueryExecution {
   std::size_t seg_end_ = 0;               //   but not yet applied
   std::size_t seg_runs_ = 0;              // runs resolved in the segment
   std::vector<ValueColumn> key_cols_;     // per group expr, dense
+  std::vector<std::uint64_t> row_key_;    // the current run's key words
   // Per aggregate slot, per argument: dense column over the selection.
   std::vector<std::vector<ValueColumn>> arg_cols_;
   PacketBatch single_{1};                 // Consume(Packet) wrapper
 };
 
-/// Seed of the group-key hash. util/simd.h's GroupHashI64 kernel takes
-/// it as its seed and must reproduce the per-Value combine exactly, so
-/// changing the algebra on either side alone breaks the batched /
-/// per-tuple equivalence (simd_test covers the pairing).
+/// Seed of the group-key hash: util/simd.h's GroupHashI64 kernel starts
+/// every key's hash from it. The hash of a key equals the combine of
+/// Value::Hash over its columns (simd_test covers the pairing), so
+/// snapshots and shard routes do not depend on how keys are stored.
 inline constexpr std::uint64_t kGroupHashSeed = 0x12345678abcdef01ULL;
 
 /// The `fwdecay_checkpoint_ns` reservoir: wall time of one durable

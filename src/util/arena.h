@@ -15,8 +15,8 @@
 // arena instead of the general heap: admission is a pointer bump,
 // locality follows allocation order, and window turnover recycles the
 // shells without touching malloc. The arena never frees individual
-// objects — callers with non-trivially-destructible payloads (the group
-// tables' shells hold std::vectors) must run destructors themselves
+// objects — callers with non-trivially-destructible payloads (the
+// aggregate states in a group's block) must run destructors themselves
 // before Reset() or destruction.
 
 namespace fwdecay::util {

@@ -1,6 +1,7 @@
 #include "util/simd.h"
 
 #include <cstdlib>
+#include <cstring>
 
 #include "util/hash.h"
 #include "util/int_div.h"
@@ -62,6 +63,23 @@ bool ForcedScalar() { return g_dispatch.forced; }
 // no reassociation, so a vector arm matches it lane for lane.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// The address of 8-byte key word i. Key columns hold int64 values or
+// double bit patterns, so the kernels read words through memcpy (and
+// unaligned vector loads), never through a typed pointer.
+const void* WordPtr(const void* words, std::size_t i) {
+  return static_cast<const unsigned char*>(words) + i * sizeof(std::uint64_t);
+}
+
+std::uint64_t WordAt(const void* words, std::size_t i) {
+  std::uint64_t w;
+  std::memcpy(&w, WordPtr(words, i), sizeof(w));
+  return w;
+}
+
+}  // namespace
+
 namespace scalar {
 
 std::size_t FilterByteEq(const std::uint8_t* bytes, std::uint8_t target,
@@ -73,19 +91,17 @@ std::size_t FilterByteEq(const std::uint8_t* bytes, std::uint8_t target,
   return k;
 }
 
-void GroupHashI64(const std::int64_t* keys, std::size_t n,
+void GroupHashI64(const void* words, std::size_t n, std::uint64_t value_seed,
                   std::uint64_t seed, std::uint64_t* out) {
   for (std::size_t i = 0; i < n; ++i) {
-    out[i] = HashCombine(seed,
-                         HashU64(static_cast<std::uint64_t>(keys[i]), 1));
+    out[i] = HashCombine(seed, HashU64(WordAt(words, i), value_seed));
   }
 }
 
-void GroupHashCombineI64(const std::int64_t* keys, std::size_t n,
-                         std::uint64_t* inout) {
+void GroupHashCombineI64(const void* words, std::size_t n,
+                         std::uint64_t value_seed, std::uint64_t* inout) {
   for (std::size_t i = 0; i < n; ++i) {
-    inout[i] = HashCombine(inout[i],
-                           HashU64(static_cast<std::uint64_t>(keys[i]), 1));
+    inout[i] = HashCombine(inout[i], HashU64(WordAt(words, i), value_seed));
   }
 }
 
@@ -241,15 +257,17 @@ __attribute__((target("avx2"))) inline __m256i Mix64V(__m256i x) {
   return _mm256_xor_si256(x, _mm256_srli_epi64(x, 31));
 }
 
-__attribute__((target("avx2"))) void GroupHashI64(const std::int64_t* keys,
+__attribute__((target("avx2"))) void GroupHashI64(const void* words,
                                                   std::size_t n,
+                                                  std::uint64_t value_seed,
                                                   std::uint64_t seed,
                                                   std::uint64_t* out) {
-  // h = seed ^ (Mix64(Mix64(k ^ C1)) + K): the HashU64(k, 1) inner mix
-  // followed by HashCombine's outer mix, with the seed-dependent parts
-  // folded into constants (see the scalar arm for the reference form).
-  const std::uint64_t c1 =
-      0xff51afd7ed558ccdULL + 0xc4ceb9fe1a85ec53ULL;  // HashU64 seed==1
+  // h = seed ^ (Mix64(Mix64(w ^ C1)) + K): the HashU64(w, value_seed)
+  // inner mix followed by HashCombine's outer mix, with the seed-dependent
+  // parts folded into constants (see the scalar arm for the reference
+  // form).
+  const std::uint64_t c1 = value_seed * 0xff51afd7ed558ccdULL +
+                           0xc4ceb9fe1a85ec53ULL;  // HashU64's seed term
   const std::uint64_t kadd =
       0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2);
   const __m256i vc1 = _mm256_set1_epi64x(static_cast<long long>(c1));
@@ -258,21 +276,24 @@ __attribute__((target("avx2"))) void GroupHashI64(const std::int64_t* keys,
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
+        _mm256_loadu_si256(static_cast<const __m256i*>(WordPtr(words, i)));
     x = Mix64V(Mix64V(_mm256_xor_si256(x, vc1)));
     x = _mm256_xor_si256(vs, _mm256_add_epi64(x, vk));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), x);
   }
-  if (i < n) scalar::GroupHashI64(keys + i, n - i, seed, out + i);
+  if (i < n) {
+    scalar::GroupHashI64(WordPtr(words, i), n - i, value_seed, seed, out + i);
+  }
 }
 
 __attribute__((target("avx2"))) void GroupHashCombineI64(
-    const std::int64_t* keys, std::size_t n, std::uint64_t* inout) {
-  // h ^= Mix64(Mix64(k ^ C1)) + K + (h << 6) + (h >> 2): HashCombine
+    const void* words, std::size_t n, std::uint64_t value_seed,
+    std::uint64_t* inout) {
+  // h ^= Mix64(Mix64(w ^ C1)) + K + (h << 6) + (h >> 2): HashCombine
   // with a per-lane running hash h, so only the golden-ratio constant
   // folds (see the scalar arm for the reference form).
-  const std::uint64_t c1 =
-      0xff51afd7ed558ccdULL + 0xc4ceb9fe1a85ec53ULL;  // HashU64 seed==1
+  const std::uint64_t c1 = value_seed * 0xff51afd7ed558ccdULL +
+                           0xc4ceb9fe1a85ec53ULL;  // HashU64's seed term
   const __m256i vc1 = _mm256_set1_epi64x(static_cast<long long>(c1));
   const __m256i vk =
       _mm256_set1_epi64x(static_cast<long long>(0x9e3779b97f4a7c15ULL));
@@ -281,14 +302,17 @@ __attribute__((target("avx2"))) void GroupHashCombineI64(
     const __m256i h =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(inout + i));
     __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
+        _mm256_loadu_si256(static_cast<const __m256i*>(WordPtr(words, i)));
     x = _mm256_add_epi64(Mix64V(Mix64V(_mm256_xor_si256(x, vc1))), vk);
     x = _mm256_add_epi64(x, _mm256_add_epi64(_mm256_slli_epi64(h, 6),
                                              _mm256_srli_epi64(h, 2)));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(inout + i),
                         _mm256_xor_si256(h, x));
   }
-  if (i < n) scalar::GroupHashCombineI64(keys + i, n - i, inout + i);
+  if (i < n) {
+    scalar::GroupHashCombineI64(WordPtr(words, i), n - i, value_seed,
+                                inout + i);
+  }
 }
 
 __attribute__((target("avx2"))) void ShardIndexU64(const std::uint64_t* hashes,
@@ -594,26 +618,26 @@ std::size_t FilterByteEq(const std::uint8_t* bytes, std::uint8_t target,
   return scalar::FilterByteEq(bytes, target, n, out_sel);
 }
 
-void GroupHashI64(const std::int64_t* keys, std::size_t n,
+void GroupHashI64(const void* words, std::size_t n, std::uint64_t value_seed,
                   std::uint64_t seed, std::uint64_t* out) {
 #if defined(FWDECAY_SIMD_X86)
   if (g_dispatch.arch == Arch::kAvx2) {
-    avx2::GroupHashI64(keys, n, seed, out);
+    avx2::GroupHashI64(words, n, value_seed, seed, out);
     return;
   }
 #endif
-  scalar::GroupHashI64(keys, n, seed, out);
+  scalar::GroupHashI64(words, n, value_seed, seed, out);
 }
 
-void GroupHashCombineI64(const std::int64_t* keys, std::size_t n,
-                         std::uint64_t* inout) {
+void GroupHashCombineI64(const void* words, std::size_t n,
+                         std::uint64_t value_seed, std::uint64_t* inout) {
 #if defined(FWDECAY_SIMD_X86)
   if (g_dispatch.arch == Arch::kAvx2) {
-    avx2::GroupHashCombineI64(keys, n, inout);
+    avx2::GroupHashCombineI64(words, n, value_seed, inout);
     return;
   }
 #endif
-  scalar::GroupHashCombineI64(keys, n, inout);
+  scalar::GroupHashCombineI64(words, n, value_seed, inout);
 }
 
 void ShardIndexU64(const std::uint64_t* hashes, std::size_t n,

@@ -48,19 +48,23 @@ enum class CmpOp { kEq, kNe, kLt, kLe, kGt, kGe };
 std::size_t FilterByteEq(const std::uint8_t* bytes, std::uint8_t target,
                          std::size_t n, std::uint32_t* out_sel);
 
-/// Group-key hash of an int64 key column (the first column of an
-/// all-int64 key; GroupHashCombineI64 folds in the rest): out[i] is exactly
-/// HashCombine(seed, HashU64(uint64(keys[i]), /*seed=*/1)) — the same
-/// value the generic per-Value loop produces (util/hash.h + Value::Hash).
-void GroupHashI64(const std::int64_t* keys, std::size_t n,
+/// Group-key hash of a key column (the first column of a group key;
+/// GroupHashCombineI64 folds in the rest). A key column is n 8-byte
+/// words: int64 values, or double bit patterns (DESIGN.md §13.1), so
+/// the kernels take it untyped and copy each word out. out[i] is exactly
+/// HashCombine(seed, HashU64(words[i], value_seed)); with value_seed 1
+/// for an int64 column and 2 for a double column, HashU64(words[i],
+/// value_seed) is Value::Hash of the row's value.
+void GroupHashI64(const void* words, std::size_t n, std::uint64_t value_seed,
                   std::uint64_t seed, std::uint64_t* out);
 
-/// Folds one more int64 key column into running group hashes:
-/// inout[i] = HashCombine(inout[i], HashU64(uint64(keys[i]), 1)). After
-/// GroupHashI64 over column 0 and this kernel over each further column
-/// in order, inout[i] equals HashKey of the row's boxed all-int key.
-void GroupHashCombineI64(const std::int64_t* keys, std::size_t n,
-                         std::uint64_t* inout);
+/// Folds one more key column into running group hashes:
+/// inout[i] = HashCombine(inout[i], HashU64(words[i], value_seed)).
+/// After GroupHashI64 over column 0 and this kernel over each further
+/// column in order, inout[i] is the row's group hash, for int64 and
+/// double columns alike.
+void GroupHashCombineI64(const void* words, std::size_t n,
+                         std::uint64_t value_seed, std::uint64_t* inout);
 
 /// Batch-partition kernel for shard routing (DESIGN.md §14.1): out[i] is
 /// exactly HashU64(hashes[i], seed) % num_shards — the group hash
@@ -107,10 +111,10 @@ namespace scalar {
 
 std::size_t FilterByteEq(const std::uint8_t* bytes, std::uint8_t target,
                          std::size_t n, std::uint32_t* out_sel);
-void GroupHashI64(const std::int64_t* keys, std::size_t n,
+void GroupHashI64(const void* words, std::size_t n, std::uint64_t value_seed,
                   std::uint64_t seed, std::uint64_t* out);
-void GroupHashCombineI64(const std::int64_t* keys, std::size_t n,
-                         std::uint64_t* inout);
+void GroupHashCombineI64(const void* words, std::size_t n,
+                         std::uint64_t value_seed, std::uint64_t* inout);
 void ShardIndexU64(const std::uint64_t* hashes, std::size_t n,
                    std::uint64_t seed, std::uint32_t num_shards,
                    std::uint32_t* out);

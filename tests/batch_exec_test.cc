@@ -9,9 +9,12 @@
 #include <unistd.h>
 
 #include <bit>
+#include <cmath>
+#include <compare>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -409,6 +412,94 @@ TEST(BatchDifferentialTest, MixedIntDoubleKeys) {
   RunBatchDifferential(kMixedKeyQuery, options, nullptr);
 }
 
+// Double key columns are grouped, hashed and ordered by bit pattern
+// (DESIGN.md §13.1): NaNs with one bit pattern are one group, -0.0 and
+// +0.0 are two, and groups sort in IEEE totalOrder (-NaN < -inf < ... <
+// -0.0 < +0.0 < ... < +inf < +NaN). ln of a negative number is NaN and
+// ln(0) is -inf, so the first and third keys are mostly NaN; the second
+// is -0.0 for srcPort < 30000 and +0.0 otherwise.
+const char* const kDoubleKeyQueries[] = {
+    "select k, count(*), sum(len) from TCP group by ln(srcPort - 30000) as k",
+    "select k, count(*), sum(len) from TCP "
+    "group by (0.0 - (len - len)) * (srcPort - 30000) as k",
+    "select k, count(*), sum(len) from TCP group by ln(destPort - 1000) as k",
+};
+
+// `rs` (columns k, count, sum) has one row per distinct bit pattern of
+// the query's key over the trace's TCP packets, with that pattern's
+// packet count, in totalOrder.
+void ExpectOneGroupPerKeyBits(const std::string& gsql,
+                              const std::vector<Packet>& trace,
+                              const ResultSet& rs) {
+  ParseResult parsed = ParseQuery(gsql);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  const Expr& key = *parsed.query->group_by[0].expr;
+  std::map<std::uint64_t, std::int64_t> want;  // key bits -> packets
+  for (const Packet& p : trace) {
+    if (p.protocol != kProtoTcp) continue;
+    ++want[std::bit_cast<std::uint64_t>(EvalExpr(key, p).AsDouble())];
+  }
+  ASSERT_EQ(rs.rows.size(), want.size()) << gsql;
+  for (std::size_t r = 0; r < rs.rows.size(); ++r) {
+    const double k = rs.rows[r][0].AsDouble();
+    const auto it = want.find(std::bit_cast<std::uint64_t>(k));
+    ASSERT_NE(it, want.end()) << gsql << ": row " << r;
+    EXPECT_EQ(rs.rows[r][1].AsInt(), it->second) << gsql << ": row " << r;
+    if (r > 0) {
+      EXPECT_TRUE(std::strong_order(rs.rows[r - 1][0].AsDouble(), k) < 0)
+          << gsql << ": rows " << r - 1 << ", " << r << " out of order";
+    }
+  }
+}
+
+TEST(BatchDifferentialTest, DoubleKeysGroupByBitPattern) {
+  CompiledQuery::Options two_level;
+  two_level.two_level = true;
+  two_level.low_level_slots = 16;
+  const std::vector<Packet> trace = MakeTrace(20000);
+  for (const char* gsql : kDoubleKeyQueries) {
+    RunBatchDifferential(gsql, {}, nullptr);
+    RunBatchDifferential(gsql, two_level, nullptr);
+    for (const CompiledQuery::Options& options : {CompiledQuery::Options{},
+                                                  two_level}) {
+      auto plan = MustCompile(gsql, options);
+      ASSERT_NE(plan, nullptr);
+      auto exec = plan->NewExecution();
+      for (const PacketBatch& b : Rebatch(trace, 256)) exec->Consume(b);
+      exec->CheckInvariants();
+      ExpectOneGroupPerKeyBits(gsql, trace, exec->Finish());
+    }
+  }
+
+  // The named cases: one NaN group of many packets, and -0.0 before
+  // +0.0 as two groups.
+  auto nan_plan = MustCompile(kDoubleKeyQueries[0], {});
+  ASSERT_NE(nan_plan, nullptr);
+  auto nan_exec = nan_plan->NewExecution();
+  for (const PacketBatch& b : Rebatch(trace, 256)) nan_exec->Consume(b);
+  // std::log returns one NaN bit pattern for every negative argument.
+  std::size_t nan_rows = 0;
+  std::int64_t nan_packets = 0;
+  for (const auto& row : nan_exec->Finish().rows) {
+    if (!std::isnan(row[0].AsDouble())) continue;
+    ++nan_rows;
+    nan_packets += row[1].AsInt();
+  }
+  EXPECT_EQ(nan_rows, 1u);
+  EXPECT_GT(nan_packets, 1);
+
+  auto zero_plan = MustCompile(kDoubleKeyQueries[1], {});
+  ASSERT_NE(zero_plan, nullptr);
+  auto zero_exec = zero_plan->NewExecution();
+  for (const PacketBatch& b : Rebatch(trace, 256)) zero_exec->Consume(b);
+  const ResultSet zero_rs = zero_exec->Finish();
+  ASSERT_EQ(zero_rs.rows.size(), 2u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(zero_rs.rows[0][0].AsDouble()),
+            std::bit_cast<std::uint64_t>(-0.0));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(zero_rs.rows[1][0].AsDouble()),
+            std::bit_cast<std::uint64_t>(0.0));
+}
+
 TEST(BatchDifferentialTest, OddBatchSizesAndPartialTails) {
   // Batch boundaries must be invisible: capacity 1 (degenerate), a
   // prime, and a capacity larger than the trace all agree.
@@ -528,6 +619,29 @@ TEST(ShardedDifferentialTest, PerShardSheddingBound) {
   pipeline->CheckInvariants();  // audits <= max_groups per shard
   EXPECT_LE(pipeline->GroupCount(), 4 * policy.max_groups);
   EXPECT_GT(pipeline->groups_shed(), 0u);
+}
+
+// The pipeline's k-way merge of shard-sorted groups is the single-thread
+// sort only under a strict total order on keys: NaN and signed-zero
+// double keys included.
+TEST(ShardedDifferentialTest, DoubleKeysBitIdenticalAcrossShardCounts) {
+  const std::vector<Packet> trace = MakeTrace(20000);
+  const std::vector<PacketBatch> batches = Rebatch(trace, 256);
+  for (const char* gsql : kDoubleKeyQueries) {
+    auto plan = MustCompile(gsql, {});
+    ASSERT_NE(plan, nullptr);
+    auto reference = plan->NewExecution();
+    for (const Packet& p : trace) reference->Consume(p);
+    const ResultSet want = reference->Finish();
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
+                                     std::size_t{3}}) {
+      SCOPED_TRACE(std::string(gsql) + " at " + std::to_string(shards) +
+                   " shards");
+      auto pipeline = RunPipeline(*plan, shards, batches);
+      pipeline->CheckInvariants();
+      ExpectBitIdentical(pipeline->Finish(), want);
+    }
+  }
 }
 
 // --- Segment exactness ------------------------------------------------------

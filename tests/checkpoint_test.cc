@@ -4,6 +4,7 @@
 // snapshot rejection, snapshot byte-determinism, and overload shedding
 // driven by forward-decayed group weights.
 
+#include <cstddef>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -13,6 +14,8 @@
 #include "dsms/netgen.h"
 #include "dsms/udafs.h"
 #include "gtest/gtest.h"
+#include "util/bytes.h"
+#include "util/crc32c.h"
 #include "util/fault_fs.h"
 
 namespace fwdecay::dsms {
@@ -326,6 +329,85 @@ TEST_F(CheckpointTest, RestoreRejectsDifferentQueryPlan) {
   ASSERT_NE(two_level, nullptr) << error;
   auto victim2 = two_level->NewExecution();
   EXPECT_FALSE(victim2->Restore(path_, &error));
+}
+
+// A FWDSNAP1 image with bytes [at, at + len) of its payload replaced by
+// `replacement` and the frame rebuilt: payload length and CRC32C are
+// recomputed, so only Restore's structural checks can reject it.
+std::vector<std::uint8_t> SplicePayload(const std::vector<std::uint8_t>& image,
+                                        std::size_t at, std::size_t len,
+                                        const std::vector<std::uint8_t>& with) {
+  constexpr std::size_t kHeader = 24;  // magic, version, CRC32C, length
+  std::vector<std::uint8_t> payload(image.begin() + kHeader, image.end());
+  payload.erase(payload.begin() + static_cast<std::ptrdiff_t>(at),
+                payload.begin() + static_cast<std::ptrdiff_t>(at + len));
+  payload.insert(payload.begin() + static_cast<std::ptrdiff_t>(at),
+                 with.begin(), with.end());
+  ByteWriter out;
+  out.WriteBytes(image.data(), 12);  // magic + version
+  out.WriteU32(Crc32c(payload.data(), payload.size()));
+  out.WriteU64(payload.size());
+  out.WriteBytes(payload.data(), payload.size());
+  return out.Take();
+}
+
+// Every group key column has the plan's static type, so a snapshot whose
+// key frame carries another type's tag is corrupt: restoring it would
+// file a key that no live row ever equals, and the next packets of that
+// destPort would open a second group beside it.
+TEST_F(CheckpointTest, RestoreRejectsKeyOfWrongType) {
+  TraceConfig cfg;
+  cfg.seed = 7;
+  cfg.num_servers = 4;
+  cfg.ports_per_server = 1;
+  PacketGenerator gen(cfg);
+  const std::vector<Packet> packets = gen.Generate(5000);
+  for (const bool two_level : {false, true}) {
+    SCOPED_TRACE(two_level ? "two-level" : "one-level");
+    CompiledQuery::Options opts;
+    opts.two_level = two_level;
+    opts.low_level_slots = 64;
+    std::string error;
+    auto plan = CompiledQuery::Compile(
+        "select destPort, count(*) from TCP group by destPort", &error, opts);
+    ASSERT_NE(plan, nullptr) << error;
+    auto exec = plan->NewExecution();
+    for (const Packet& p : packets) exec->Consume(p);
+    std::vector<std::uint8_t> image;
+    ASSERT_TRUE(exec->CheckpointBytes(&image, &error)) << error;
+
+    // Payload: 81 bytes of plan and counters, the u32 low-slot count,
+    // then a one-level plan's u32 group count or a two-level plan's
+    // first low slot (u64 index, u64 hash); then that group's u32 key
+    // arity and its first key column's tag and 8 value bytes.
+    const std::size_t tag_at = two_level ? 81 + 4 + 16 + 4 : 81 + 4 + 4 + 4;
+    ASSERT_EQ(image[24 + tag_at - 4], 1u);  // key arity 1
+    ASSERT_EQ(image[24 + tag_at], 0u);      // int64 tag
+    std::vector<std::uint8_t> key_frame(image.begin() + 24 + tag_at,
+                                        image.begin() + 24 + tag_at + 9);
+
+    // The reframing itself is sound: the unchanged key restores.
+    auto control = plan->NewExecution();
+    const auto same = SplicePayload(image, tag_at, 9, key_frame);
+    EXPECT_TRUE(control->RestoreBytes(same.data(), same.size(), &error))
+        << error;
+
+    // The int64's bytes re-tagged as a double.
+    key_frame[0] = 1;
+    const auto as_double = SplicePayload(image, tag_at, 9, key_frame);
+    auto victim = plan->NewExecution();
+    EXPECT_FALSE(
+        victim->RestoreBytes(as_double.data(), as_double.size(), &error));
+    EXPECT_NE(error.find("group corrupt"), std::string::npos) << error;
+
+    // A well-formed string key frame: tag 2, u32 length, bytes.
+    const std::vector<std::uint8_t> as_string_key = {2, 2, 0, 0, 0, '8', '0'};
+    const auto as_string = SplicePayload(image, tag_at, 9, as_string_key);
+    auto victim2 = plan->NewExecution();
+    EXPECT_FALSE(
+        victim2->RestoreBytes(as_string.data(), as_string.size(), &error));
+    EXPECT_NE(error.find("group corrupt"), std::string::npos) << error;
+  }
 }
 
 // --- Overload shedding -----------------------------------------------------

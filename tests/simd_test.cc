@@ -339,10 +339,9 @@ TEST(SimdDifferential, FilterByteEq) {
 }
 
 TEST(SimdDifferential, GroupHashI64MatchesGenericHash) {
-  // The kernel's contract is exact equality with the per-Value hash the
-  // engine computes on the generic path: HashCombine(seed,
-  // HashU64(uint64(key), 1)). Checked against both the scalar oracle
-  // and that closed form.
+  // The kernel's contract is exact equality with the per-Value hash of
+  // an int64 column: HashCombine(seed, HashU64(uint64(key), 1)). Checked
+  // against both the scalar oracle and that closed form.
   for (const std::size_t n : kLengths) {
     std::vector<std::int64_t> keys(n);
     FillInt64(0xd000 + n, &keys);
@@ -353,8 +352,8 @@ TEST(SimdDifferential, GroupHashI64MatchesGenericHash) {
     if (n > 2) keys[1] = std::numeric_limits<std::int64_t>::max();
     const std::uint64_t seed = 0x12345678abcdef01ULL;  // engine group seed
     std::vector<std::uint64_t> got(n + 1, kGuard64), want(n + 1, kGuard64);
-    simd::GroupHashI64(keys.data(), n, seed, got.data());
-    simd::scalar::GroupHashI64(keys.data(), n, seed, want.data());
+    simd::GroupHashI64(keys.data(), n, 1, seed, got.data());
+    simd::scalar::GroupHashI64(keys.data(), n, 1, seed, want.data());
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(got[i], want[i]) << "n=" << n << " i=" << i;
       const std::uint64_t closed = HashCombine(
@@ -375,8 +374,8 @@ TEST(SimdDifferential, GroupHashCombineI64MatchesScalarOracle) {
     for (std::uint64_t& h : running) h = SplitMix64(&state);
     std::vector<std::uint64_t> got(running), want(running);
     got.push_back(kGuard64);
-    simd::GroupHashCombineI64(keys.data(), n, got.data());
-    simd::scalar::GroupHashCombineI64(keys.data(), n, want.data());
+    simd::GroupHashCombineI64(keys.data(), n, 1, got.data());
+    simd::scalar::GroupHashCombineI64(keys.data(), n, 1, want.data());
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(got[i], want[i]) << "n=" << n << " i=" << i;
       ASSERT_EQ(got[i],
@@ -388,29 +387,93 @@ TEST(SimdDifferential, GroupHashCombineI64MatchesScalarOracle) {
   }
 }
 
-TEST(SimdDifferential, ColumnwiseKeyHashMatchesBoxedHashKey) {
-  // The engine hashes all-int64 keys column by column: GroupHashI64 over
-  // column 0, then GroupHashCombineI64 per further column. That must
-  // equal HashKey of the boxed key — the per-Value combine the generic
-  // path, snapshot restore and the invariant audit use — at every arity.
-  constexpr std::size_t kRows = 37;
-  for (std::size_t arity = 1; arity <= 4; ++arity) {
-    std::vector<std::vector<std::int64_t>> cols(
-        arity, std::vector<std::int64_t>(kRows));
-    for (std::size_t g = 0; g < arity; ++g) FillInt64(0xf000 + g, &cols[g]);
-    cols[arity - 1][0] = std::numeric_limits<std::int64_t>::max();
-    std::vector<std::uint64_t> got(kRows);
-    simd::GroupHashI64(cols[0].data(), kRows, dsms::kGroupHashSeed,
-                       got.data());
-    for (std::size_t g = 1; g < arity; ++g) {
-      simd::GroupHashCombineI64(cols[g].data(), kRows, got.data());
+// One key column in both forms: its 8-byte words (the kernels' input)
+// and the Values the boxed per-row hash reads.
+struct KeyColumn {
+  std::vector<std::uint64_t> words;
+  std::vector<dsms::Value> values;
+};
+
+KeyColumn MakeKeyColumn(bool is_double, std::uint64_t seed, std::size_t n) {
+  KeyColumn col;
+  if (is_double) {
+    // Ordinary values and every special, NaN payloads and both zero
+    // signs included, each appearing many times over a long column.
+    std::vector<double> d(n);
+    FillDoubles(seed, &d);
+    const std::vector<double> specials = SpecialDoubles();
+    for (std::size_t i = 0; i < n && i < specials.size(); ++i) {
+      d[i] = specials[i];
     }
-    for (std::size_t i = 0; i < kRows; ++i) {
-      std::uint64_t want = dsms::kGroupHashSeed;
-      for (std::size_t g = 0; g < arity; ++g) {
-        want = HashCombine(want, dsms::Value(cols[g][i]).Hash());
+    for (const double x : d) {
+      col.words.push_back(BitsOf(x));
+      col.values.emplace_back(x);
+    }
+  } else {
+    std::vector<std::int64_t> v(n);
+    FillInt64(seed, &v);
+    if (n > 0) v[0] = std::numeric_limits<std::int64_t>::max();
+    if (n > 1) v[1] = std::numeric_limits<std::int64_t>::min();
+    for (const std::int64_t x : v) {
+      col.words.push_back(static_cast<std::uint64_t>(x));
+      col.values.emplace_back(x);
+    }
+  }
+  return col;
+}
+
+TEST(SimdDifferential, ColumnwiseKeyHashMatchesBoxedHashKey) {
+  // The engine hashes a key column by column: GroupHashI64 over column
+  // 0, then GroupHashCombineI64 per further column, each under its
+  // column's value seed (1 int64, 2 double). That must equal the
+  // HashCombine of Value::Hash over the boxed key at every arity, for
+  // every int/double mix, at every seam length, on both arms.
+  using Hash0 = void (*)(const void*, std::size_t, std::uint64_t,
+                         std::uint64_t, std::uint64_t*);
+  using HashN = void (*)(const void*, std::size_t, std::uint64_t,
+                         std::uint64_t*);
+  struct Arm {
+    const char* name;
+    Hash0 first;
+    HashN rest;
+  };
+  const Arm arms[] = {
+      {"dispatched", simd::GroupHashI64, simd::GroupHashCombineI64},
+      {"scalar", simd::scalar::GroupHashI64,
+       simd::scalar::GroupHashCombineI64},
+  };
+  for (std::size_t arity = 1; arity <= 4; ++arity) {
+    for (unsigned mask = 0; mask < (1u << arity); ++mask) {  // bit g: double
+      for (const std::size_t n : kLengths) {
+        std::vector<KeyColumn> cols;
+        for (std::size_t g = 0; g < arity; ++g) {
+          cols.push_back(MakeKeyColumn((mask >> g & 1) != 0,
+                                       0xf000 + 16 * g + n, n));
+        }
+        std::vector<std::uint64_t> want(n, dsms::kGroupHashSeed);
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t g = 0; g < arity; ++g) {
+            want[i] = HashCombine(want[i], cols[g].values[i].Hash());
+          }
+        }
+        for (const Arm& arm : arms) {
+          std::vector<std::uint64_t> got(n + 1, kGuard64);
+          const auto seed_of = [&](std::size_t g) -> std::uint64_t {
+            return (mask >> g & 1) != 0 ? 2 : 1;
+          };
+          arm.first(cols[0].words.data(), n, seed_of(0), dsms::kGroupHashSeed,
+                    got.data());
+          for (std::size_t g = 1; g < arity; ++g) {
+            arm.rest(cols[g].words.data(), n, seed_of(g), got.data());
+          }
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(got[i], want[i])
+                << arm.name << " arity=" << arity << " mask=" << mask
+                << " n=" << n << " row=" << i;
+          }
+          EXPECT_EQ(got[n], kGuard64) << arm.name << " wrote past n";
+        }
       }
-      ASSERT_EQ(got[i], want) << "arity=" << arity << " row=" << i;
     }
   }
 }

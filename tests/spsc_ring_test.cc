@@ -367,7 +367,8 @@ std::vector<std::unique_ptr<QueryExecution>> RunPartitioned(
     keys.assign(b.src_port(), b.src_port() + n);
     hashes.resize(n);
     shard_of.resize(n);
-    simd::GroupHashI64(keys.data(), n, dsms::kGroupHashSeed, hashes.data());
+    simd::GroupHashI64(keys.data(), n, /*value_seed=*/1, dsms::kGroupHashSeed,
+                       hashes.data());
     simd::ShardIndexU64(hashes.data(), n, dsms::kShardRouteSeed,
                         static_cast<std::uint32_t>(num_shards),
                         shard_of.data());
