@@ -9,21 +9,14 @@
 #   FWDECAY_AUDIT     ON enables the invariant-contract layer: the fuzz
 #                     and property suites then run a full CheckInvariants
 #                     audit after every mutating op   [default: OFF]
-#   FWDECAY_SHARDS    max shard count for the bench_ingest pipeline
-#                     sweep (powers of two, 1..N); forwarded as
-#                     --shards                          [default: 8]
-#   FWDECAY_RING      per-shard SPSC ring capacity in batches (power of
-#                     two >= 2); forwarded as --ring      [default: 64]
 #   FWDECAY_METRICS   OFF compiles the self-instrumentation layer to
-#                     no-ops (DESIGN.md §9); bench_ingest rows record
-#                     which setting produced them         [default: ON]
+#                     no-ops (DESIGN.md §9)               [default: ON]
 #   FWDECAY_SIMD      on | off | force-scalar (DESIGN.md §13.4):
 #                     `off` configures -DFWDECAY_SIMD=OFF (vector arms
 #                     compiled out); `force-scalar` keeps the default
 #                     build but exports FWDECAY_FORCE_SCALAR=1 so
-#                     dispatch pins to the scalar arms at startup —
-#                     bench_ingest rows record the arm that actually
-#                     ran in their "simd" field          [default: on]
+#                     dispatch pins to the scalar arms at
+#                     startup                            [default: on]
 #   FWDECAY_SCHED     ON routes fwdecay::Mutex and sched::Atomic through
 #                     the schedule-exploring model checker (DESIGN.md
 #                     §10): tests/sched_test.cc then explores real
@@ -41,12 +34,6 @@
 #                     ingests, polls, scrapes /metrics, SIGKILLs it,
 #                     restarts on the same data dir, and verifies every
 #                     acknowledged batch survived       [default: OFF]
-#   FWDECAY_ANALYZE   dataflow prepends the interprocedural static
-#                     analysis gate (DESIGN.md §12): the analyzer
-#                     selftest, then the full-tree taint +
-#                     hotpath-purity pass — the same invocation as the
-#                     CI `dataflow` job. Any finding aborts the run
-#                     before the build.                 [default: off]
 #   CMAKE_GENERATOR   only applied when BUILD_DIR is fresh; an existing
 #                     tree keeps whatever generator configured it (cmake
 #                     hard-errors on a generator mismatch otherwise).
@@ -56,8 +43,6 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build}"
 CMAKE_BUILD_TYPE="${CMAKE_BUILD_TYPE:-Release}"
 FWDECAY_AUDIT="${FWDECAY_AUDIT:-OFF}"
-FWDECAY_SHARDS="${FWDECAY_SHARDS:-8}"
-FWDECAY_RING="${FWDECAY_RING:-64}"
 FWDECAY_METRICS="${FWDECAY_METRICS:-ON}"
 FWDECAY_SIMD="${FWDECAY_SIMD:-on}"
 FWDECAY_SCHED="${FWDECAY_SCHED:-OFF}"
@@ -67,16 +52,6 @@ FWDECAY_SERVER="${FWDECAY_SERVER:-OFF}"
 # they need.
 export FWDECAY_SCHED_SEED="${FWDECAY_SCHED_SEED:-}"
 export FWDECAY_SCHED_REPLAY="${FWDECAY_SCHED_REPLAY:-}"
-FWDECAY_ANALYZE="${FWDECAY_ANALYZE:-}"
-
-if [[ "${FWDECAY_ANALYZE}" == "dataflow" ]]; then
-  # Mirrors CI's `dataflow` job: fixtures must be caught, tree must be
-  # clean. Engine selection stays `auto` so the gate also runs on
-  # toolchains without python3-clang (the rule set is identical).
-  python3 scripts/analyze.py --selftest
-  python3 scripts/analyze.py --rules taint,hotpath-purity \
-    --findings-out dataflow-findings.txt
-fi
 
 # FWDECAY_SIMD: `off` is a build-time switch, `force-scalar` a runtime
 # one; both end with the scalar arms carrying the whole run.
@@ -111,11 +86,6 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure 2>&1 | tee test_output.txt
 {
   for b in "${BUILD_DIR}"/bench/bench_fig*; do "$b"; done
   "./${BUILD_DIR}/bench/bench_micro"
-  # Ingest-path throughput sweep (per-tuple / batched / pipeline);
-  # appends a JSON line per mode+shard-count to
-  # BENCH_ingest.json at the repo root.
-  INGEST_ARGS=("--shards=${FWDECAY_SHARDS}" "--ring=${FWDECAY_RING}")
-  "./${BUILD_DIR}/bench/bench_ingest" "${INGEST_ARGS[@]}"
 } 2>&1 | tee bench_output.txt
 
 if [[ "${FWDECAY_SERVER}" == "ON" ]]; then

@@ -6,8 +6,8 @@
 #
 # This is the crash-recovery contract of DESIGN.md §11.3 exercised
 # against the real binary from the outside — the in-tree twin of
-# tests/server_crash_test.cc, runnable by CI (server-smoke job) and by
-# `FWDECAY_SERVER=ON scripts/reproduce.sh`.
+# tests/server_crash_test.cc, run by CI (natively in build-test, under
+# ASan/UBSan in asan-ubsan) and by `FWDECAY_SERVER=ON scripts/reproduce.sh`.
 #
 # Environment knobs:
 #   BUILD_DIR   build tree holding fwdecayd + serving_quickstart

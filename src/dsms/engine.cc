@@ -47,8 +47,7 @@ std::uint64_t WordSeed(ExprType type) {
 
 // Group hash of n keys, column at a time (`column(g)`: column g's n
 // words): HashCombine from kGroupHashSeed of each column's
-// HashU64(word, WordSeed), which is its Value::Hash. A stored key
-// (restore, audit) passes its words as n = 1 columns.
+// HashU64(word, WordSeed), which is its Value::Hash.
 template <class Column>
 void HashKeys(const std::vector<ExprType>& types, const Column& column,
               std::size_t n, std::uint64_t* out) {
@@ -62,10 +61,19 @@ void HashKeys(const std::vector<ExprType>& types, const Column& column,
   }
 }
 
+// HashKeys of one stored key (restore, audit), through the scalar arms,
+// which are bit-identical to the vector ones (DESIGN.md §13.4). At n = 1
+// a vector arm has nothing to vectorize, and a dispatched call per key
+// cost more than the scalar loop: RestoreBytes of the paper's one-level
+// count/sum plan took 1.1 ms against 0.6 ms (AVX2, 4-vCPU Xeon VM).
 std::uint64_t WordsHash(const std::vector<ExprType>& types,
                         const std::uint64_t* key) {
+  if (types.empty()) return kGroupHashSeed;
   std::uint64_t h = 0;
-  HashKeys(types, [key](std::size_t g) { return key + g; }, 1, &h);
+  simd::scalar::GroupHashI64(key, 1, WordSeed(types[0]), kGroupHashSeed, &h);
+  for (std::size_t g = 1; g < types.size(); ++g) {
+    simd::scalar::GroupHashCombineI64(key + g, 1, WordSeed(types[g]), &h);
+  }
   return h;
 }
 
@@ -665,9 +673,7 @@ struct QueryExecution::HighTable {
   }
 
   // Inserts a shell whose key is already in place. The caller has
-  // established absence via Probe (restore paths may insert duplicates
-  // from hostile snapshots; CheckInvariants rejects them afterwards,
-  // exactly as the chained table did).
+  // established absence via Probe.
   void Insert(std::uint64_t hash, Group* g) {
     if (slots.empty() || (size + 1) * 8 > (mask + 1) * 7) Grow();
     InsertNoGrow(hash, g);
@@ -1557,8 +1563,11 @@ bool QueryExecution::RestoreBytes(const std::uint8_t* data, std::size_t size,
   for (std::uint32_t i = 0; i < occupied; ++i) {
     std::uint64_t index = 0;
     std::uint64_t hash = 0;
+    // A slot sits at its hash's home: a tenant filed anywhere else is
+    // one no row's probe would ever hit.
     if (!payload.ReadU64(&index) || index >= low_table_.size() ||
-        !payload.ReadU64(&hash) || low_table_[index].occupied) {
+        !payload.ReadU64(&hash) || hash % low_table_.size() != index ||
+        low_table_[index].occupied) {
       *error = "snapshot low-level table corrupt";
       return false;
     }
@@ -1571,6 +1580,10 @@ bool QueryExecution::RestoreBytes(const std::uint8_t* data, std::size_t size,
     slot.occupied = true;
     ++low_occupied_;
     slot.hash = hash;
+    if (WordsHash(plan_->key_types_, slot.group.key) != hash) {
+      *error = "snapshot low-level slot hash does not match its key";
+      return false;
+    }
   }
 
   std::uint32_t n_groups = 0;
@@ -1587,7 +1600,19 @@ bool QueryExecution::RestoreBytes(const std::uint8_t* data, std::size_t size,
       *error = "snapshot group corrupt";
       return false;
     }
-    high_->Insert(WordsHash(plan_->key_types_, g->key), g);
+    const std::uint64_t key_hash = WordsHash(plan_->key_types_, g->key);
+    std::size_t slot = 0;
+    if (!high_->slots.empty()) {
+      // fwdecay: taint-ok(Probe masks the hash with the table mask)
+      slot = high_->Probe(key_hash, g->key);
+      if (high_->slots[slot] != nullptr) {
+        plan_->agg_layout_.Destroy(g->states);
+        high_->free_shells.push_back(g);
+        *error = "snapshot lists a group twice";
+        return false;
+      }
+    }
+    high_->InsertAt(slot, key_hash, g);
     ++high_group_count_;
   }
   if (!payload.Exhausted()) {

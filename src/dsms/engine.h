@@ -385,7 +385,7 @@ metrics::LatencyReservoir* CheckpointLatencyReservoir();
 inline constexpr std::uint64_t kShardRouteSeed = 0x5ca1ab1e0ddba11ULL;
 
 /// Shared-nothing pipelined execution (DESIGN.md §14) — the engine's
-/// parallel-ingest path ("spsc-v2" in BENCH_ingest.json).
+/// parallel-ingest path.
 ///
 /// One routing stage (the caller's thread) filters each batch, hashes
 /// the group keys, partitions the surviving rows by the remixed group

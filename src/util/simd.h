@@ -30,7 +30,7 @@ enum class Arch { kScalar, kAvx2, kNeon };
 /// The arm every dispatched kernel below routes to; fixed at startup.
 Arch ActiveArch();
 
-/// "scalar" | "avx2" | "neon" — recorded in BENCH_ingest.json rows.
+/// "scalar" | "avx2" | "neon": the active arm's name.
 const char* ActiveArchName();
 
 /// True if FWDECAY_FORCE_SCALAR pinned the dispatch to scalar.

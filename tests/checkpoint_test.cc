@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -408,6 +409,161 @@ TEST_F(CheckpointTest, RestoreRejectsKeyOfWrongType) {
         victim2->RestoreBytes(as_string.data(), as_string.size(), &error));
     EXPECT_NE(error.find("group corrupt"), std::string::npos) << error;
   }
+}
+
+// A little-endian field of a FWDSNAP1 image, by payload offset.
+template <typename T>
+T PayloadField(const std::vector<std::uint8_t>& image, std::size_t at) {
+  T v;
+  std::memcpy(&v, image.data() + 24 + at, sizeof(v));
+  return v;
+}
+
+template <typename T>
+std::vector<std::uint8_t> FieldBytes(T v) {
+  std::vector<std::uint8_t> out(sizeof(v));
+  std::memcpy(out.data(), &v, sizeof(v));
+  return out;
+}
+
+// Length of the group frame at payload offset `at`, for a plan with one
+// key column and one aggregate: u32 key arity, the key's tag and 8
+// bytes, weight, tuples, then the aggregate's u32-prefixed frame.
+std::size_t GroupFrameLen(const std::vector<std::uint8_t>& image,
+                          std::size_t at) {
+  return 33 + PayloadField<std::uint32_t>(image, at + 29);
+}
+
+// Payload offsets of each low slot (u64 index, u64 hash, group frame),
+// then of the u32 high-group count, for such a plan. The payload opens
+// with 81 bytes of plan and counters and the u32 low-slot count.
+std::vector<std::size_t> SectionOffsets(
+    const std::vector<std::uint8_t>& image) {
+  std::vector<std::size_t> out;
+  std::size_t at = 81 + 4;
+  const auto low = PayloadField<std::uint32_t>(image, 81);
+  for (std::uint32_t i = 0; i < low; ++i) {
+    out.push_back(at);
+    at += 16 + GroupFrameLen(image, at + 16);
+  }
+  out.push_back(at);
+  return out;
+}
+
+// A CRC-valid snapshot must still be one the engine could have written:
+// each group once, each low slot at its hash's home and holding the
+// hash of its own key. Otherwise the restored run silently diverges
+// from the never-crashed one: a group listed twice finishes as two
+// rows, and a misfiled slot is one no row's probe ever hits.
+TEST_F(CheckpointTest, RestoreRejectsHighGroupListedTwice) {
+  TraceConfig cfg;
+  cfg.seed = 7;
+  cfg.num_servers = 4;
+  cfg.ports_per_server = 1;
+  PacketGenerator gen(cfg);
+  const std::vector<Packet> packets = gen.Generate(5000);
+  for (const bool two_level : {false, true}) {
+    SCOPED_TRACE(two_level ? "two-level" : "one-level");
+    CompiledQuery::Options opts;
+    opts.two_level = two_level;
+    opts.low_level_slots = 2;  // four keys in two slots: evictions
+    std::string error;
+    auto plan = CompiledQuery::Compile(
+        "select destIP, count(*) from TCP group by destIP", &error, opts);
+    ASSERT_NE(plan, nullptr) << error;
+    auto exec = plan->NewExecution();
+    for (const Packet& p : packets) exec->Consume(p);
+    std::vector<std::uint8_t> image;
+    ASSERT_TRUE(exec->CheckpointBytes(&image, &error)) << error;
+
+    const std::size_t count_at = SectionOffsets(image).back();
+    const auto n_high = PayloadField<std::uint32_t>(image, count_at);
+    ASSERT_GE(n_high, 2u);
+    const std::size_t first = count_at + 4;
+    const std::size_t len = GroupFrameLen(image, first);
+    const std::vector<std::uint8_t> frame(image.begin() + 24 + first,
+                                          image.begin() + 24 + first + len);
+
+    // The reframing itself is sound: the unchanged section restores.
+    std::vector<std::uint8_t> once = FieldBytes(n_high);
+    once.insert(once.end(), frame.begin(), frame.end());
+    const auto same = SplicePayload(image, count_at, 4 + len, once);
+    auto control = plan->NewExecution();
+    EXPECT_TRUE(control->RestoreBytes(same.data(), same.size(), &error))
+        << error;
+
+    // The first high group's frame twice, and the count bumped to match.
+    std::vector<std::uint8_t> twice = FieldBytes(n_high + 1);
+    twice.insert(twice.end(), frame.begin(), frame.end());
+    twice.insert(twice.end(), frame.begin(), frame.end());
+    const auto dup = SplicePayload(image, count_at, 4 + len, twice);
+    auto victim = plan->NewExecution();
+    EXPECT_FALSE(victim->RestoreBytes(dup.data(), dup.size(), &error));
+    EXPECT_NE(error.find("group twice"), std::string::npos) << error;
+  }
+}
+
+class RestoreLowSlotTest : public CheckpointTest {
+ protected:
+  void SetUp() override {
+    CheckpointTest::SetUp();
+    TraceConfig cfg;
+    cfg.seed = 7;
+    cfg.num_servers = 4;
+    cfg.ports_per_server = 1;
+    PacketGenerator gen(cfg);
+    CompiledQuery::Options opts;
+    opts.two_level = true;
+    opts.low_level_slots = 64;
+    std::string error;
+    plan_ = CompiledQuery::Compile(
+        "select destIP, count(*) from TCP group by destIP", &error, opts);
+    ASSERT_NE(plan_, nullptr) << error;
+    auto exec = plan_->NewExecution();
+    for (const Packet& p : gen.Generate(5000)) exec->Consume(p);
+    ASSERT_TRUE(exec->CheckpointBytes(&image_, &error)) << error;
+    slots_ = SectionOffsets(image_);
+    slots_.pop_back();
+    ASSERT_FALSE(slots_.empty());
+  }
+
+  // Restores `image_` with the first low slot's u64 at payload offset
+  // `field` (0: index, 8: hash) replaced by `value`.
+  bool RestoreWithField(std::size_t field, std::uint64_t value,
+                        std::string* error) {
+    const auto bad =
+        SplicePayload(image_, slots_[0] + field, 8, FieldBytes(value));
+    auto victim = plan_->NewExecution();
+    return victim->RestoreBytes(bad.data(), bad.size(), error);
+  }
+
+  std::unique_ptr<CompiledQuery> plan_;
+  std::vector<std::uint8_t> image_;
+  std::vector<std::size_t> slots_;  // payload offset of each low slot
+};
+
+TEST_F(RestoreLowSlotTest, RejectsHashThatIsNotItsKeys) {
+  const auto hash = PayloadField<std::uint64_t>(image_, slots_[0] + 8);
+  std::string error;
+  ASSERT_TRUE(RestoreWithField(8, hash, &error)) << error;
+  // Bit 40 lies above the 64-slot mask: the slot is still the hash's
+  // home, so only the key's own hash can tell.
+  EXPECT_FALSE(RestoreWithField(8, hash ^ (std::uint64_t{1} << 40), &error));
+  EXPECT_NE(error.find("low-level"), std::string::npos) << error;
+}
+
+TEST_F(RestoreLowSlotTest, RejectsSlotAwayFromItsHashsHome) {
+  std::vector<bool> taken(64, false);
+  for (const std::size_t at : slots_) {
+    taken[PayloadField<std::uint64_t>(image_, at)] = true;
+  }
+  // A free slot, so only the home check can object; the slot's own
+  // index is taken, so this is not its home.
+  std::uint64_t free_index = 0;
+  while (taken[free_index]) ++free_index;
+  std::string error;
+  EXPECT_FALSE(RestoreWithField(0, free_index, &error));
+  EXPECT_NE(error.find("low-level"), std::string::npos) << error;
 }
 
 // --- Overload shedding -----------------------------------------------------
