@@ -1,9 +1,63 @@
 #!/usr/bin/env python3
-"""Semantic analyzer for fwdecay-specific correctness rules.
+"""The repo's source checker: fwdecay's coding conventions and the
+forward-decay paper's model-level invariants, none of which the compiler
+or clang-tidy can express.
 
-These are *model-level* invariants of the forward-decay paper that
-neither the compiler nor clang-tidy can express; scripts/lint.py handles
-the purely syntactic conventions. Nine rules:
+Rules match comment/string-stripped sources (line structure is kept,
+so findings carry real line numbers), except where what they check is
+itself a comment or a literal: include guards, metric names, escapes.
+Each rule checks src/,
+bench/ and examples/ unless its entry says otherwise; tests/ is checked
+by guard, random and escape only. Per-file rules:
+
+  guard          Include guards in headers must be FWDECAY_<PATH>_H_,
+                 where <PATH> is the path relative to the source root
+                 (src/ stripped), upper-cased, with /, ., - mapped to _.
+                 The #endif must carry a `// FWDECAY_..._H_` comment.
+                 Also checks tests/.
+  random         All randomness flows through util/random.h (explicit-
+                 seed xoshiro256++). rand(), srand(), time(nullptr)-
+                 seeding and std::mt19937 are banned elsewhere: they
+                 destroy run-to-run reproducibility of the experiments.
+                 Also checks tests/.
+  throw          Library code (src/ only) is exception-free Google
+                 style: errors are status-style returns or FWDECAY_CHECK
+                 aborts.
+  assert         Naked assert() / <cassert> are banned: FWDECAY_CHECK
+                 aborts in every build type, FWDECAY_DCHECK is the
+                 debug-only form. (tests/ use gtest's assertions.)
+  io             All file I/O in src/ flows through util/fault_fs.h
+                 (crash-safe atomic writes + injectable faults);
+                 fopen/fstream would bypass both the durability
+                 discipline and the fault-injection tests.
+  locking        Concurrency primitives go through
+                 util/thread_annotations.h: a src/ file mentioning
+                 std::mutex / shared_mutex / atomic / condition_variable
+                 must include it, so clang's -Wthread-safety sees the
+                 annotated fwdecay::Mutex types. Raw pthread_* calls and
+                 std::thread::detach() are banned outright: the first
+                 bypasses the annotated layer, the second leaks threads
+                 past every join-based shutdown path.
+  metrics        The observability contract (DESIGN.md §9): (a) src/dsms/
+                 must not read clocks ad hoc (std::chrono/steady_clock)
+                 — timing goes through util/timer.h / util/metrics.h so
+                 FWDECAY_METRICS=OFF removes every site; (b) every name
+                 registered via Get{Counter,Gauge,DecayedRate,Reservoir}
+                 ("...") must match ^fwdecay_[a-z0-9_]+$, mirroring the
+                 runtime check so bad names fail here, not at first
+                 scrape.
+  coldmap        The engine's group tables (src/dsms/engine.{h,cc}) must
+                 not fall back to node-based std::unordered_map /
+                 std::map (a heap node per group, a pointer chase per
+                 probe; DESIGN.md §13.1). Cold-path uses carry
+                 `// fwdecay: coldmap-ok(<reason>)`.
+  escape         Every `// fwdecay: <kind>(<reason>)` escape must use a
+                 kind in ESCAPE_ANCHORS, give a real reason (not empty,
+                 not a `<placeholder>`), and still cover something: an
+                 escape applies to its own line and the next, so one
+                 whose reach lacks what its rule flags (or, for kinds
+                 without an anchor, any code) is stale. Also checks
+                 tests/.
 
   backward-age   Forward decay's whole point (Section IV) is that
                  per-item weights are computed from the *landmark*,
@@ -39,6 +93,27 @@ the purely syntactic conventions. Nine rules:
                  favor of the annotated wrapper (otherwise the clang
                  -Wthread-safety build proves nothing about the class).
 
+  atomics-order  `memory_order_relaxed` is the easiest way to write a
+                 racy publish: a relaxed flag store orders nothing.
+                 Every relaxed use must (a) live in a file on the
+                 RELAXED_ALLOWED audit list and (b) carry
+                 `// fwdecay: relaxed-ok(<reason>)` on the same or
+                 previous line, stating why ordering is not needed
+                 (tests/ are exempt: racy fixtures are the model
+                 checker's job). The audited sites are exactly the ones
+                 tests/sched_test.cc explores under -DFWDECAY_SCHED=ON
+                 weak-memory simulation.
+
+  hotpath-lock   Mutex acquisition inside the batched ingest hot path —
+                 the bodies of UpdateBatch() and Consume() — serializes
+                 the very code the batch layer parallelizes. Each such
+                 acquisition must be annotated
+                 `// fwdecay: hotpath-lock-ok(<reason>)` (e.g. "one
+                 acquisition amortized over the whole batch"), so a
+                 per-tuple lock cannot creep in silently.
+
+Cross-file rules:
+
   lock-order     Global (cross-TU) lock-acquisition graph. Every
                  acquisition made while another lock is held adds an
                  edge held -> acquired; calls made under a lock
@@ -55,25 +130,6 @@ the purely syntactic conventions. Nine rules:
                  exceptions carry `// fwdecay: lock-order-ok(<reason>)`
                  on the acquisition line or the line above.
 
-  atomics-order  `memory_order_relaxed` is the easiest way to write a
-                 racy publish: a relaxed flag store orders nothing.
-                 Every relaxed use in src/, bench/ and examples/ must
-                 (a) live in a file on the RELAXED_ALLOWED audit list
-                 and (b) carry `// fwdecay: relaxed-ok(<reason>)` on
-                 the same or previous line, stating why ordering is
-                 not needed (tests/ are exempt: racy fixtures are the
-                 model checker's job). The audited sites are exactly
-                 the ones tests/sched_test.cc explores under
-                 -DFWDECAY_SCHED=ON weak-memory simulation.
-
-  hotpath-lock   Mutex acquisition inside the batched ingest hot path —
-                 the bodies of UpdateBatch() and Consume() — serializes
-                 the very code the batch layer parallelizes. Each such
-                 acquisition must be annotated
-                 `// fwdecay: hotpath-lock-ok(<reason>)` (e.g. "one
-                 acquisition amortized over the whole batch"), so a
-                 per-tuple lock cannot creep in silently.
-
   taint          Summary-based interprocedural dataflow from untrusted
                  bytes to allocation/index sinks (DESIGN.md §12).
                  Sources: ByteReader Read*/ReadString (journal,
@@ -87,10 +143,11 @@ the purely syntactic conventions. Nine rules:
                  value is cleared ("sanitized") once it crosses an
                  `if (...)`/FWDECAY_CHECK(...) extent containing a
                  comparison, or a std::min/std::clamp — the repo's
-                 hostile-count guard idioms. Per-function summaries
-                 (param -> sink, param -> out-param, return taint)
-                 carry flows across functions and TUs when a bare
-                 callee name resolves to exactly one definition
+                 hostile-count guard idioms — and `h & mask` with an
+                 untainted mask is bounded by the mask. Per-function
+                 summaries (param -> sink, param -> out-param, return
+                 taint) carry flows across functions and TUs when a
+                 bare callee name resolves to exactly one definition
                  (same silence-over-misattribution discipline as
                  lock-order). Audited escapes carry
                  `// fwdecay: taint-ok(<reason>)` on the sink or call
@@ -102,53 +159,29 @@ the purely syntactic conventions. Nine rules:
                  EvalPredicateBatch/EvalExprBatch, core AddBatch — and
                  proves no reachable heap allocation (new/make_unique/
                  make_shared/to_string/malloc, owning-container
-                 construction, growth of non-scratch locals), no
-                 `throw`, no virtual dispatch outside the audited
-                 AggState vtable set {UpdateBatch, UpdateStates},
-                 and no
-                 syscall/clock read. Capacity-retained member scratch
-                 (trailing `_`, DESIGN.md §8) and caller-owned `->`
-                 receivers are the two sanctioned growth targets. Cold
-                 branches carry `// fwdecay: hotpath-cold(<reason>)`
-                 on the call or site line: on a call it prunes the
-                 walk through that edge, on a site it suppresses that
-                 site. Calls resolve when the bare name has exactly one
-                 definition; names in the audited vtable set traverse
-                 every override (any of them can be the dispatch
-                 target). This turns PR 4's "zero per-tuple
-                 allocation" claim into a CI-enforced invariant; the
-                 SIMD/arena hot-path refactor landed on this audited
-                 path and stays gated by it.
+                 construction or temporaries, growth of non-scratch
+                 locals), no `throw`, no virtual dispatch outside the
+                 audited AggState vtable set {UpdateBatch,
+                 UpdateStates}, and no syscall/clock read. src/ only.
+                 Capacity-retained member scratch (trailing `_`,
+                 DESIGN.md §8) and caller-owned `->` receivers are the
+                 two sanctioned growth targets. Cold branches carry
+                 `// fwdecay: hotpath-cold(<reason>)` on the call or
+                 site line: on a call it prunes the walk through that
+                 edge, on a site it suppresses that site. Calls resolve
+                 when the bare name has exactly one definition; names
+                 in the audited vtable set traverse every override (any
+                 of them can be the dispatch target).
 
-Engines: with python clang bindings + libclang available (CI's clang
-job), rules backward-age and exp-pow run on the real AST, which sees
-through macros and rules out matches in dead token sequences. Without
-them (the default dev container has only gcc), a textual engine runs the
-same rule set on comment/string-stripped sources. Both engines share
-the deser-bounds, guarded-by, lock-order, atomics-order and
-hotpath-lock logic, which is inherently lexical (function-extent
-ordering, member-declaration annotations, and comment-carried escape
-hatches). Pass --compile-commands build/compile_commands.json to give
-the AST engine each TU's real flags (CI exports the database once and
-shares it between the analyzer jobs); bench/ and examples/ fall back to
-the textual rules when no database entry covers them.
-
-Usage: scripts/analyze.py [--root DIR] [--engine auto|ast|text]
-                          [--compile-commands PATH] [--selftest]
-                          [--rules R1,R2,...] [--jobs N]
-                          [--findings-out PATH]
---rules selects a comma-separated subset (default: all). --jobs
-parallelizes the per-file rules across TUs with a process pool (the
-cross-file fixpoints — lock-order, taint, hotpath-purity — stay in the
-parent, fed by the same file walk); per-rule wall time prints with the
-summary. --findings-out writes the findings to a file (one
-`file:line: message` per line) for CI artifacts.
-Exit status is 0 when clean, 1 when any finding is reported, 2 when a
-requested engine is unavailable or the selftest fails.
+Usage: scripts/analyze.py [--selftest]
+Prints each finding as `file:line: rule: message`, then the wall time
+of each rule. --selftest instead runs the embedded fixtures (a known-bad
+and a clean case for every rule) through the same rules. Exit status is
+0 when clean, 1 when any finding is reported, 2 when the selftest fails.
 """
 
 import argparse
-import os
+import functools
 import pathlib
 import re
 import sys
@@ -157,6 +190,57 @@ import time
 # ---------------------------------------------------------------------------
 # Shared rule configuration
 # ---------------------------------------------------------------------------
+
+SOURCE_DIRS = ("src", "bench", "examples", "tests")
+SRC_SUFFIXES = (".h", ".cc", ".cpp")
+# What the rules check by default: the library and the binaries that
+# reproduce the paper. tests/ is checked only where a rule says so.
+PRODUCT = ("src/", "bench/", "examples/")
+EVERYWHERE = PRODUCT + ("tests/",)
+
+# util/random.h is the one sanctioned home of PRNG machinery.
+RANDOM_EXEMPT = ("src/util/random.h",)
+
+# util/fault_fs is the one sanctioned home of raw file I/O in src/.
+IO_EXEMPT = ("src/util/fault_fs.h", "src/util/fault_fs.cc")
+
+# The locking layer itself, exempt from locking, guarded-by and
+# lock-order: thread_annotations.h wraps std::mutex and so cannot be
+# required to include itself; util/sched.{h,cc} are the model checker,
+# whose std::mutex/condvar and std::atomic mirrors ARE the layer
+# everything else routes through under -DFWDECAY_SCHED=ON.
+LOCKING_EXEMPT = (
+    "src/util/thread_annotations.h",
+    "src/util/sched.h",
+    "src/util/sched.cc",
+)
+
+RANDOM_BANNED = re.compile(
+    r"(?<![\w:])(?:rand|srand)\s*\(|time\s*\(\s*(?:nullptr|NULL|0)\s*\)"
+    r"|\bmt19937(?:_64)?\b")
+THROW_BANNED = re.compile(r"(?<![\w])throw\b(?!\s*\()")
+ASSERT_BANNED = re.compile(r"(?<![\w.])assert\s*\(|#\s*include\s*<cassert>")
+IO_BANNED = re.compile(
+    r"(?<![\w:])(?:fopen|freopen|open|creat)\s*\("
+    r"|\bstd\s*::\s*(?:o|i)?fstream\b|#\s*include\s*<fstream>")
+LOCKING_PRIMITIVE = re.compile(
+    r"\bstd\s*::\s*(?:mutex|shared_mutex|recursive_mutex|atomic\b"
+    r"|condition_variable)")
+LOCKING_BANNED = re.compile(r"\bpthread_\w+\s*\(|\.\s*detach\s*\(\s*\)")
+THREAD_ANNOTATIONS_INCLUDE = re.compile(
+    r'#\s*include\s*"util/thread_annotations\.h"')
+METRICS_CLOCK_BANNED = re.compile(r"\bstd\s*::\s*chrono\b|\bsteady_clock\b")
+# Matched on raw text: the name is a string literal, which
+# strip_comments_and_strings blanks out of `code`.
+METRICS_REGISTRATION = re.compile(
+    r"Get(?:Counter|Gauge|DecayedRate|Reservoir)\s*\(\s*\"([^\"]*)\"")
+METRIC_NAME_OK = re.compile(r"^fwdecay_[a-z0-9_]+$")
+
+# Engine group-table files where node-based maps are banned (coldmap).
+COLDMAP_FILES = ("src/dsms/engine.h", "src/dsms/engine.cc")
+COLDMAP_RE = re.compile(
+    r"\bstd\s*::\s*(?:unordered_)?map\b"
+    r"|#\s*include\s*<(?:unordered_)?map>")
 
 # Current-time identifiers: a subtraction with one of these on the left
 # is age arithmetic.
@@ -222,20 +306,6 @@ MUTEX_MEMBER_RE = re.compile(
 STD_MUTEX_MEMBER_RE = re.compile(
     r"^\s*(?:mutable\s+)?std\s*::\s*(?:shared_|recursive_)?mutex\s+\w+\s*;",
     re.M)
-# thread_annotations.h wraps std::mutex itself; sched.{h,cc} are the
-# model checker — their std::mutex/condvar ARE the implementation of the
-# virtual-lock layer and live outside the annotated discipline by
-# design (see scripts/lint.py LOCKING_EXEMPT).
-GUARDED_BY_EXEMPT = (
-    "src/util/thread_annotations.h",
-    "src/util/sched.h",
-    "src/util/sched.cc",
-)
-
-# lock-order: files whose lock usage implements the locking layers
-# themselves (their internal std primitives are not participants in the
-# library's lock ordering).
-LOCK_ORDER_EXEMPT = GUARDED_BY_EXEMPT
 
 # atomics-order: audited homes of memory_order_relaxed. Every entry is
 # covered by the memory-order contract comment in util/metrics.h and by
@@ -257,24 +327,44 @@ RELAXED_ALLOWED = {
 }
 
 RELAXED_RE = re.compile(r"\bmemory_order_relaxed\b")
-RELAXED_OK_RE = re.compile(r"fwdecay:\s*relaxed-ok\s*\(")
-LOCK_ORDER_OK_RE = re.compile(r"fwdecay:\s*lock-order-ok\s*\(")
-HOTPATH_LOCK_OK_RE = re.compile(r"fwdecay:\s*hotpath-lock-ok\s*\(")
+
+# RAII acquisition: `MutexLock lock(expr)` and the std lock guards. Only
+# the paren form (the brace form would desync the block-depth scan).
+RAII_LOCK_RE = re.compile(
+    r"\b(?:MutexLock|ModelMutexLock"
+    r"|(?:std\s*::\s*)?(?:lock_guard|unique_lock|scoped_lock)"
+    r"\s*(?:<[^<>]*>)?)\s+\w+\s*\(\s*([^,();]+)")
+EXPLICIT_LOCK_RE = re.compile(
+    r"([\w\]](?:[\w.\->\[\]]*?)?)\s*(?:\.|->)\s*Lock\s*\(\s*\)")
+LOCK_ACQUIRE_RE = re.compile(
+    f"(?:{RAII_LOCK_RE.pattern})|(?:{EXPLICIT_LOCK_RE.pattern})")
 
 # Hot-path entry points whose bodies must not take locks silently.
 HOTPATH_LOCK_FNS = ("UpdateBatch", "Consume")
 
-# taint / hotpath-purity escape hatches (DESIGN.md §12).
-TAINT_OK_RE = re.compile(r"fwdecay:\s*taint-ok\s*\(")
-HOTPATH_COLD_RE = re.compile(r"fwdecay:\s*hotpath-cold\s*\(")
-
-SRC_SUFFIXES = (".h", ".cc", ".cpp")
-SCAN_DIRS = ("src", "bench", "examples")
+# Escape hatches: `// fwdecay: <kind>(<reason>)` suppresses its rule's
+# finding on the escape's own line and ESCAPE_REACH lines below. The
+# anchor is what that rule flags: an escape whose reach has no anchor
+# match (or, for kinds without one, no code at all) suppresses nothing.
+# The negative lookahead keeps `namespace fwdecay::server` out.
+ESCAPE_RE = re.compile(r"\bfwdecay:(?!:)\s*([A-Za-z][\w-]*)\s*\(([^()]*)\)")
+ESCAPE_REACH = 1
+ESCAPE_ANCHORS = {
+    "relaxed-ok": RELAXED_RE,  # atomics-order
+    "lock-order-ok": LOCK_ACQUIRE_RE,  # lock-order
+    "hotpath-lock-ok": LOCK_ACQUIRE_RE,  # hotpath-lock
+    "taint-ok": None,  # taint
+    "hotpath-cold": None,  # hotpath-purity
+    "coldmap-ok": COLDMAP_RE,  # coldmap
+}
+# A reason that is only whitespace or a template placeholder explains
+# nothing.
+ESCAPE_PLACEHOLDER = re.compile(r"^\s*(<[^>]*>)?\s*$")
 
 
 def strip_comments_and_strings(text: str) -> str:
     """Blanks comments and string/char literals, preserving newlines so
-    reported line numbers stay accurate (same contract as lint.py)."""
+    reported line numbers stay accurate."""
     out = []
     i, n = 0, len(text)
     while i < n:
@@ -310,27 +400,168 @@ def line_of(code: str, pos: int) -> int:
     return code[:pos].count("\n") + 1
 
 
-def annotated(raw_lines, line: int, marker: re.Pattern) -> bool:
-    """True when `marker` appears on `line` (1-based) or the line above
-    in the ORIGINAL text — escape hatches live in comments, which the
-    stripped code no longer contains."""
-    for ln in (line, line - 1):
-        if 1 <= ln <= len(raw_lines) and marker.search(raw_lines[ln - 1]):
+def escaped(raw_lines, line: int, kind: str) -> bool:
+    """True when a `kind` escape covers `line` (1-based): it sits on
+    that line or up to ESCAPE_REACH lines above in the ORIGINAL text —
+    escapes live in comments, which the stripped code no longer
+    contains."""
+    for ln in range(max(1, line - ESCAPE_REACH), line + 1):
+        if ln <= len(raw_lines) and any(
+                m.group(1) == kind
+                for m in ESCAPE_RE.finditer(raw_lines[ln - 1])):
             return True
     return False
 
 
+def scan_pattern(rel: str, code: str, pattern: re.Pattern, what: str,
+                 findings: list) -> None:
+    for m in pattern.finditer(code):
+        findings.append((rel, line_of(code, m.start()),
+                         f"{what}: `{m.group(0).strip()}`"))
+
+
 # ---------------------------------------------------------------------------
-# Rule implementations (textual core, shared by both engines where the
-# rule is inherently lexical)
+# Per-file rules: each takes (rel, raw, code, findings), where code is
+# raw with comments and literals blanked.
 # ---------------------------------------------------------------------------
+
+def expected_guard(rel: str) -> str:
+    parts = list(pathlib.PurePosixPath(rel).parts)
+    if parts[0] == "src":  # headers are included as "util/check.h" etc.
+        parts = parts[1:]
+    return "FWDECAY_" + re.sub(r"[/.\-]", "_", "/".join(parts).upper()) + "_"
+
+
+def rule_guard(rel: str, raw: str, code: str, findings: list) -> None:
+    if not rel.endswith(".h"):
+        return
+    want = expected_guard(rel)
+    m = re.search(r"^#ifndef\s+(\S+)\s*\n#define\s+(\S+)", raw, re.M)
+    if not m:
+        findings.append(
+            (rel, 1, f"guard: missing include guard (expected {want})"))
+        return
+    for got in (m.group(1), m.group(2)):
+        if got != want:
+            findings.append(
+                (rel, line_of(raw, m.start()),
+                 f"guard: include guard {got}, expected {want}"))
+            return
+    endif = re.search(r"#endif\s*//\s*(\S+)\s*$", raw.rstrip())
+    if not endif or endif.group(1) != want:
+        findings.append(
+            (rel, raw.count("\n"),
+             f"guard: #endif missing `// {want}` comment"))
+
+
+def rule_random(rel: str, raw: str, code: str, findings: list) -> None:
+    if rel not in RANDOM_EXEMPT:
+        scan_pattern(rel, code, RANDOM_BANNED,
+                     "random: banned PRNG (use util/random.h Rng)", findings)
+
+
+def rule_throw(rel: str, raw: str, code: str, findings: list) -> None:
+    scan_pattern(rel, code, THROW_BANNED,
+                 "throw: throw in exception-free library code", findings)
+
+
+def rule_assert(rel: str, raw: str, code: str, findings: list) -> None:
+    scan_pattern(rel, code, ASSERT_BANNED,
+                 "assert: naked assert (use FWDECAY_CHECK/FWDECAY_DCHECK)",
+                 findings)
+
+
+def rule_io(rel: str, raw: str, code: str, findings: list) -> None:
+    if rel not in IO_EXEMPT:
+        scan_pattern(rel, code, IO_BANNED,
+                     "io: raw file I/O in library code (use "
+                     "util/fault_fs.h)", findings)
+
+
+def rule_locking(rel: str, raw: str, code: str, findings: list) -> None:
+    if rel in LOCKING_EXEMPT:
+        return
+    # pthread/detach is banned beyond src/ too: bench and example
+    # binaries are the reproduction entry points, and a detached thread
+    # there outlives the measurement it was timing.
+    scan_pattern(rel, code, LOCKING_BANNED,
+                 "locking: raw pthread / detached thread", findings)
+    if rel.startswith("src/"):
+        # The include path is a string literal: match it on raw text.
+        m = LOCKING_PRIMITIVE.search(code)
+        if m and not THREAD_ANNOTATIONS_INCLUDE.search(raw):
+            findings.append(
+                (rel, line_of(code, m.start()),
+                 "locking: concurrency primitive without "
+                 "util/thread_annotations.h (use fwdecay::Mutex or "
+                 "include the annotation layer)"))
+
+
+def rule_metrics(rel: str, raw: str, code: str, findings: list) -> None:
+    if rel.startswith("src/dsms/"):
+        scan_pattern(rel, code, METRICS_CLOCK_BANNED,
+                     "metrics: ad-hoc clock read in dsms/ (time through "
+                     "util/timer.h Timer or util/metrics.h "
+                     "ScopedTimerSample)", findings)
+    for m in METRICS_REGISTRATION.finditer(raw):
+        if not METRIC_NAME_OK.match(m.group(1)):
+            findings.append(
+                (rel, line_of(raw, m.start()),
+                 "metrics: registered name must match "
+                 f"^fwdecay_[a-z0-9_]+$: `{m.group(1)}`"))
+
+
+def rule_coldmap(rel: str, raw: str, code: str, findings: list) -> None:
+    if rel not in COLDMAP_FILES:
+        return
+    raw_lines = raw.splitlines()
+    for m in COLDMAP_RE.finditer(code):
+        line = line_of(code, m.start())
+        if not escaped(raw_lines, line, "coldmap-ok"):
+            findings.append(
+                (rel, line,
+                 "coldmap: node-based map in the engine's group-table "
+                 "code (the flat open-addressing tables are the hot-path "
+                 "structure, DESIGN.md §13.1; cold-path uses take "
+                 "`// fwdecay: coldmap-ok(<reason>)`): "
+                 f"`{m.group(0).strip()}`"))
+
+
+def rule_escape(rel: str, raw: str, code: str, findings: list) -> None:
+    code_lines = code.split("\n")
+    for idx, raw_line in enumerate(raw.split("\n")):
+        for m in ESCAPE_RE.finditer(raw_line):
+            kind, reason = m.groups()
+            if kind not in ESCAPE_ANCHORS:
+                findings.append(
+                    (rel, idx + 1,
+                     f"escape: unknown escape kind `{kind}` (a typo "
+                     "here silently suppresses nothing; known: "
+                     f"{', '.join(sorted(ESCAPE_ANCHORS))})"))
+                continue
+            if ESCAPE_PLACEHOLDER.match(reason):
+                findings.append(
+                    (rel, idx + 1,
+                     f"escape: `fwdecay: {kind}` without a reason — every "
+                     "suppression must say why it is sound: "
+                     f"`// fwdecay: {kind}(<reason>)`"))
+                continue
+            reach = "\n".join(code_lines[idx:idx + 1 + ESCAPE_REACH])
+            anchor = ESCAPE_ANCHORS[kind]
+            if not (anchor.search(reach) if anchor else reach.strip()):
+                findings.append(
+                    (rel, idx + 1,
+                     f"escape: stale `fwdecay: {kind}` — nothing it "
+                     "suppresses on this line or the next (the annotated "
+                     "code moved or was deleted)"))
+
 
 BACKWARD_AGE_RE = re.compile(
     r"\b(" + "|".join(sorted(NOW_IDENTIFIERS)) +
     r")\s*-\s*([A-Za-z_][\w]*(?:(?:\.|->)[A-Za-z_]\w*)*)")
 
 
-def rule_backward_age_text(rel: str, code: str, findings: list) -> None:
+def rule_backward_age(rel: str, raw: str, code: str, findings: list) -> None:
     if rel in BACKWARD_AGE_ALLOWED:
         return
     for m in BACKWARD_AGE_RE.finditer(code):
@@ -343,7 +574,7 @@ def rule_backward_age_text(rel: str, code: str, findings: list) -> None:
                  "g(t_i - L) (core/decay.h)"))
 
 
-def rule_exp_pow_text(rel: str, code: str, findings: list) -> None:
+def rule_exp_pow(rel: str, raw: str, code: str, findings: list) -> None:
     if rel in EXP_POW_ALLOWED:
         return
     for m in EXP_POW_CALL_RE.finditer(code):
@@ -368,7 +599,7 @@ def function_extent(code: str, open_brace: int) -> int:
     return len(code)
 
 
-def rule_deser_bounds(rel: str, code: str, findings: list) -> None:
+def rule_deser_bounds(rel: str, raw: str, code: str, findings: list) -> None:
     for line_match in re.finditer(r"^.*$", code, re.M):
         if not DESER_FN_RE.search(line_match.group(0)):
             continue
@@ -386,8 +617,8 @@ def rule_deser_bounds(rel: str, code: str, findings: list) -> None:
                      "check (reader->Remaining() or an explicit cap)"))
 
 
-def rule_guarded_by(rel: str, code: str, findings: list) -> None:
-    if rel in GUARDED_BY_EXEMPT:
+def rule_guarded_by(rel: str, raw: str, code: str, findings: list) -> None:
+    if rel in LOCKING_EXEMPT:
         return
     for m in STD_MUTEX_MEMBER_RE.finditer(code):
         findings.append(
@@ -407,19 +638,17 @@ def rule_guarded_by(rel: str, code: str, findings: list) -> None:
                  ") to the data it guards"))
 
 
-def rule_atomics_order(rel: str, raw: str, code: str, findings: list,
-                       allowed=None) -> None:
-    allowed = RELAXED_ALLOWED if allowed is None else allowed
+def rule_atomics_order(rel: str, raw: str, code: str, findings: list) -> None:
     raw_lines = raw.splitlines()
     for m in RELAXED_RE.finditer(code):
         line = line_of(code, m.start())
-        if rel not in allowed:
+        if rel not in RELAXED_ALLOWED:
             findings.append(
                 (rel, line,
                  "atomics-order: memory_order_relaxed outside the "
                  "audited allowlist; use acq/rel (or seq_cst) or add "
                  "the file to RELAXED_ALLOWED after review"))
-        elif not annotated(raw_lines, line, RELAXED_OK_RE):
+        elif not escaped(raw_lines, line, "relaxed-ok"):
             findings.append(
                 (rel, line,
                  "atomics-order: relaxed use without a "
@@ -449,14 +678,6 @@ CONTROL_KEYWORDS = frozenset((
     "if", "for", "while", "switch", "catch", "return", "sizeof",
     "alignof", "new", "delete", "do", "else", "case", "operator"))
 
-# RAII acquisition: `MutexLock lock(expr)` and the std lock guards. Only
-# the paren form (the brace form would desync the block-depth scan).
-RAII_LOCK_RE = re.compile(
-    r"\b(?:MutexLock|ModelMutexLock"
-    r"|(?:std\s*::\s*)?(?:lock_guard|unique_lock|scoped_lock)"
-    r"\s*(?:<[^<>]*>)?)\s+\w+\s*\(\s*([^,();]+)")
-EXPLICIT_LOCK_RE = re.compile(
-    r"([\w\]](?:[\w.\->\[\]]*?)?)\s*(?:\.|->)\s*Lock\s*\(\s*\)")
 EXPLICIT_UNLOCK_RE = re.compile(
     r"([\w\]](?:[\w.\->\[\]]*?)?)\s*(?:\.|->)\s*Unlock\s*\(\s*\)")
 # Bare (unqualified) call names only: `Helper(x)` propagates, but
@@ -510,7 +731,7 @@ class LockOrderAnalysis:
         in finish(), once ownership is complete across every file (a
         lock used in a .cc must resolve to the class declared in the
         .h, whatever the scan order)."""
-        if rel in LOCK_ORDER_EXEMPT:
+        if rel in LOCKING_EXEMPT:
             return
         self.files.append((rel, raw, code))
         classes = []  # (name, start, end) innermost-wins lookup
@@ -570,7 +791,7 @@ class LockOrderAnalysis:
                     held.pop()
             elif kind == "lock":
                 line = line_of(code, brace + pos)
-                if annotated(raw_lines, line, LOCK_ORDER_OK_RE):
+                if escaped(raw_lines, line, "lock-order-ok"):
                     held.append((None, depth))
                     continue
                 label = self._label(rel, data)
@@ -682,11 +903,9 @@ def rule_hotpath_lock(rel: str, raw: str, code: str, findings: list) -> None:
         brace = code.find("{", m.end() - 1)
         end = function_extent(code, brace)
         body = code[brace:end]
-        sites = [lm.start() for lm in RAII_LOCK_RE.finditer(body)]
-        sites += [lm.start() for lm in EXPLICIT_LOCK_RE.finditer(body)]
-        for pos in sorted(sites):
-            line = line_of(code, brace + pos)
-            if not annotated(raw_lines, line, HOTPATH_LOCK_OK_RE):
+        for lm in LOCK_ACQUIRE_RE.finditer(body):
+            line = line_of(code, brace + lm.start())
+            if not escaped(raw_lines, line, "hotpath-lock-ok"):
                 findings.append(
                     (rel, line,
                      f"hotpath-lock: mutex acquisition inside "
@@ -697,12 +916,11 @@ def rule_hotpath_lock(rel: str, raw: str, code: str, findings: list) -> None:
 
 # --- taint + hotpath-purity: interprocedural dataflow ------------------------
 #
-# Both passes run on the comment/string-stripped text shared by the two
-# engines: the flows they track (byte reads into locals, guard extents,
-# sink extents, bare call sites) are positional-lexical exactly like the
-# lock-order pass, so the analysis — and its results — are identical
-# with and without libclang. Calls resolve only when the bare name has
-# exactly one definition across the tree (silence over misattribution).
+# Both passes run on the comment/string-stripped text: the flows they
+# track (byte reads into locals, guard extents, sink extents, bare call
+# sites) are positional-lexical exactly like the lock-order pass. Calls
+# resolve only when the bare name has exactly one definition across the
+# tree (silence over misattribution).
 
 # Untrusted-byte sources. ByteReader is the single decode primitive of
 # the repo (journal, snapshot, frame, trace and sketch bytes all arrive
@@ -804,6 +1022,7 @@ def expr_root(text: str):
     return re.sub(r"\s+", "", m.group(1)) if m else None
 
 
+@functools.lru_cache(maxsize=None)
 def _key_re(key: str) -> re.Pattern:
     return re.compile(r"(?<![\w.>])" + re.escape(key) + r"(?!\w)")
 
@@ -836,6 +1055,13 @@ def _strip_value_opaque(text: str) -> str:
         prev = text
         text = _VALUE_OPAQUE_RE.sub("", text)
     return text
+
+
+# `h & mask`: a bitwise AND is bounded by each operand, so an untainted
+# mask bounds a hostile hash (HighTable::Probe's `hash & mask`).
+_OPERAND = (r"(?:\([^()]*\)|[A-Za-z_]\w*(?:(?:\.|->)[A-Za-z_]\w*"
+            r"|\[[^\[\]]*\]|\([^()]*\))*|\d\w*)")
+_MASK_RE = re.compile(rf"({_OPERAND})\s*&(?![&=])\s*({_OPERAND})")
 
 
 class _TaintFunc:
@@ -911,6 +1137,7 @@ class TaintAnalysis:
         self.by_name = {}
         self.summaries = {}
         self._sanitized = set()  # per-function, reset in _analyze_func
+        self._scans = {}  # func.key -> (guards, events)
 
     def add_file(self, rel: str, raw: str, code: str) -> None:
         self.files.append((rel, raw, code))
@@ -1002,9 +1229,21 @@ class TaintAnalysis:
                     out.append((m.start(), "index", inner))
         return out
 
+    def _strip_bounded(self, text: str, env: dict) -> str:
+        """`text` without the subexpressions that carry no hostile
+        magnitude: value-opaque calls, and `a & b` masks where one side
+        is untainted."""
+        text = _strip_value_opaque(text)
+        if "&" not in text:
+            return text
+        return _MASK_RE.sub(
+            lambda m: "0" if any(not self._labels_in(op, env)[0]
+                                 for op in m.groups()) else m.group(0),
+            text)
+
     def _labels_in(self, text: str, env: dict):
         """(labels, kind) of an expression under env."""
-        text = _strip_value_opaque(text)
+        text = self._strip_bounded(text, env)
         labels, saw_val, saw_content = set(), False, False
         for key, (kind, ls) in env.items():
             for m in _key_re(key).finditer(text):
@@ -1034,6 +1273,66 @@ class TaintAnalysis:
                 labels |= ls
         return labels
 
+    def _scan(self, func):
+        """(guards, ordered events) of a body. Bodies do not change
+        between fixpoint passes, so each is scanned once."""
+        cached = self._scans.get(func.key)
+        if cached is None:
+            body = func.body
+            guards = self._guards(body)
+
+            events = []
+            for m in TAINT_READ_RE.finditer(body):
+                events.append((m.start(), 0, "source",
+                               ("val", expr_root(m.group(1)))))
+            for m in TAINT_READSTR_RE.finditer(body):
+                events.append((m.start(), 0, "source",
+                               ("content", expr_root(m.group(1)))))
+            for regexp in (TAINT_RECV_RE, TAINT_FILEREAD_RE):
+                for m in regexp.finditer(body):
+                    op = body.find("(", m.end() - 1)
+                    args = split_top_args(
+                        body[op + 1:paren_extent(body, op)])
+                    if len(args) >= 2:
+                        events.append((m.start(), 0, "source",
+                                       ("content", expr_root(args[1]))))
+            # Paren construction from an untrusted buffer propagates:
+            # `std::string text(bytes.begin(), bytes.end())`.
+            for m in TAINT_CTOR_SINK_RE.finditer(body):
+                op = body.find("(", m.end() - 1)
+                events.append((m.start(), 1, "ctor",
+                               (m.group(2),
+                                body[op + 1:paren_extent(body, op)])))
+            for m in TAINT_ASSIGN_RE.finditer(body):
+                stop = len(body)
+                for ch in ";{}":
+                    p = body.find(ch, m.end())
+                    if p != -1:
+                        stop = min(stop, p)
+                events.append((m.start(), 1, "assign",
+                               (re.sub(r"\s+", "", m.group(1)),
+                                m.group(2), body[m.end():stop])))
+            for start, close, text in guards:
+                events.append((close, 2, "guard", text))
+            for pos, desc, text in self._sinks(body):
+                events.append((pos, 3, "sink", (desc, text)))
+            # Bare and member call sites both apply summaries; both resolve
+            # only on a globally unique definition name, so a method call
+            # on another object silences rather than misattributes.
+            for regexp in (CALL_SITE_RE, MEMBER_CALL_RE):
+                for m in regexp.finditer(body):
+                    if m.group(1) in CONTROL_KEYWORDS:
+                        continue
+                    op = body.find("(", m.end() - 1)
+                    events.append((m.start(), 4, "call",
+                                   (m.group(1),
+                                    body[op + 1:paren_extent(body, op)])))
+            for m in TAINT_RETURN_RE.finditer(body):
+                events.append((m.start(), 5, "return", m.group(1)))
+            events.sort(key=lambda e: (e[0], e[1]))
+            cached = self._scans[func.key] = (guards, events)
+        return cached
+
     def _analyze_func(self, func, emit):
         """One pass over a body; emit is None (summary-only passes) or
         the findings list (final pass). Returns the new summary."""
@@ -1047,57 +1346,7 @@ class TaintAnalysis:
                     else "val")
             env[pname] = (kind, frozenset({f"p{i}"}))
         summary = _TaintSummary()
-        guards = self._guards(body)
-
-        events = []
-        for m in TAINT_READ_RE.finditer(body):
-            events.append((m.start(), 0, "source",
-                           ("val", expr_root(m.group(1)))))
-        for m in TAINT_READSTR_RE.finditer(body):
-            events.append((m.start(), 0, "source",
-                           ("content", expr_root(m.group(1)))))
-        for regexp in (TAINT_RECV_RE, TAINT_FILEREAD_RE):
-            for m in regexp.finditer(body):
-                op = body.find("(", m.end() - 1)
-                args = split_top_args(
-                    body[op + 1:paren_extent(body, op)])
-                if len(args) >= 2:
-                    events.append((m.start(), 0, "source",
-                                   ("content", expr_root(args[1]))))
-        # Paren construction from an untrusted buffer propagates:
-        # `std::string text(bytes.begin(), bytes.end())`.
-        for m in TAINT_CTOR_SINK_RE.finditer(body):
-            op = body.find("(", m.end() - 1)
-            events.append((m.start(), 1, "ctor",
-                           (m.group(2),
-                            body[op + 1:paren_extent(body, op)])))
-        for m in TAINT_ASSIGN_RE.finditer(body):
-            stop = len(body)
-            for ch in ";{}":
-                p = body.find(ch, m.end())
-                if p != -1:
-                    stop = min(stop, p)
-            events.append((m.start(), 1, "assign",
-                           (re.sub(r"\s+", "", m.group(1)),
-                            m.group(2), body[m.end():stop])))
-        for start, close, text in guards:
-            events.append((close, 2, "guard", text))
-        for pos, desc, text in self._sinks(body):
-            events.append((pos, 3, "sink", (desc, text)))
-        # Bare and member call sites both apply summaries; both resolve
-        # only on a globally unique definition name, so a method call
-        # on another object silences rather than misattributes.
-        for regexp in (CALL_SITE_RE, MEMBER_CALL_RE):
-            for m in regexp.finditer(body):
-                if m.group(1) in CONTROL_KEYWORDS:
-                    continue
-                op = body.find("(", m.end() - 1)
-                events.append((m.start(), 4, "call",
-                               (m.group(1),
-                                body[op + 1:paren_extent(body, op)])))
-        for m in TAINT_RETURN_RE.finditer(body):
-            events.append((m.start(), 5, "return", m.group(1)))
-        events.sort(key=lambda e: (e[0], e[1]))
+        guards, events = self._scan(func)
 
         def guarded_here(pos, key_or_text):
             """True when pos sits inside a guard extent that itself
@@ -1190,7 +1439,7 @@ class TaintAnalysis:
 
     def _check_sink(self, func, pos, desc, text, env, summary,
                     guarded_here, emit):
-        text = _strip_value_opaque(text)
+        text = self._strip_bounded(text, env)
         for key, (kind, labels) in env.items():
             if kind == "content":
                 continue
@@ -1209,7 +1458,7 @@ class TaintAnalysis:
                         | {where})
             if "wire" in labels and emit is not None:
                 ln = self._line(func, pos)
-                if not annotated(func.raw_lines, ln, TAINT_OK_RE):
+                if not escaped(func.raw_lines, ln, "taint-ok"):
                     emit.append(
                         (func.rel, ln,
                          f"taint: `{key}` decoded from untrusted bytes "
@@ -1275,7 +1524,7 @@ class TaintAnalysis:
                         | {where})
             if "wire" in labels and emit is not None:
                 ln = self._line(func, pos)
-                if not annotated(func.raw_lines, ln, TAINT_OK_RE):
+                if not escaped(func.raw_lines, ln, "taint-ok"):
                     emit.append(
                         (func.rel, ln,
                          f"taint: `{expr_root(arg)}` decoded from "
@@ -1332,14 +1581,16 @@ PURITY_THROW_RE = re.compile(r"\bthrow\b")
 PURITY_ALLOCFN_RE = re.compile(
     r"\b(make_unique|make_shared|to_string|malloc|calloc|realloc"
     r"|strdup)\s*(?:<[^<>;(){}]*>)?\s*\(")
-# Owning-container construction in a hot body; `&`/`*` declarators are
-# views, not allocations, and are skipped.
+# Owning-container construction in a hot body: a declaration at
+# statement start, or a temporary anywhere (`auto c = ValueColumn(n)`,
+# `Sink(std::vector<Value>{})`). `&`/`*` declarators are views, not
+# allocations, and are skipped; so are `T::member` and `sizeof(T)`.
 PURITY_CONTAINER_RE = re.compile(
-    r"(?:^|[;{}])\s*(?:const\s+)?(?:std\s*::\s*)?"
+    r"(?:(?:^|[;{}])\s*(?:const\s+)?|(?<![\w:.>]))(?:std\s*::\s*)?"
     r"(vector|string|unordered_map|unordered_set|map|set|deque|list"
     r"|ByteWriter|ostringstream|stringstream|PacketBatch|ValueColumn)"
-    r"((?:\s*<(?:[^<>]|<[^<>]*>)*>)?)\s*([&*]?)\s*([A-Za-z_]\w*)\s*"
-    r"(?=[;({=])", re.M)
+    r"((?:\s*<(?:[^<>]|<[^<>]*>)*>)?)\s*"
+    r"(?:([&*]?)\s*([A-Za-z_]\w*)\s*(?=[;({=])|(?=[({]))", re.M)
 # Growth of a container reached through a plain `.` on a local: member
 # scratch (trailing `_`) retains capacity across batches (DESIGN.md §8)
 # and `->` receivers are caller-owned storage — both sanctioned.
@@ -1446,8 +1697,8 @@ class HotpathPurityAnalysis:
                 queue.append(callee)
 
     def _cold(self, func, pos) -> bool:
-        return annotated(func.raw_lines, func.line_base +
-                         func.body[:pos].count("\n"), HOTPATH_COLD_RE)
+        return escaped(func.raw_lines, func.line_base +
+                       func.body[:pos].count("\n"), "hotpath-cold")
 
     def _callees(self, func):
         out = []
@@ -1492,7 +1743,8 @@ class HotpathPurityAnalysis:
                 continue  # reference/pointer declarator: a view
             emit(m.start(1),
                  f"owning `{m.group(1)}` constructed per batch "
-                 f"(`{m.group(4)}`)")
+                 f"(`{m.group(4)}`)" if m.group(4) else
+                 f"owning `{m.group(1)}` temporary constructed per batch")
         for m in PURITY_GROWTH_RE.finditer(body):
             recv = m.group(1)
             if recv.endswith("_"):
@@ -1510,186 +1762,249 @@ class HotpathPurityAnalysis:
                          f"virtual dispatch to {name}() outside the "
                          "audited AggState vtable set")
 
-
 # ---------------------------------------------------------------------------
-# Engines
+# Driver
 # ---------------------------------------------------------------------------
 
-ALL_RULES = frozenset({
-    "backward-age", "exp-pow", "deser-bounds", "guarded-by",
-    "atomics-order", "hotpath-lock", "lock-order", "taint",
-    "hotpath-purity",
-})
+# (rule, directories it checks, check); file exemptions live in the
+# checks themselves.
+FILE_RULES = (
+    ("guard", EVERYWHERE, rule_guard),
+    ("random", EVERYWHERE, rule_random),
+    ("throw", ("src/",), rule_throw),
+    ("assert", PRODUCT, rule_assert),
+    ("io", ("src/",), rule_io),
+    ("locking", PRODUCT, rule_locking),
+    ("metrics", PRODUCT, rule_metrics),
+    ("coldmap", PRODUCT, rule_coldmap),
+    ("escape", EVERYWHERE, rule_escape),
+    ("backward-age", PRODUCT, rule_backward_age),
+    ("exp-pow", PRODUCT, rule_exp_pow),
+    ("deser-bounds", PRODUCT, rule_deser_bounds),
+    ("guarded-by", PRODUCT, rule_guarded_by),
+    ("atomics-order", PRODUCT, rule_atomics_order),
+    ("hotpath-lock", PRODUCT, rule_hotpath_lock),
+)
 
 
-def _timed(times, rule, fn, *args):
-    t0 = time.perf_counter()
-    fn(*args)
-    times[rule] = times.get(rule, 0.0) + (time.perf_counter() - t0)
+def analyze(files):
+    """Runs every rule over `files`, [(rel, raw text)], and returns the
+    sorted findings and each rule's wall time in seconds. The cross-file
+    passes see src/, bench/ and examples/ (hotpath-purity narrows to
+    src/ itself)."""
+    findings, times = [], {}
 
+    def timed(rule, fn, *args):
+        t0 = time.perf_counter()
+        fn(*args)
+        times[rule] = times.get(rule, 0.0) + (time.perf_counter() - t0)
 
-class TextEngine:
-    """Runs the per-file rules on comment/string-stripped sources."""
-
-    name = "text"
-
-    def analyze(self, rel: str, path: pathlib.Path, raw: str, code: str,
-                findings: list, rules=ALL_RULES, times=None) -> None:
-        times = {} if times is None else times
-        if "backward-age" in rules:
-            _timed(times, "backward-age", rule_backward_age_text,
-                   rel, code, findings)
-        if "exp-pow" in rules:
-            _timed(times, "exp-pow", rule_exp_pow_text,
-                   rel, code, findings)
-        if "deser-bounds" in rules:
-            _timed(times, "deser-bounds", rule_deser_bounds,
-                   rel, code, findings)
-        if "guarded-by" in rules:
-            _timed(times, "guarded-by", rule_guarded_by,
-                   rel, code, findings)
-
-
-class AstEngine:
-    """libclang-backed engine: backward-age and exp-pow run on the AST
-    (sees through macro expansion, ignores disabled #if regions); the
-    lexical rules reuse the shared implementations. With a compilation
-    database (--compile-commands) each TU parses under its real flags;
-    files without an entry (headers, bench/, examples/) fall back to
-    the default argument set, or to the textual rules outside src/."""
-
-    name = "ast"
-
-    def __init__(self, root: pathlib.Path, compile_commands=None):
-        import clang.cindex as cindex  # raises ImportError when absent
-        self.cindex = cindex
-        self.index = cindex.Index.create()  # raises when libclang missing
-        self.args = ["-x", "c++", "-std=c++20", "-I", str(root / "src")]
-        self.db = None
-        if compile_commands:
-            db_dir = pathlib.Path(compile_commands).resolve()
-            if db_dir.is_file():
-                db_dir = db_dir.parent
-            self.db = cindex.CompilationDatabase.fromDirectory(str(db_dir))
-
-    def _args_for(self, path: pathlib.Path):
-        if self.db is not None:
-            cmds = self.db.getCompileCommands(str(path.resolve()))
-            if cmds:
-                argv = list(cmds[0].arguments)
-                args, skip = [], True  # first element is the compiler
-                for a in argv:
-                    if skip:
-                        skip = False
-                        continue
-                    if a == "-o":
-                        skip = True
-                        continue
-                    if a in ("-c", str(path), str(path.resolve())):
-                        continue
-                    args.append(a)
-                return args
-        return None
-
-    def analyze(self, rel: str, path: pathlib.Path, raw: str, code: str,
-                findings: list, rules=ALL_RULES, times=None) -> None:
-        times = {} if times is None else times
-        cindex = self.cindex
-        args = self._args_for(path)
-        if args is None:
-            if not rel.startswith("src/"):
-                # bench/examples need gtest/benchmark include paths the
-                # default args don't carry; the textual rules are exact
-                # enough there.
-                TextEngine().analyze(rel, path, raw, code, findings,
-                                     rules, times)
-                return
-            args = self.args
-        if rules & {"backward-age", "exp-pow"}:
-            t0 = time.perf_counter()
-            tu = self.index.parse(str(path), args=args)
-            for cur in tu.cursor.walk_preorder():
-                if cur.location.file is None or \
-                        cur.location.file.name != str(path):
-                    continue
-                if cur.kind == cindex.CursorKind.BINARY_OPERATOR and \
-                        "backward-age" in rules:
-                    self._check_backward_age(rel, cur, findings)
-                elif cur.kind == cindex.CursorKind.CALL_EXPR and \
-                        "exp-pow" in rules:
-                    self._check_exp_pow(rel, cur, findings)
-            # one TU parse serves both AST rules; bill them jointly
-            times["backward-age+exp-pow"] = \
-                times.get("backward-age+exp-pow", 0.0) \
-                + (time.perf_counter() - t0)
-        if "deser-bounds" in rules:
-            _timed(times, "deser-bounds", rule_deser_bounds,
-                   rel, code, findings)
-        if "guarded-by" in rules:
-            _timed(times, "guarded-by", rule_guarded_by,
-                   rel, code, findings)
-
-    def _operands(self, cur):
-        kids = list(cur.get_children())
-        return kids if len(kids) == 2 else None
-
-    def _spelling(self, node) -> str:
-        return "".join(t.spelling for t in node.get_tokens())
-
-    def _check_backward_age(self, rel, cur, findings) -> None:
-        if rel in BACKWARD_AGE_ALLOWED:
-            return
-        ops = self._operands(cur)
-        if not ops:
-            return
-        lhs, rhs = (self._spelling(ops[0]), self._spelling(ops[1]))
-        toks = [t.spelling for t in cur.get_tokens()]
-        if "-" not in toks:
-            return
-        if lhs in NOW_IDENTIFIERS and ITEM_TS_RE.match(rhs):
-            findings.append(
-                (rel, cur.location.line,
-                 f"backward-age: `{lhs} - {rhs}` computes a per-item "
-                 "age from the current time; forward decay weighs items "
-                 "as g(t_i - L) (core/decay.h)"))
-
-    def _check_exp_pow(self, rel, cur, findings) -> None:
-        if rel in EXP_POW_ALLOWED:
-            return
-        ref = cur.referenced
-        if ref is not None and ref.spelling in ("exp", "pow"):
-            findings.append(
-                (rel, cur.location.line,
-                 f"exp-pow: call to `{ref.spelling}` outside the "
-                 "overflow-reviewed allowlist; route decay weights "
-                 "through core/decay.h (ExponentialG / ShiftFactor)"))
-
-
-def make_engine(kind: str, root: pathlib.Path, compile_commands=None):
-    if kind in ("auto", "ast"):
-        try:
-            return AstEngine(root, compile_commands)
-        except Exception as exc:  # ImportError or libclang load failure
-            if kind == "ast":
-                print(f"analyze.py: AST engine unavailable: {exc}",
-                      file=sys.stderr)
-                return None
-            print(f"analyze.py: libclang unavailable ({exc.__class__.__name__});"
-                  " falling back to the textual engine", file=sys.stderr)
-    return TextEngine()
+    passes = {"lock-order": LockOrderAnalysis(), "taint": TaintAnalysis(),
+              "hotpath-purity": HotpathPurityAnalysis()}
+    for rel, raw in files:
+        code = strip_comments_and_strings(raw)
+        for rule, dirs, check in FILE_RULES:
+            if rel.startswith(dirs):
+                timed(rule, check, rel, raw, code, findings)
+        if rel.startswith(PRODUCT):
+            for analysis in passes.values():
+                analysis.add_file(rel, raw, code)
+    for rule, analysis in passes.items():
+        timed(rule, analysis.finish, findings)
+    return sorted(set(findings)), times
 
 
 # ---------------------------------------------------------------------------
 # Selftest: the analyzer's own seeded fixtures. Each known-bad snippet
-# MUST produce its finding and each clean snippet must not — so a
-# regression in the rules fails CI even when the real tree is clean.
+# MUST produce its finding and each clean snippet must produce none at
+# all — so a regression in any rule fails CI even when the tree is clean.
 # ---------------------------------------------------------------------------
 
 SELFTEST_CASES = [
     # (name, files {rel: text}, substring expected in findings, or None
     #  when the fixture must be clean)
+    ("guard wrong name caught (tests/ is checked too)", {
+        "tests/widget_util.h": """
+#ifndef WIDGET_UTIL_H
+#define WIDGET_UTIL_H
+#endif  // WIDGET_UTIL_H
+"""}, "guard: include guard WIDGET_UTIL_H"),
+    ("guard missing #endif comment caught", {
+        "src/util/widget.h": """
+#ifndef FWDECAY_UTIL_WIDGET_H_
+#define FWDECAY_UTIL_WIDGET_H_
+#endif
+"""}, "guard: #endif missing"),
+    ("guard path-derived name clean", {
+        "src/util/widget.h": """
+#ifndef FWDECAY_UTIL_WIDGET_H_
+#define FWDECAY_UTIL_WIDGET_H_
+#endif  // FWDECAY_UTIL_WIDGET_H_
+"""}, None),
+    ("random rand() caught (tests/ is checked too)", {
+        "tests/shuffle_test.cc": """
+int Pick(int n) { return rand() % n; }
+"""}, "random: banned PRNG"),
+    ("random seeded Rng clean", {
+        "src/core/pick.cc": """
+std::uint64_t Pick(Rng& rng) { return rng.Next(); }
+"""}, None),
+    ("throw in library code caught", {
+        "src/core/parse.cc": """
+void Parse(int n) { if (n < 0) throw n; }
+"""}, "throw: throw in exception-free library code"),
+    ("throw outside src/ clean", {
+        "bench/parse_bench.cc": """
+void Parse(int n) { if (n < 0) throw n; }
+"""}, None),
+    ("assert in an example caught", {
+        "examples/demo.cc": """
+void Demo(int n) { assert(n > 0); }
+"""}, "assert: naked assert"),
+    ("assert in tests/ clean", {
+        "tests/demo_test.cc": """
+void Demo(int n) { assert(n > 0); }
+"""}, None),
+    ("io raw fopen in library code caught", {
+        "src/core/save.cc": """
+bool Save(const char* path) { return fopen(path, "w") != nullptr; }
+"""}, "io: raw file I/O"),
+    ("io inside util/fault_fs clean", {
+        "src/util/fault_fs.cc": """
+bool Save(const char* path) { return fopen(path, "w") != nullptr; }
+"""}, None),
+    ("locking std primitive without the annotation layer caught", {
+        "src/core/count.cc": """
+std::atomic<int> hits{0};
+"""}, "locking: concurrency primitive without"),
+    ("locking detached thread in a bench caught", {
+        "bench/spin_bench.cc": """
+void Start(std::thread& t) { t.detach(); }
+"""}, "locking: raw pthread / detached thread"),
+    ("locking annotated layer and joined thread clean", {
+        "src/core/count.cc": """
+#include "util/thread_annotations.h"
+std::atomic<int> hits{0};
+void Stop(std::thread& t) { t.join(); }
+"""}, None),
+    ("metrics ad-hoc clock in dsms/ caught", {
+        "src/dsms/timing.cc": """
+auto Now() { return std::chrono::steady_clock::now(); }
+"""}, "metrics: ad-hoc clock read"),
+    ("metrics bad registered name caught", {
+        "examples/stats.cc": """
+void Register(Registry& r) { r.GetCounter("BadName"); }
+"""}, "metrics: registered name must match"),
+    ("metrics timer and valid name clean (tests/ may register any name)", {
+        "src/dsms/timing.cc": """
+double Elapsed(Registry& r, Timer& t) {
+  r.GetCounter("fwdecay_passes_total");
+  return t.Seconds();
+}
+""",
+        "tests/metrics_names_test.cc": """
+void Register(Registry& r) { r.GetCounter("BadName"); }
+"""}, None),
+    ("coldmap node map in the engine caught", {
+        "src/dsms/engine.cc": """
+std::unordered_map<int, int> groups;
+"""}, "coldmap: node-based map"),
+    ("coldmap annotated cold-path map clean", {
+        "src/dsms/engine.cc": """
+// fwdecay: coldmap-ok(column index built once per plan at compile time)
+std::unordered_map<int, int> column_index;
+"""}, None),
+    ("escape unknown kind caught", {
+        "src/core/a.cc": """
+// fwdecay: relaxd-ok(typo in the kind)
+int x = 0;
+"""}, "escape: unknown escape kind `relaxd-ok`"),
+    ("escape missing reason caught", {
+        "src/core/a.cc": """
+// fwdecay: hotpath-cold(<reason>)
+int x = 0;
+"""}, "escape: `fwdecay: hotpath-cold` without a reason"),
+    ("escape stale reach caught (no relaxed atomic below)", {
+        "tests/a_test.cc": """
+// fwdecay: relaxed-ok(monotone counter)
+
+int x = 0;
+"""}, "escape: stale `fwdecay: relaxed-ok`"),
+    ("escape stale reach caught (annotates a blank line)", {
+        "src/core/a.cc": """
+// fwdecay: taint-ok(bounded by the frame cap)
+
+int x = 0;
+"""}, "escape: stale `fwdecay: taint-ok`"),
+    ("escape covering what its rule flags clean", {
+        "src/dsms/thing.cc": """
+namespace fwdecay::server {}
+struct Thing {
+  void Consume(const PacketBatch& batch) {
+    // fwdecay: hotpath-lock-ok(one acquisition amortized per batch)
+    mu_.Lock();
+    Apply(batch);
+    mu_.Unlock();
+  }
+};
+"""}, None),
+    ("backward-age now - item ts caught", {
+        "src/core/weights.cc": """
+double Age(const Packet& p, double now) { return now - p.ts; }
+"""}, "backward-age: `now - p.ts`"),
+    ("backward-age landmark-relative and window cutoff clean", {
+        "src/core/weights.cc": """
+double Offset(const Packet& p, double landmark) { return p.ts - landmark; }
+double Cutoff(double now, double window) { return now - window; }
+"""}, None),
+    ("exp-pow outside the allowlist caught", {
+        "src/core/weights.cc": """
+double Weight(double alpha, double n) { return std::exp(alpha * n); }
+"""}, "exp-pow: `std::exp(`"),
+    ("exp-pow in an allowlisted file clean", {
+        "src/dsms/expr.cc": """
+double Weight(double alpha, double n) { return std::exp(alpha * n); }
+"""}, None),
+    ("deser-bounds unchecked resize caught", {
+        "src/sketch/counts.cc": """
+bool Counts::Deserialize(ByteReader* reader) {
+  std::uint64_t n = 0;
+  counts_.resize(n);
+  return true;
+}
+"""}, "deser-bounds: `.resize(`"),
+    ("deser-bounds capped resize clean", {
+        "src/sketch/counts.cc": """
+bool Counts::Deserialize(ByteReader* reader) {
+  std::uint64_t n = 0;
+  if (!reader->ReadU64(&n) || n > reader->Remaining() / 8) return false;
+  counts_.resize(n);
+  return true;
+}
+"""}, None),
+    ("guarded-by mutex guarding nothing caught", {
+        "src/core/box.cc": """
+struct Box {
+  Mutex mu_;
+  int value_;
+};
+"""}, "guarded-by: mutex member `mu_` protects no"),
+    ("guarded-by bare std::mutex member caught", {
+        "src/core/box.cc": """
+#include "util/thread_annotations.h"
+struct Box {
+  std::mutex mu_;
+};
+"""}, "guarded-by: bare std::mutex member"),
+    ("guarded-by annotated member clean", {
+        "src/core/box.cc": """
+struct Box {
+  Mutex mu_;
+  int value_ FWDECAY_GUARDED_BY(mu_);
+};
+"""}, None),
     ("lock-order inversion detected", {
-        "src/a.h": """
+        "src/a.cc": """
 struct Alpha { Mutex mu_a; int x FWDECAY_GUARDED_BY(mu_a); };
 struct Beta { Mutex mu_b; int y FWDECAY_GUARDED_BY(mu_b); };
 void First(Alpha& a, Beta& b) {
@@ -1702,7 +2017,7 @@ void Second(Alpha& a, Beta& b) {
 }
 """}, "lock-order: acquisition cycle"),
     ("lock-order consistent order clean", {
-        "src/a.h": """
+        "src/a.cc": """
 struct Alpha { Mutex mu_a; int x FWDECAY_GUARDED_BY(mu_a); };
 struct Beta { Mutex mu_b; int y FWDECAY_GUARDED_BY(mu_b); };
 void First(Alpha& a, Beta& b) {
@@ -1715,7 +2030,7 @@ void Second(Alpha& a, Beta& b) {
 }
 """}, None),
     ("lock-order interprocedural cycle detected", {
-        "src/a.h": """
+        "src/a.cc": """
 struct Alpha { Mutex mu_a; int x FWDECAY_GUARDED_BY(mu_a); };
 struct Gamma { Mutex mu_c; int z FWDECAY_GUARDED_BY(mu_c); };
 void Inner(Gamma& c) { MutexLock l(c.mu_c); }
@@ -1731,7 +2046,7 @@ void Reversed(Gamma& c, Alpha& a) {
 }
 """}, "lock-order: acquisition cycle"),
     ("lock-order annotation accepted", {
-        "src/a.h": """
+        "src/a.cc": """
 struct Alpha { Mutex mu_a; int x FWDECAY_GUARDED_BY(mu_a); };
 struct Beta { Mutex mu_b; int y FWDECAY_GUARDED_BY(mu_b); };
 void First(Alpha& a, Beta& b) {
@@ -1745,7 +2060,7 @@ void Second(Alpha& a, Beta& b) {
 }
 """}, None),
     ("lock-order self-deadlock detected", {
-        "src/a.h": """
+        "src/a.cc": """
 struct Alpha { Mutex mu_a; int x FWDECAY_GUARDED_BY(mu_a); };
 void Helper(Alpha& a) { MutexLock l(a.mu_a); }
 void Entry(Alpha& a) {
@@ -1754,21 +2069,21 @@ void Entry(Alpha& a) {
 }
 """}, "lock-order: acquisition cycle"),
     ("atomics-order unannotated relaxed flagged", {
-        "src/util/metrics.h": """
+        "src/util/metrics.cc": """
 void Touch() { v_.fetch_add(1, std::memory_order_relaxed); }
 """}, "atomics-order: relaxed use without"),
     ("atomics-order non-allowlisted file flagged", {
-        "src/core/rogue.h": """
+        "src/core/rogue.cc": """
 // fwdecay: relaxed-ok(annotated but the file is not audited)
 void Touch() { v_.fetch_add(1, std::memory_order_relaxed); }
 """}, "atomics-order: memory_order_relaxed outside"),
     ("atomics-order annotated allowlisted clean", {
-        "src/util/metrics.h": """
+        "src/util/metrics.cc": """
 // fwdecay: relaxed-ok(monotone cell; no dependent data to order)
 void Touch() { v_.fetch_add(1, std::memory_order_relaxed); }
 """}, None),
     ("hotpath-lock unannotated flagged", {
-        "src/dsms/thing.h": """
+        "src/dsms/thing.cc": """
 struct Thing {
   void Consume(const PacketBatch& batch) {
     MutexLock lock(mu_);
@@ -1779,7 +2094,7 @@ struct Thing {
 };
 """}, "hotpath-lock: mutex acquisition inside Consume()"),
     ("hotpath-lock explicit Lock flagged", {
-        "src/dsms/thing.h": """
+        "src/dsms/thing.cc": """
 void UpdateBatch(const Batch& b) {
   mu_.Lock();
   Apply(b);
@@ -1787,7 +2102,7 @@ void UpdateBatch(const Batch& b) {
 }
 """}, "hotpath-lock: mutex acquisition inside UpdateBatch()"),
     ("hotpath-lock annotation accepted", {
-        "src/dsms/thing.h": """
+        "src/dsms/thing.cc": """
 struct Thing {
   void Consume(const PacketBatch& batch) {
     // fwdecay: hotpath-lock-ok(one acquisition amortized per batch)
@@ -1799,7 +2114,7 @@ struct Thing {
 };
 """}, None),
     ("taint unguarded wire length reaching resize caught", {
-        "src/server/load.h": """
+        "src/server/load.cc": """
 bool LoadVec(ByteReader& r, std::vector<int>* out) {
   std::uint32_t n = 0;
   if (!r.ReadU32(&n)) return false;
@@ -1808,7 +2123,7 @@ bool LoadVec(ByteReader& r, std::vector<int>* out) {
 }
 """}, "taint: `n`"),
     ("taint guarded wire length clean", {
-        "src/server/load.h": """
+        "src/server/load.cc": """
 bool LoadVec(ByteReader& r, std::vector<int>* out) {
   std::uint32_t n = 0;
   if (!r.ReadU32(&n) || n > r.Remaining()) return false;
@@ -1817,10 +2132,10 @@ bool LoadVec(ByteReader& r, std::vector<int>* out) {
 }
 """}, None),
     ("taint interprocedural flow caught", {
-        "src/server/fill.h": """
+        "src/server/fill.cc": """
 void FillVec(std::vector<int>* v, std::uint32_t n) { v->resize(n); }
 """,
-        "src/server/load.h": """
+        "src/server/load.cc": """
 bool LoadVec(ByteReader& r, std::vector<int>* out) {
   std::uint32_t n = 0;
   if (!r.ReadU32(&n)) return false;
@@ -1829,10 +2144,10 @@ bool LoadVec(ByteReader& r, std::vector<int>* out) {
 }
 """}, "flows into argument 1 of FillVec()"),
     ("taint interprocedural guarded clean", {
-        "src/server/fill.h": """
+        "src/server/fill.cc": """
 void FillVec(std::vector<int>* v, std::uint32_t n) { v->resize(n); }
 """,
-        "src/server/load.h": """
+        "src/server/load.cc": """
 bool LoadVec(ByteReader& r, std::vector<int>* out) {
   std::uint32_t n = 0;
   if (!r.ReadU32(&n) || n > r.Remaining()) return false;
@@ -1841,7 +2156,7 @@ bool LoadVec(ByteReader& r, std::vector<int>* out) {
 }
 """}, None),
     ("taint escape annotation accepted", {
-        "src/server/load.h": """
+        "src/server/load.cc": """
 bool LoadVec(ByteReader& r, std::vector<int>* out) {
   std::uint32_t n = 0;
   if (!r.ReadU32(&n)) return false;
@@ -1851,7 +2166,7 @@ bool LoadVec(ByteReader& r, std::vector<int>* out) {
 }
 """}, None),
     ("taint numeric parse of untrusted text caught", {
-        "src/server/manifest.h": """
+        "src/server/manifest.cc": """
 bool LoadCount(ByteReader& r, std::vector<int>* out) {
   std::string text;
   if (!r.ReadString(&text)) return false;
@@ -1861,8 +2176,40 @@ bool LoadCount(ByteReader& r, std::vector<int>* out) {
   return true;
 }
 """}, "taint: `v`"),
+    ("taint wire hash used as an index caught", {
+        "src/dsms/table.cc": """
+struct Table {
+  bool Has(ByteReader& r) const {
+    std::uint64_t h = 0;
+    if (!r.ReadU64(&h)) return false;
+    return slots_[h] != nullptr;
+  }
+};
+"""}, "taint: `h` decoded from untrusted bytes reaches index"),
+    ("taint wire hash masked by the table mask clean", {
+        "src/dsms/table.cc": """
+struct Table {
+  bool Has(ByteReader& r) const {
+    std::uint64_t h = 0;
+    if (!r.ReadU64(&h)) return false;
+    return slots_[h & mask_] != nullptr;
+  }
+  std::size_t Probe(std::uint64_t hash) const {
+    std::size_t s = hash & mask_;
+    while (slots_[s] != nullptr) s = (s + 1) & mask_;
+    return s;
+  }
+  bool Restore(ByteReader& r) {
+    std::uint64_t h = 0;
+    if (!r.ReadU64(&h)) return false;
+    std::size_t slot = Probe(h);
+    if (slots_[slot] != nullptr) return false;
+    return true;
+  }
+};
+"""}, None),
     ("hotpath-purity vector under Consume caught", {
-        "src/dsms/hot.h": """
+        "src/dsms/hot.cc": """
 struct Q {
   void Consume(const PacketBatch& batch) {
     std::vector<int> tmp;
@@ -1871,22 +2218,54 @@ struct Q {
 };
 """}, "hotpath-purity: owning `vector`"),
     ("hotpath-purity UpdateStates override allocation caught", {
-        "src/dsms/hot.h": """
+        "src/dsms/hot.cc": """
 struct CountAgg {
   void UpdateStates(std::span<AggState* const> states) {
     std::vector<double> tmp(states.size());
   }
 };
 """}, "hotpath-purity: owning `vector`"),
+    ("hotpath-purity Value row under UpdateBatch caught", {
+        "src/dsms/hot.cc": """
+struct SumAgg {
+  void UpdateBatch(const ValueColumn& col) {
+    std::vector<Value> row;
+  }
+};
+"""}, "hotpath-purity: owning `vector` constructed per batch (`row`)"),
+    ("hotpath-purity ValueColumn temporary caught", {
+        "src/dsms/hot.cc": """
+struct SumAgg {
+  void UpdateBatch(const ValueColumn& col) {
+    auto copy = ValueColumn(col.size());
+  }
+};
+"""}, "hotpath-purity: owning `ValueColumn` temporary"),
+    ("hotpath-purity braced ValueColumn temporary in FlushSegment caught", {
+        "src/dsms/hot.cc": """
+struct Q {
+  void FlushSegment() { Sink(ValueColumn{}); }
+};
+"""}, "hotpath-purity: owning `ValueColumn` temporary"),
+    ("hotpath-purity column views clean", {
+        "src/dsms/hot.cc": """
+struct SumAgg {
+  void UpdateBatch(std::span<const ValueColumn> cols) {
+    const ValueColumn& col = cols[0];
+    ValueColumn::Rep rep = col.rep();
+    Use(rep, sizeof(ValueColumn));
+  }
+};
+"""}, None),
     ("hotpath-purity allocation under the phase-2 loop caught", {
-        "src/dsms/hot.h": """
+        "src/dsms/hot.cc": """
 inline void GatherStates() { auto p = std::make_unique<int>(3); }
 struct Q {
   void FlushSegment() { GatherStates(); }
 };
 """}, "heap allocation (`make_unique`)"),
     ("hotpath-purity member scratch clean", {
-        "src/dsms/hot.h": """
+        "src/dsms/hot.cc": """
 struct Q {
   void Consume(const PacketBatch& batch) {
     scratch_.clear();
@@ -1896,14 +2275,14 @@ struct Q {
 };
 """}, None),
     ("hotpath-purity interprocedural allocation caught", {
-        "src/dsms/hot.h": """
+        "src/dsms/hot.cc": """
 inline void RebuildIndex() { auto p = std::make_unique<int>(3); }
 struct Q {
   void Consume(const PacketBatch& batch) { RebuildIndex(); }
 };
 """}, "heap allocation (`make_unique`)"),
     ("hotpath-purity virtual outside vtable set caught", {
-        "src/dsms/hot.h": """
+        "src/dsms/hot.cc": """
 struct AggState {
   virtual void UpdateBatch(double w) = 0;
   virtual double DebugWeight() const = 0;
@@ -1917,7 +2296,7 @@ struct Q {
 };
 """}, "virtual dispatch to DebugWeight()"),
     ("hotpath-purity cold annotation accepted", {
-        "src/dsms/hot.h": """
+        "src/dsms/hot.cc": """
 struct Q {
   void Consume(const PacketBatch& batch) {
     if (Stale()) {
@@ -1935,20 +2314,7 @@ struct Q {
 def run_selftest() -> int:
     failures = 0
     for name, files, want in SELFTEST_CASES:
-        findings = []
-        lock_order = LockOrderAnalysis()
-        taint = TaintAnalysis()
-        purity = HotpathPurityAnalysis()
-        for rel, raw in sorted(files.items()):
-            code = strip_comments_and_strings(raw)
-            rule_atomics_order(rel, raw, code, findings)
-            rule_hotpath_lock(rel, raw, code, findings)
-            lock_order.add_file(rel, raw, code)
-            taint.add_file(rel, raw, code)
-            purity.add_file(rel, raw, code)
-        lock_order.finish(findings)
-        taint.finish(findings)
-        purity.finish(findings)
+        findings, _ = analyze(sorted(files.items()))
         msgs = [msg for _, _, msg in findings]
         if want is None:
             ok = not msgs
@@ -1964,144 +2330,28 @@ def run_selftest() -> int:
     return 0 if failures == 0 else 2
 
 
-# Per-file rules run in pool workers; the cross-file fixpoints (which
-# need every file's text at once) stay in the parent process.
-PER_FILE_RULES = frozenset({
-    "backward-age", "exp-pow", "deser-bounds", "guarded-by",
-    "atomics-order", "hotpath-lock",
-})
-
-_WORKER_STATE = None
-
-
-def _worker_init(engine_kind, root_str, compile_commands, rules):
-    global _WORKER_STATE
-    root = pathlib.Path(root_str)
-    engine = make_engine(engine_kind, root, compile_commands)
-    if engine is None:  # e.g. libclang vanished between fork and init
-        engine = TextEngine()
-    _WORKER_STATE = (engine, root, frozenset(rules))
-
-
-def _worker_analyze(rel):
-    engine, root, rules = _WORKER_STATE
-    path = root / rel
-    raw = path.read_text(encoding="utf-8")
-    code = strip_comments_and_strings(raw)
-    findings, times = [], {}
-    engine.analyze(rel, path, raw, code, findings, rules, times)
-    if "atomics-order" in rules:
-        _timed(times, "atomics-order", rule_atomics_order,
-               rel, raw, code, findings)
-    if "hotpath-lock" in rules:
-        _timed(times, "hotpath-lock", rule_hotpath_lock,
-               rel, raw, code, findings)
-    return findings, times
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(
-        description="fwdecay semantic analyzer (see module docstring)")
-    ap.add_argument("--root", default=None,
-                    help="repo root (default: parent of this script's dir)")
-    ap.add_argument("--engine", choices=("auto", "ast", "text"),
-                    default="auto")
-    ap.add_argument("--compile-commands", default=None, metavar="PATH",
-                    help="compile_commands.json for the AST engine "
-                         "(CMAKE_EXPORT_COMPILE_COMMANDS=ON)")
+        description="fwdecay source checker (see module docstring)")
     ap.add_argument("--selftest", action="store_true",
-                    help="run the embedded known-bad/known-good fixtures "
+                    help="run the embedded known-bad/clean fixtures "
                          "through the rules and exit")
-    ap.add_argument("--rules", default="all", metavar="R1,R2",
-                    help="comma-separated rule subset (default: all); "
-                         "known rules: " + ",".join(sorted(ALL_RULES)))
-    ap.add_argument("--jobs", type=int, default=0, metavar="N",
-                    help="process-pool width for the per-file rules "
-                         "(default: cpu count; 1 disables the pool)")
-    ap.add_argument("--findings-out", default=None, metavar="PATH",
-                    help="also write findings (file:line: message per "
-                         "line) to PATH, for CI artifacts")
-    args = ap.parse_args()
-    if args.selftest:
+    if ap.parse_args().selftest:
         return run_selftest()
-    if args.rules == "all":
-        rules = ALL_RULES
-    else:
-        rules = frozenset(r for r in args.rules.split(",") if r)
-        unknown = rules - ALL_RULES
-        if unknown:
-            print(f"analyze.py: unknown rule(s): {', '.join(sorted(unknown))}",
-                  file=sys.stderr)
-            return 2
-    root = (pathlib.Path(args.root) if args.root
-            else pathlib.Path(__file__).resolve().parent.parent)
-
-    engine = make_engine(args.engine, root, args.compile_commands)
-    if engine is None:
-        return 2
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-
-    rels = []
-    for top in SCAN_DIRS:
-        for path in sorted((root / top).rglob("*")):
-            if path.suffix in SRC_SUFFIXES and path.is_file():
-                rels.append(path.relative_to(root).as_posix())
-
-    findings = []
-    times = {}
-    per_file = rules & PER_FILE_RULES
-    lock_order = LockOrderAnalysis() if "lock-order" in rules else None
-    taint = TaintAnalysis() if "taint" in rules else None
-    purity = HotpathPurityAnalysis() if "hotpath-purity" in rules else None
-
-    pooled = per_file and jobs > 1 and len(rels) > 1
-    if pooled:
-        import multiprocessing as mp
-        with mp.Pool(min(jobs, len(rels)), _worker_init,
-                     (engine.name, str(root), args.compile_commands,
-                      per_file)) as pool:
-            for fnd, t in pool.imap_unordered(_worker_analyze, rels):
-                findings.extend(fnd)
-                for k, v in t.items():
-                    times[k] = times.get(k, 0.0) + v
-    for rel in rels:
-        path = root / rel
-        raw = path.read_text(encoding="utf-8")
-        code = strip_comments_and_strings(raw)
-        if per_file and not pooled:
-            engine.analyze(rel, path, raw, code, findings, per_file,
-                           times)
-            if "atomics-order" in per_file:
-                _timed(times, "atomics-order", rule_atomics_order,
-                       rel, raw, code, findings)
-            if "hotpath-lock" in per_file:
-                _timed(times, "hotpath-lock", rule_hotpath_lock,
-                       rel, raw, code, findings)
-        if lock_order:
-            lock_order.add_file(rel, raw, code)
-        if taint:
-            taint.add_file(rel, raw, code)
-        if purity:
-            purity.add_file(rel, raw, code)
-    if lock_order:
-        _timed(times, "lock-order", lock_order.finish, findings)
-    if taint:
-        _timed(times, "taint", taint.finish, findings)
-    if purity:
-        _timed(times, "hotpath-purity", purity.finish, findings)
-
-    findings = sorted(set(findings))
-    lines = [f"{rel}:{line}: {msg}" for rel, line, msg in findings]
-    for line in lines:
-        print(line)
-    if args.findings_out:
-        pathlib.Path(args.findings_out).write_text(
-            "".join(l + "\n" for l in lines), encoding="utf-8")
+    root = pathlib.Path(__file__).resolve().parent.parent
+    files = [(path.relative_to(root).as_posix(),
+              path.read_text(encoding="utf-8"))
+             for top in SOURCE_DIRS
+             for path in sorted((root / top).rglob("*"))
+             if path.suffix in SRC_SUFFIXES and path.is_file()]
+    findings, times = analyze(files)
+    for rel, line, msg in findings:
+        print(f"{rel}:{line}: {msg}")
     print("analyze.py: rule wall time: "
           + ", ".join(f"{k} {v:.2f}s" for k, v in sorted(times.items())))
     status = "FAILED" if findings else "OK"
-    print(f"analyze.py[{engine.name}]: {len(rels)} files analyzed, "
-          f"{len(findings)} finding(s), jobs={jobs} [{status}]")
+    print(f"analyze.py: {len(files)} files analyzed, "
+          f"{len(findings)} finding(s) [{status}]")
     return 1 if findings else 0
 
 

@@ -11,10 +11,8 @@
 #                     audit after every mutating op   [default: OFF]
 #   FWDECAY_METRICS   OFF compiles the self-instrumentation layer to
 #                     no-ops (DESIGN.md §9)               [default: ON]
-#   FWDECAY_SIMD      on | off | force-scalar (DESIGN.md §13.4):
-#                     `off` configures -DFWDECAY_SIMD=OFF (vector arms
-#                     compiled out); `force-scalar` keeps the default
-#                     build but exports FWDECAY_FORCE_SCALAR=1 so
+#   FWDECAY_SIMD      on | force-scalar (DESIGN.md §13.4):
+#                     `force-scalar` exports FWDECAY_FORCE_SCALAR=1 so
 #                     dispatch pins to the scalar arms at
 #                     startup                            [default: on]
 #   FWDECAY_SCHED     ON routes fwdecay::Mutex and sched::Atomic through
@@ -53,20 +51,15 @@ FWDECAY_SERVER="${FWDECAY_SERVER:-OFF}"
 export FWDECAY_SCHED_SEED="${FWDECAY_SCHED_SEED:-}"
 export FWDECAY_SCHED_REPLAY="${FWDECAY_SCHED_REPLAY:-}"
 
-# FWDECAY_SIMD: `off` is a build-time switch, `force-scalar` a runtime
-# one; both end with the scalar arms carrying the whole run.
-SIMD_CMAKE=ON
 case "${FWDECAY_SIMD}" in
   on|ON) ;;
-  off|OFF) SIMD_CMAKE=OFF ;;
   force-scalar) export FWDECAY_FORCE_SCALAR=1 ;;
-  *) echo "FWDECAY_SIMD must be on, off, or force-scalar" >&2; exit 2 ;;
+  *) echo "FWDECAY_SIMD must be on or force-scalar" >&2; exit 2 ;;
 esac
 
 CMAKE_ARGS=(-B "${BUILD_DIR}" -S . "-DCMAKE_BUILD_TYPE=${CMAKE_BUILD_TYPE}"
             "-DFWDECAY_AUDIT=${FWDECAY_AUDIT}"
             "-DFWDECAY_METRICS=${FWDECAY_METRICS}"
-            "-DFWDECAY_SIMD=${SIMD_CMAKE}"
             "-DFWDECAY_SCHED=${FWDECAY_SCHED}")
 if [[ ! -f "${BUILD_DIR}/CMakeCache.txt" ]]; then
   # Fresh tree: prefer Ninja when available, else CMake's default

@@ -1603,7 +1603,6 @@ bool QueryExecution::RestoreBytes(const std::uint8_t* data, std::size_t size,
     const std::uint64_t key_hash = WordsHash(plan_->key_types_, g->key);
     std::size_t slot = 0;
     if (!high_->slots.empty()) {
-      // fwdecay: taint-ok(Probe masks the hash with the table mask)
       slot = high_->Probe(key_hash, g->key);
       if (high_->slots[slot] != nullptr) {
         plan_->agg_layout_.Destroy(g->states);

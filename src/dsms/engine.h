@@ -252,8 +252,8 @@ class QueryExecution {
   // segment is a single run), then opens an empty segment at seg_end_.
   // Called before every low-level eviction and shed, so merges and shed
   // victims see exactly the per-tuple state; a no-op outside ingest.
-  // The batched hot path — must not allocate per tuple (scripts/lint.py
-  // rule `hotpath`).
+  // The batched hot path — must not allocate per tuple
+  // (scripts/analyze.py rule `hotpath-purity`).
   void FlushSegment();
   // Admits the group with key words `key` to an empty low-level slot:
   // copies the key and constructs fresh states, carving the slot's

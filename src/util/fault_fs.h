@@ -20,7 +20,7 @@
 // residue of an injected fault is byte-for-byte what a real crash at
 // that point would leave.
 //
-// scripts/lint.py forbids fopen/fstream in library code outside this
+// scripts/analyze.py forbids fopen/fstream in library code outside this
 // file, so the fault matrix provably covers all disk I/O.
 
 namespace fwdecay {

@@ -82,7 +82,7 @@
 namespace fwdecay::metrics {
 
 /// Every registered metric name must match this (enforced by
-/// FWDECAY_CHECK at registration and by the scripts/lint.py `metrics`
+/// FWDECAY_CHECK at registration and by the scripts/analyze.py `metrics`
 /// rule on string literals).
 bool ValidMetricName(const std::string& name);
 

@@ -6,11 +6,11 @@
 #include "util/hash.h"
 #include "util/int_div.h"
 
-#if defined(__x86_64__) && !defined(FWDECAY_SIMD_DISABLED)
+#if defined(__x86_64__)
 #define FWDECAY_SIMD_X86 1
 #include <immintrin.h>
 #endif
-#if defined(__aarch64__) && !defined(FWDECAY_SIMD_DISABLED)
+#if defined(__aarch64__)
 #define FWDECAY_SIMD_NEON 1
 #include <arm_neon.h>
 #endif

@@ -19,9 +19,7 @@
 // operation per element so no arm can be contracted into an FMA the
 // other arm does not perform.
 //
-// Knobs:
-//   FWDECAY_FORCE_SCALAR=1  (env) forces the scalar arms at startup.
-//   -DFWDECAY_SIMD=OFF      (cmake) compiles the vector arms out.
+// FWDECAY_FORCE_SCALAR=1 (env) forces the scalar arms at startup.
 
 namespace fwdecay::simd {
 

@@ -17,8 +17,8 @@
 // the lock type itself carries the `capability` attribute. libstdc++'s
 // std::mutex does not, so library code uses the annotated fwdecay::Mutex
 // / fwdecay::MutexLock wrappers below instead of std::mutex /
-// std::lock_guard directly. scripts/lint.py (rule `locking`) and
-// scripts/analyze.py (rule `guarded-by`) enforce both conventions.
+// std::lock_guard directly. scripts/analyze.py (rules `locking` and
+// `guarded-by`) enforces both conventions.
 //
 // Build with -DFWDECAY_THREAD_SAFETY=ON (clang only) to turn any
 // annotation violation into a compile error via -Werror=thread-safety.
