@@ -112,6 +112,19 @@ by guard, random and escape only. Per-file rules:
                  acquisition amortized over the whole batch"), so a
                  per-tuple lock cannot creep in silently.
 
+  avx2-call      A `target("avx2")` function may call only intrinsics
+                 (_mm*, __builtin_*, memcpy), `always_inline` bodies and
+                 other `target("avx2")` functions, resolved by C++ name
+                 lookup within the file. The calls inside every
+                 `always_inline` body it reaches are checked the same
+                 way, transitively; the util/hash.h mixers it may call
+                 (AVX2_HEADER_INLINES) are checked on hash.h to be
+                 `always_inline` bodies too. A call into baseline code
+                 leaves the upper YMM state dirty (GCC emits no
+                 vzeroupper before a tail jump), and every legacy-SSE
+                 instruction after it runs slowly (DESIGN.md §13.4). No
+                 escape.
+
 Cross-file rules:
 
   lock-order     Global (cross-TU) lock-acquisition graph. Every
@@ -149,9 +162,11 @@ Cross-file rules:
                  taint) carry flows across functions and TUs when a
                  bare callee name resolves to exactly one definition
                  (same silence-over-misattribution discipline as
-                 lock-order). Audited escapes carry
-                 `// fwdecay: taint-ok(<reason>)` on the sink or call
-                 line (or the line above).
+                 lock-order); a resolved call's result carries only
+                 what its return summary says, so `Probe(h)` returning
+                 `hash & mask` is clean whatever `h` carries. Audited
+                 escapes carry `// fwdecay: taint-ok(<reason>)` on the
+                 sink or call line (or the line above).
 
   hotpath-purity Walks the call graph from the batched-ingest roots —
                  Consume/ConsumeFiltered, the engine's phase-2 loop
@@ -914,6 +929,107 @@ def rule_hotpath_lock(rel: str, raw: str, code: str, findings: list) -> None:
                      "lock is amortized per batch, or move it out"))
 
 
+# Stripping blanks the "avx2" literal, so the attribute is renamed on the
+# raw text first.
+AVX2_TARGET_RE = re.compile(r'\btarget\s*\(\s*"avx2"\s*\)')
+AVX2_MARK = "target_avx2"
+ALWAYS_INLINE_RE = re.compile(r"\balways_inline\b")
+NAMESPACE_RE = re.compile(r"\bnamespace\s*((?:\w+\s*::\s*)*\w*)\s*\{")
+QUALIFIED_CALL_RE = re.compile(
+    r"(?<![\w.>])((?:[A-Za-z_]\w*\s*::\s*)*)([A-Za-z_]\w*)\s*\(")
+# Calls that compile to instructions, never to a call: intrinsics and
+# GCC's fixed-size memcpy.
+INTRINSIC_RE = re.compile(r"_mm\d*_\w+|__builtin_\w+|memcpy")
+# Helpers from other files that an AVX2 arm's bodies may call. On its own
+# file, each is checked like a body: always_inline, calling only what an
+# arm may call.
+AVX2_HEADER_INLINES = {"src/util/hash.h": frozenset(("HashU64",
+                                                     "HashCombine"))}
+AVX2_HELPERS = frozenset().union(*AVX2_HEADER_INLINES.values())
+
+
+def rule_avx2_call(rel: str, raw: str, code: str, findings: list) -> None:
+    helpers = AVX2_HEADER_INLINES.get(rel, frozenset())
+    if not helpers and not AVX2_TARGET_RE.search(raw):
+        return
+    code = strip_comments_and_strings(AVX2_TARGET_RE.sub(AVX2_MARK, raw))
+    spans = [(m.end() - 1, function_extent(code, m.end() - 1),
+              re.sub(r"\s+", "", m.group(1)).split("::"))
+             for m in NAMESPACE_RE.finditer(code)]
+
+    def ns_at(pos):
+        return tuple(part for start, end, parts in spans
+                     if start < pos < end for part in parts if part)
+
+    # name -> [(namespace, kind, brace, end)]; kind is "avx2" for a
+    # target("avx2") function, "inline" for an always_inline body.
+    defs = {}
+    for m in FUNC_DEF_RE.finditer(code):
+        if m.group(1) in CONTROL_KEYWORDS:
+            continue
+        head = code[max(code.rfind(c, 0, m.start()) for c in ";{}") + 1:
+                    m.start()]
+        kind = ("avx2" if AVX2_MARK in head else
+                "inline" if ALWAYS_INLINE_RE.search(head) else None)
+        brace = code.find("{", m.end() - 1)
+        defs.setdefault(m.group(1), []).append(
+            (ns_at(m.start()), kind, brace, function_extent(code, brace)))
+
+    def out_calls(ns, brace, end, via, seen):
+        """(pos, callee) of each call that leaves the arm, following
+        always_inline bodies, which compile into the arm."""
+        for c in QUALIFIED_CALL_RE.finditer(code, brace, end):
+            callee = c.group(2)
+            if callee in CONTROL_KEYWORDS or INTRINSIC_RE.fullmatch(callee):
+                continue
+            qual = tuple(p for p in re.sub(r"\s+", "", c.group(1))
+                         .split("::") if p)
+            # C++ lookup: a qualified name matches by namespace suffix, an
+            # unqualified one resolves to the innermost enclosing
+            # namespace that defines it.
+            found = [d for d in defs.get(callee, ())
+                     if (d[0][len(d[0]) - len(qual):] == qual if qual
+                         else d[0] == ns[:len(d[0])])]
+            target = max(found, key=lambda d: len(d[0]), default=None)
+            if target is None:
+                if not qual and callee in AVX2_HELPERS:
+                    continue
+            elif target[1] == "avx2":
+                continue
+            elif target[1] == "inline":
+                if (callee, target[2]) not in seen:
+                    seen.add((callee, target[2]))
+                    yield from out_calls(target[0], target[2], target[3],
+                                         via + (callee,), seen)
+                continue
+            yield c.start(), "::".join(qual + (callee,)), via
+
+    for name, entries in defs.items():
+        for ns, kind, brace, end in entries:
+            if kind == "avx2":
+                what = f'target("avx2") function {name}()'
+            elif name in helpers:
+                what = f"AVX2 helper {name}()"
+                if kind != "inline":
+                    findings.append(
+                        (rel, line_of(code, brace),
+                         f"avx2-call: {what} is not always_inline; an AVX2 "
+                         "arm's bodies call it, so it must compile into "
+                         "the arm (DESIGN.md §13.4)"))
+                    continue
+            else:
+                continue
+            for pos, callee, via in out_calls(ns, brace, end, (), set()):
+                findings.append(
+                    (rel, line_of(code, pos),
+                     f"avx2-call: {what} calls `{callee}()`"
+                     + (f" via {'() -> '.join(via)}()" if via else "")
+                     + "; an AVX2 arm may call only intrinsics, "
+                     "always_inline bodies and target(\"avx2\") functions "
+                     "(a call into baseline code leaves the upper YMM "
+                     "state dirty, DESIGN.md §13.4)"))
+
+
 # --- taint + hotpath-purity: interprocedural dataflow ------------------------
 #
 # Both passes run on the comment/string-stripped text: the flows they
@@ -1062,6 +1178,8 @@ def _strip_value_opaque(text: str) -> str:
 _OPERAND = (r"(?:\([^()]*\)|[A-Za-z_]\w*(?:(?:\.|->)[A-Za-z_]\w*"
             r"|\[[^\[\]]*\]|\([^()]*\))*|\d\w*)")
 _MASK_RE = re.compile(rf"({_OPERAND})\s*&(?![&=])\s*({_OPERAND})")
+# A bare or member call (`Probe(h)`, `table.Probe(h)`), not a qualified one.
+_CALL_NAME_RE = re.compile(r"(?<![\w:])([A-Za-z_]\w*)\s*\(")
 
 
 class _TaintFunc:
@@ -1229,11 +1347,33 @@ class TaintAnalysis:
                     out.append((m.start(), "index", inner))
         return out
 
+    def _strip_clean_calls(self, text: str, env: dict) -> str:
+        """`text` with each call whose callee's return summary, read
+        through these arguments, carries no label replaced by 0: the
+        result is what the callee returns, not what its arguments carry
+        (`Probe(h)` returns `hash & mask`, in range whatever `h` is)."""
+        out, last = [], 0
+        for m in _CALL_NAME_RE.finditer(text):
+            if m.start() < last:
+                continue
+            callee = self._unique_def(m.group(1))
+            summ = callee and self.summaries.get(callee.key)
+            if not summ:
+                continue
+            op = text.find("(", m.end() - 1)
+            close = paren_extent(text, op)
+            if self._translate(summ.return_labels,
+                               split_top_args(text[op + 1:close]), env):
+                continue
+            out.append(text[last:m.start()] + "0")
+            last = close + 1
+        return "".join(out) + text[last:]
+
     def _strip_bounded(self, text: str, env: dict) -> str:
         """`text` without the subexpressions that carry no hostile
-        magnitude: value-opaque calls, and `a & b` masks where one side
-        is untainted."""
-        text = _strip_value_opaque(text)
+        magnitude: value-opaque calls, calls whose summary returns a
+        clean value, and `a & b` masks where one side is untainted."""
+        text = self._strip_clean_calls(_strip_value_opaque(text), env)
         if "&" not in text:
             return text
         return _MASK_RE.sub(
@@ -1784,6 +1924,7 @@ FILE_RULES = (
     ("guarded-by", PRODUCT, rule_guarded_by),
     ("atomics-order", PRODUCT, rule_atomics_order),
     ("hotpath-lock", PRODUCT, rule_hotpath_lock),
+    ("avx2-call", PRODUCT, rule_avx2_call),
 )
 
 
@@ -2194,19 +2335,152 @@ struct Table {
     if (!r.ReadU64(&h)) return false;
     return slots_[h & mask_] != nullptr;
   }
+};
+"""}, None),
+    ("taint result of a call whose summary returns a mask clean", {
+        "src/dsms/table.cc": """
+struct Table {
   std::size_t Probe(std::uint64_t hash) const {
     std::size_t s = hash & mask_;
     while (slots_[s] != nullptr) s = (s + 1) & mask_;
     return s;
   }
-  bool Restore(ByteReader& r) {
+  Group* Restore(ByteReader& r) {
     std::uint64_t h = 0;
-    if (!r.ReadU64(&h)) return false;
+    if (!r.ReadU64(&h)) return nullptr;
     std::size_t slot = Probe(h);
-    if (slots_[slot] != nullptr) return false;
-    return true;
+    Group* g = slots_[slot];
+    return slots_[this->Probe(h)] == g ? g : nullptr;
   }
 };
+"""}, None),
+    ("taint result of a pass-through call caught", {
+        "src/dsms/table.cc": """
+struct Table {
+  std::size_t Home(std::uint64_t hash) const { return hash; }
+  bool Has(ByteReader& r) const {
+    std::uint64_t h = 0;
+    if (!r.ReadU64(&h)) return false;
+    std::size_t slot = Home(h);
+    return slots_[slot] != nullptr;
+  }
+};
+"""}, "taint: `slot` decoded from untrusted bytes reaches index"),
+    ("avx2-call scalar tail call from an AVX2 arm caught", {
+        "src/util/simd.cc": """
+namespace fwdecay::simd {
+namespace scalar {
+void CmpF64(CmpOp op, const double* a, const double* b, std::size_t n,
+            std::int64_t* out01) {
+  for (std::size_t i = 0; i < n; ++i) out01[i] = a[i] < b[i] ? 1 : 0;
+}
+}  // namespace scalar
+namespace avx2 {
+__attribute__((target("avx2"))) void CmpF64(CmpOp op, const double* a,
+                                            const double* b, std::size_t n,
+                                            std::int64_t* out01) {
+  const __m256i ones = _mm256_set1_epi64x(1);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d m = _mm256_cmp_pd(_mm256_loadu_pd(a + i),
+                                    _mm256_loadu_pd(b + i), _CMP_LT_OQ);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out01 + i),
+                        _mm256_and_si256(_mm256_castpd_si256(m), ones));
+  }
+  if (i < n) scalar::CmpF64(op, a + i, b + i, n - i, out01 + i);
+}
+}  // namespace avx2
+}  // namespace fwdecay::simd
+"""}, "avx2-call: target(\"avx2\") function CmpF64() calls "
+          "`scalar::CmpF64()`"),
+    ("avx2-call scalar call inside an always_inline body caught", {
+        "src/util/simd.cc": """
+namespace fwdecay::simd {
+namespace scalar {
+void CmpF64(CmpOp op, const double* a, const double* b, std::size_t n,
+            std::int64_t* out01) {
+  for (std::size_t i = 0; i < n; ++i) out01[i] = a[i] < b[i] ? 1 : 0;
+}
+}  // namespace scalar
+namespace {
+[[gnu::always_inline]] inline void CmpF64Body(CmpOp op, const double* a,
+                                              const double* b, std::size_t n,
+                                              std::int64_t* out01) {
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    for (std::size_t j = i; j < i + 4; ++j) out01[j] = a[j] < b[j] ? 1 : 0;
+  }
+  if (i < n) scalar::CmpF64(op, a + i, b + i, n - i, out01 + i);
+}
+}  // namespace
+namespace avx2 {
+__attribute__((target("avx2"))) void CmpF64(CmpOp op, const double* a,
+                                            const double* b, std::size_t n,
+                                            std::int64_t* out01) {
+  CmpF64Body(op, a, b, n, out01);
+}
+}  // namespace avx2
+}  // namespace fwdecay::simd
+"""}, "avx2-call: target(\"avx2\") function CmpF64() calls "
+          "`scalar::CmpF64()` via CmpF64Body()"),
+    ("avx2-call header helper not always_inline caught", {
+        "src/util/hash.h": """#ifndef FWDECAY_UTIL_HASH_H_
+#define FWDECAY_UTIL_HASH_H_
+namespace fwdecay {
+[[gnu::always_inline]] inline std::uint64_t Mix64(std::uint64_t x) {
+  return x ^ (x >> 31);
+}
+inline std::uint64_t HashU64(std::uint64_t key, std::uint64_t seed = 0) {
+  return Mix64(key ^ seed);
+}
+}  // namespace fwdecay
+#endif  // FWDECAY_UTIL_HASH_H_
+"""}, "avx2-call: AVX2 helper HashU64() is not always_inline"),
+    ("avx2-call one-body wrapper clean", {
+        "src/util/simd.cc": """
+namespace fwdecay::simd {
+namespace {
+[[gnu::always_inline]] inline std::uint64_t WordAt(const void* words,
+                                                std::size_t i) {
+  std::uint64_t w;
+  std::memcpy(&w, static_cast<const unsigned char*>(words) + i * sizeof(w),
+              sizeof(w));
+  return w;
+}
+[[gnu::always_inline]] inline void HashBody(const void* words, std::size_t n,
+                                            std::uint64_t* out) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = HashU64(WordAt(words, i), 1);
+}
+}  // namespace
+namespace scalar {
+void Hash(const void* words, std::size_t n, std::uint64_t* out) {
+  HashBody(words, n, out);
+}
+}  // namespace scalar
+namespace avx2 {
+__attribute__((target("avx2"))) void Hash(const void* words, std::size_t n,
+                                          std::uint64_t* out) {
+  HashBody(words, n, out);
+}
+}  // namespace avx2
+}  // namespace fwdecay::simd
+""",
+        "src/util/hash.h": """#ifndef FWDECAY_UTIL_HASH_H_
+#define FWDECAY_UTIL_HASH_H_
+namespace fwdecay {
+[[gnu::always_inline]] inline std::uint64_t Mix64(std::uint64_t x) {
+  return x ^ (x >> 31);
+}
+[[gnu::always_inline]] inline std::uint64_t HashU64(std::uint64_t key,
+                                                 std::uint64_t seed = 0) {
+  return Mix64(key ^ seed);
+}
+[[gnu::always_inline]] inline std::uint64_t HashCombine(std::uint64_t h,
+                                                     std::uint64_t v) {
+  return h ^ Mix64(v);
+}
+}  // namespace fwdecay
+#endif  // FWDECAY_UTIL_HASH_H_
 """}, None),
     ("hotpath-purity vector under Consume caught", {
         "src/dsms/hot.cc": """

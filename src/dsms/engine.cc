@@ -61,19 +61,12 @@ void HashKeys(const std::vector<ExprType>& types, const Column& column,
   }
 }
 
-// HashKeys of one stored key (restore, audit), through the scalar arms,
-// which are bit-identical to the vector ones (DESIGN.md §13.4). At n = 1
-// a vector arm has nothing to vectorize, and a dispatched call per key
-// cost more than the scalar loop: RestoreBytes of the paper's one-level
-// count/sum plan took 1.1 ms against 0.6 ms (AVX2, 4-vCPU Xeon VM).
+// HashKeys of one stored key (restore, audit): a batch of one row, whose
+// column g is the key's word g.
 std::uint64_t WordsHash(const std::vector<ExprType>& types,
                         const std::uint64_t* key) {
-  if (types.empty()) return kGroupHashSeed;
   std::uint64_t h = 0;
-  simd::scalar::GroupHashI64(key, 1, WordSeed(types[0]), kGroupHashSeed, &h);
-  for (std::size_t g = 1; g < types.size(); ++g) {
-    simd::scalar::GroupHashCombineI64(key + g, 1, WordSeed(types[g]), &h);
-  }
+  HashKeys(types, [key](std::size_t g) { return key + g; }, 1, &h);
   return h;
 }
 

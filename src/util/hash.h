@@ -11,9 +11,13 @@
 
 namespace fwdecay {
 
+// Mix64, HashU64 and HashCombine are always_inline: the AVX2 arms of the
+// SIMD hash kernels compile them in, and must never call out to baseline
+// code (DESIGN.md §13.4; scripts/analyze.py rule avx2-call).
+
 /// Strong 64-bit finalizer (the SplitMix64 / Murmur3 fmix64 family).
 /// Bijective, so distinct inputs stay distinct.
-inline std::uint64_t Mix64(std::uint64_t x) {
+[[gnu::always_inline]] inline std::uint64_t Mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
@@ -22,13 +26,15 @@ inline std::uint64_t Mix64(std::uint64_t x) {
 
 /// Hashes a 64-bit key under a 64-bit seed; different seeds give
 /// effectively independent hash functions.
-inline std::uint64_t HashU64(std::uint64_t key, std::uint64_t seed = 0) {
+[[gnu::always_inline]] inline std::uint64_t HashU64(std::uint64_t key,
+                                                 std::uint64_t seed = 0) {
   return Mix64(key ^ (seed * 0xff51afd7ed558ccdULL + 0xc4ceb9fe1a85ec53ULL));
 }
 
 /// Combines two hashes (order-sensitive), boost::hash_combine style but
 /// with a 64-bit constant and a final mix.
-inline std::uint64_t HashCombine(std::uint64_t h, std::uint64_t v) {
+[[gnu::always_inline]] inline std::uint64_t HashCombine(std::uint64_t h,
+                                                     std::uint64_t v) {
   h ^= Mix64(v) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   return h;
 }

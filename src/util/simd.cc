@@ -59,83 +59,63 @@ const char* ActiveArchName() {
 bool ForcedScalar() { return g_dispatch.forced; }
 
 // ---------------------------------------------------------------------------
-// Scalar arms — the oracle. Every loop is one operation per element with
-// no reassociation, so a vector arm matches it lane for lane.
+// Kernel bodies. A loop the compiler vectorizes on its own has exactly one
+// body, forced inline into both its scalar arm (baseline ISA) and its AVX2
+// arm (target("avx2")): the compiler builds both arms from the same loop,
+// so they cannot drift apart. Every loop is one operation per element
+// with no reassociation, so any vectorization of it matches the scalar
+// order lane for lane.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-// The address of 8-byte key word i. Key columns hold int64 values or
-// double bit patterns, so the kernels read words through memcpy (and
-// unaligned vector loads), never through a typed pointer.
-const void* WordPtr(const void* words, std::size_t i) {
-  return static_cast<const unsigned char*>(words) + i * sizeof(std::uint64_t);
-}
-
-std::uint64_t WordAt(const void* words, std::size_t i) {
+// Key word i. Key columns hold int64 values or double bit patterns, so
+// the kernels read words through memcpy, never through a typed pointer.
+[[gnu::always_inline]] inline std::uint64_t WordAt(const void* words,
+                                                std::size_t i) {
   std::uint64_t w;
-  std::memcpy(&w, WordPtr(words, i), sizeof(w));
+  std::memcpy(&w, static_cast<const unsigned char*>(words) + i * sizeof(w),
+              sizeof(w));
   return w;
 }
 
-}  // namespace
-
-namespace scalar {
-
-std::size_t FilterByteEq(const std::uint8_t* bytes, std::uint8_t target,
-                         std::size_t n, std::uint32_t* out_sel) {
-  std::size_t k = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (bytes[i] == target) out_sel[k++] = static_cast<std::uint32_t>(i);
-  }
-  return k;
-}
-
-void GroupHashI64(const void* words, std::size_t n, std::uint64_t value_seed,
-                  std::uint64_t seed, std::uint64_t* out) {
+[[gnu::always_inline]] inline void GroupHashI64Body(
+    const void* words, std::size_t n, std::uint64_t value_seed,
+    std::uint64_t seed, std::uint64_t* out) {
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = HashCombine(seed, HashU64(WordAt(words, i), value_seed));
   }
 }
 
-void GroupHashCombineI64(const void* words, std::size_t n,
-                         std::uint64_t value_seed, std::uint64_t* inout) {
+[[gnu::always_inline]] inline void GroupHashCombineI64Body(
+    const void* words, std::size_t n, std::uint64_t value_seed,
+    std::uint64_t* inout) {
   for (std::size_t i = 0; i < n; ++i) {
     inout[i] = HashCombine(inout[i], HashU64(WordAt(words, i), value_seed));
   }
 }
 
-void ShardIndexU64(const std::uint64_t* hashes, std::size_t n,
-                   std::uint64_t seed, std::uint32_t num_shards,
-                   std::uint32_t* out) {
+[[gnu::always_inline]] inline void ShardIndexU64Body(
+    const std::uint64_t* hashes, std::size_t n, std::uint64_t seed,
+    std::uint32_t num_shards, std::uint32_t* out) {
+  // A power-of-two count reduces with a mask (h & (count - 1) == h % count),
+  // which vectorizes; any other count keeps the 64-bit modulo, which has
+  // no vector instruction.
+  if ((num_shards & (num_shards - 1)) == 0) {
+    const std::uint64_t mask = num_shards - 1;
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = static_cast<std::uint32_t>(HashU64(hashes[i], seed) & mask);
+    }
+    return;
+  }
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = static_cast<std::uint32_t>(HashU64(hashes[i], seed) % num_shards);
   }
 }
 
-void AddF64(const double* a, const double* b, std::size_t n, double* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
-}
-void SubF64(const double* a, const double* b, std::size_t n, double* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
-}
-void MulF64(const double* a, const double* b, std::size_t n, double* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
-}
-void DivF64(const double* a, const double* b, std::size_t n, double* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = a[i] / b[i];
-}
-void AddI64(const std::int64_t* a, const std::int64_t* b, std::size_t n,
-            std::int64_t* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = WrapAdd(a[i], b[i]);
-}
-void SubI64(const std::int64_t* a, const std::int64_t* b, std::size_t n,
-            std::int64_t* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = WrapSub(a[i], b[i]);
-}
-
-void CmpF64(CmpOp op, const double* a, const double* b, std::size_t n,
-            std::int64_t* out01) {
+[[gnu::always_inline]] inline void CmpF64Body(CmpOp op, const double* a,
+                                              const double* b, std::size_t n,
+                                              std::int64_t* out01) {
   // Exactly dsms::Compare's double branch: ordered < and >, so kLe/kGe
   // are the *negated* strict compares (a NaN operand makes Compare
   // return 0, which satisfies <= and >=).
@@ -161,8 +141,10 @@ void CmpF64(CmpOp op, const double* a, const double* b, std::size_t n,
   }
 }
 
-void CmpI64(CmpOp op, const std::int64_t* a, const std::int64_t* b,
-            std::size_t n, std::int64_t* out01) {
+[[gnu::always_inline]] inline void CmpI64Body(CmpOp op, const std::int64_t* a,
+                                              const std::int64_t* b,
+                                              std::size_t n,
+                                              std::int64_t* out01) {
   switch (op) {
     case CmpOp::kEq:
       for (std::size_t i = 0; i < n; ++i) out01[i] = a[i] == b[i] ? 1 : 0;
@@ -183,6 +165,72 @@ void CmpI64(CmpOp op, const std::int64_t* a, const std::int64_t* b,
       for (std::size_t i = 0; i < n; ++i) out01[i] = a[i] >= b[i] ? 1 : 0;
       return;
   }
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Scalar arms — the oracle, compiled for the baseline ISA. The elementwise
+// arithmetic loops already compile to packed SSE2 there, so they have no
+// AVX2 arm.
+// ---------------------------------------------------------------------------
+
+namespace scalar {
+
+std::size_t FilterByteEq(const std::uint8_t* bytes, std::uint8_t target,
+                         std::size_t n, std::uint32_t* out_sel) {
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (bytes[i] == target) out_sel[k++] = static_cast<std::uint32_t>(i);
+  }
+  return k;
+}
+
+void GroupHashI64(const void* words, std::size_t n, std::uint64_t value_seed,
+                  std::uint64_t seed, std::uint64_t* out) {
+  GroupHashI64Body(words, n, value_seed, seed, out);
+}
+
+void GroupHashCombineI64(const void* words, std::size_t n,
+                         std::uint64_t value_seed, std::uint64_t* inout) {
+  GroupHashCombineI64Body(words, n, value_seed, inout);
+}
+
+void ShardIndexU64(const std::uint64_t* hashes, std::size_t n,
+                   std::uint64_t seed, std::uint32_t num_shards,
+                   std::uint32_t* out) {
+  ShardIndexU64Body(hashes, n, seed, num_shards, out);
+}
+
+void AddF64(const double* a, const double* b, std::size_t n, double* out) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
+}
+void SubF64(const double* a, const double* b, std::size_t n, double* out) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
+}
+void MulF64(const double* a, const double* b, std::size_t n, double* out) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
+}
+void DivF64(const double* a, const double* b, std::size_t n, double* out) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = a[i] / b[i];
+}
+void AddI64(const std::int64_t* a, const std::int64_t* b, std::size_t n,
+            std::int64_t* out) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = WrapAdd(a[i], b[i]);
+}
+void SubI64(const std::int64_t* a, const std::int64_t* b, std::size_t n,
+            std::int64_t* out) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = WrapSub(a[i], b[i]);
+}
+
+void CmpF64(CmpOp op, const double* a, const double* b, std::size_t n,
+            std::int64_t* out01) {
+  CmpF64Body(op, a, b, n, out01);
+}
+
+void CmpI64(CmpOp op, const std::int64_t* a, const std::int64_t* b,
+            std::size_t n, std::int64_t* out01) {
+  CmpI64Body(op, a, b, n, out01);
 }
 
 std::size_t CompactNonZeroI64(const std::int64_t* vals, std::uint32_t* sel,
@@ -208,12 +256,20 @@ std::size_t CompactNonZeroF64(const double* vals, std::uint32_t* sel,
 // ---------------------------------------------------------------------------
 // AVX2 arms (x86-64, runtime-gated on cpuid; compiled with a per-function
 // target attribute so the rest of the library keeps the baseline ISA).
+// An AVX2 arm never calls out of its own body: it either inlines its
+// kernel's one body, which the compiler vectorizes for AVX2, or is written
+// in intrinsics and finishes its remainder inline. A call into baseline
+// code would leave the upper YMM state dirty (GCC emits no vzeroupper
+// before a tail jump), and every legacy-SSE instruction after it pays for
+// that. scripts/analyze.py (rule avx2-call) enforces this.
 // ---------------------------------------------------------------------------
 
 #if defined(FWDECAY_SIMD_X86)
 
 namespace avx2 {
 
+// The movemask idioms below stay in intrinsics: GCC does not vectorize
+// an index-emitting loop.
 __attribute__((target("avx2"))) std::size_t FilterByteEq(
     const std::uint8_t* bytes, std::uint8_t target, std::size_t n,
     std::uint32_t* out_sel) {
@@ -237,82 +293,18 @@ __attribute__((target("avx2"))) std::size_t FilterByteEq(
   return k;
 }
 
-// 64-bit lane-wise multiply from 32x32 partial products (the mullo_epi64
-// instruction itself is AVX-512DQ).
-__attribute__((target("avx2"))) inline __m256i Mul64(__m256i a, __m256i b) {
-  const __m256i lo = _mm256_mul_epu32(a, b);
-  const __m256i cross = _mm256_add_epi64(
-      _mm256_mul_epu32(_mm256_srli_epi64(a, 32), b),
-      _mm256_mul_epu32(a, _mm256_srli_epi64(b, 32)));
-  return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
-}
-
-__attribute__((target("avx2"))) inline __m256i Mix64V(__m256i x) {
-  x = _mm256_add_epi64(
-      x, _mm256_set1_epi64x(static_cast<long long>(0x9e3779b97f4a7c15ULL)));
-  x = Mul64(_mm256_xor_si256(x, _mm256_srli_epi64(x, 30)),
-            _mm256_set1_epi64x(static_cast<long long>(0xbf58476d1ce4e5b9ULL)));
-  x = Mul64(_mm256_xor_si256(x, _mm256_srli_epi64(x, 27)),
-            _mm256_set1_epi64x(static_cast<long long>(0x94d049bb133111ebULL)));
-  return _mm256_xor_si256(x, _mm256_srli_epi64(x, 31));
-}
-
 __attribute__((target("avx2"))) void GroupHashI64(const void* words,
                                                   std::size_t n,
                                                   std::uint64_t value_seed,
                                                   std::uint64_t seed,
                                                   std::uint64_t* out) {
-  // h = seed ^ (Mix64(Mix64(w ^ C1)) + K): the HashU64(w, value_seed)
-  // inner mix followed by HashCombine's outer mix, with the seed-dependent
-  // parts folded into constants (see the scalar arm for the reference
-  // form).
-  const std::uint64_t c1 = value_seed * 0xff51afd7ed558ccdULL +
-                           0xc4ceb9fe1a85ec53ULL;  // HashU64's seed term
-  const std::uint64_t kadd =
-      0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2);
-  const __m256i vc1 = _mm256_set1_epi64x(static_cast<long long>(c1));
-  const __m256i vk = _mm256_set1_epi64x(static_cast<long long>(kadd));
-  const __m256i vs = _mm256_set1_epi64x(static_cast<long long>(seed));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i x =
-        _mm256_loadu_si256(static_cast<const __m256i*>(WordPtr(words, i)));
-    x = Mix64V(Mix64V(_mm256_xor_si256(x, vc1)));
-    x = _mm256_xor_si256(vs, _mm256_add_epi64(x, vk));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), x);
-  }
-  if (i < n) {
-    scalar::GroupHashI64(WordPtr(words, i), n - i, value_seed, seed, out + i);
-  }
+  GroupHashI64Body(words, n, value_seed, seed, out);
 }
 
 __attribute__((target("avx2"))) void GroupHashCombineI64(
     const void* words, std::size_t n, std::uint64_t value_seed,
     std::uint64_t* inout) {
-  // h ^= Mix64(Mix64(w ^ C1)) + K + (h << 6) + (h >> 2): HashCombine
-  // with a per-lane running hash h, so only the golden-ratio constant
-  // folds (see the scalar arm for the reference form).
-  const std::uint64_t c1 = value_seed * 0xff51afd7ed558ccdULL +
-                           0xc4ceb9fe1a85ec53ULL;  // HashU64's seed term
-  const __m256i vc1 = _mm256_set1_epi64x(static_cast<long long>(c1));
-  const __m256i vk =
-      _mm256_set1_epi64x(static_cast<long long>(0x9e3779b97f4a7c15ULL));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i h =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(inout + i));
-    __m256i x =
-        _mm256_loadu_si256(static_cast<const __m256i*>(WordPtr(words, i)));
-    x = _mm256_add_epi64(Mix64V(Mix64V(_mm256_xor_si256(x, vc1))), vk);
-    x = _mm256_add_epi64(x, _mm256_add_epi64(_mm256_slli_epi64(h, 6),
-                                             _mm256_srli_epi64(h, 2)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(inout + i),
-                        _mm256_xor_si256(h, x));
-  }
-  if (i < n) {
-    scalar::GroupHashCombineI64(WordPtr(words, i), n - i, value_seed,
-                                inout + i);
-  }
+  GroupHashCombineI64Body(words, n, value_seed, inout);
 }
 
 __attribute__((target("avx2"))) void ShardIndexU64(const std::uint64_t* hashes,
@@ -320,169 +312,20 @@ __attribute__((target("avx2"))) void ShardIndexU64(const std::uint64_t* hashes,
                                                    std::uint64_t seed,
                                                    std::uint32_t num_shards,
                                                    std::uint32_t* out) {
-  // Only the power-of-two reduction vectorizes (modulo becomes a lane
-  // mask); other shard counts keep the scalar 64-bit modulo, which has
-  // no AVX2 instruction.
-  if ((num_shards & (num_shards - 1)) != 0) {
-    scalar::ShardIndexU64(hashes, n, seed, num_shards, out);
-    return;
-  }
-  // HashU64(h, seed) = Mix64(h ^ (seed*K1 + K2)) with the seed part
-  // folded into one constant, exactly as the scalar arm computes it.
-  const std::uint64_t c =
-      seed * 0xff51afd7ed558ccdULL + 0xc4ceb9fe1a85ec53ULL;
-  const __m256i vc = _mm256_set1_epi64x(static_cast<long long>(c));
-  const __m256i vmask =
-      _mm256_set1_epi64x(static_cast<long long>(num_shards - 1));
-  // Lane gather pattern packing the four 64-bit lanes' low dwords into
-  // the lower 128 bits (the masked index always fits in 32 bits).
-  const __m256i pack = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(hashes + i));
-    x = _mm256_and_si256(Mix64V(_mm256_xor_si256(x, vc)), vmask);
-    const __m256i packed = _mm256_permutevar8x32_epi32(x, pack);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     _mm256_castsi256_si128(packed));
-  }
-  if (i < n) scalar::ShardIndexU64(hashes + i, n - i, seed, num_shards,
-                                   out + i);
-}
-
-__attribute__((target("avx2"))) void AddF64(const double* a, const double* b,
-                                            std::size_t n, double* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i,
-                     _mm256_add_pd(_mm256_loadu_pd(a + i),
-                                   _mm256_loadu_pd(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] + b[i];
-}
-
-__attribute__((target("avx2"))) void SubF64(const double* a, const double* b,
-                                            std::size_t n, double* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i,
-                     _mm256_sub_pd(_mm256_loadu_pd(a + i),
-                                   _mm256_loadu_pd(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] - b[i];
-}
-
-__attribute__((target("avx2"))) void MulF64(const double* a, const double* b,
-                                            std::size_t n, double* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i,
-                     _mm256_mul_pd(_mm256_loadu_pd(a + i),
-                                   _mm256_loadu_pd(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] * b[i];
-}
-
-__attribute__((target("avx2"))) void DivF64(const double* a, const double* b,
-                                            std::size_t n, double* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i,
-                     _mm256_div_pd(_mm256_loadu_pd(a + i),
-                                   _mm256_loadu_pd(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] / b[i];
-}
-
-__attribute__((target("avx2"))) void AddI64(const std::int64_t* a,
-                                            const std::int64_t* b,
-                                            std::size_t n, std::int64_t* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(out + i),
-        _mm256_add_epi64(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i))));
-  }
-  for (; i < n; ++i) out[i] = WrapAdd(a[i], b[i]);
-}
-
-__attribute__((target("avx2"))) void SubI64(const std::int64_t* a,
-                                            const std::int64_t* b,
-                                            std::size_t n, std::int64_t* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(out + i),
-        _mm256_sub_epi64(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i))));
-  }
-  for (; i < n; ++i) out[i] = WrapSub(a[i], b[i]);
+  ShardIndexU64Body(hashes, n, seed, num_shards, out);
 }
 
 __attribute__((target("avx2"))) void CmpF64(CmpOp op, const double* a,
                                             const double* b, std::size_t n,
                                             std::int64_t* out01) {
-  // Predicate choice mirrors the scalar oracle's NaN behaviour: ordered
-  // for the strict compares and equality, unordered-negated for kLe/kGe
-  // (== !(a > b) / !(a < b)) and kNe.
-  const __m256i ones = _mm256_set1_epi64x(1);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d x = _mm256_loadu_pd(a + i);
-    const __m256d y = _mm256_loadu_pd(b + i);
-    __m256d m = _mm256_setzero_pd();
-    switch (op) {
-      case CmpOp::kEq: m = _mm256_cmp_pd(x, y, _CMP_EQ_OQ); break;
-      case CmpOp::kNe: m = _mm256_cmp_pd(x, y, _CMP_NEQ_UQ); break;
-      case CmpOp::kLt: m = _mm256_cmp_pd(x, y, _CMP_LT_OQ); break;
-      case CmpOp::kLe: m = _mm256_cmp_pd(x, y, _CMP_NGT_UQ); break;
-      case CmpOp::kGt: m = _mm256_cmp_pd(x, y, _CMP_GT_OQ); break;
-      case CmpOp::kGe: m = _mm256_cmp_pd(x, y, _CMP_NLT_UQ); break;
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out01 + i),
-                        _mm256_and_si256(_mm256_castpd_si256(m), ones));
-  }
-  if (i < n) scalar::CmpF64(op, a + i, b + i, n - i, out01 + i);
+  CmpF64Body(op, a, b, n, out01);
 }
 
 __attribute__((target("avx2"))) void CmpI64(CmpOp op, const std::int64_t* a,
                                             const std::int64_t* b,
                                             std::size_t n,
                                             std::int64_t* out01) {
-  const __m256i ones = _mm256_set1_epi64x(1);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i y =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    __m256i r = _mm256_setzero_si256();
-    switch (op) {
-      case CmpOp::kEq:
-        r = _mm256_and_si256(_mm256_cmpeq_epi64(x, y), ones);
-        break;
-      case CmpOp::kNe:
-        r = _mm256_andnot_si256(_mm256_cmpeq_epi64(x, y), ones);
-        break;
-      case CmpOp::kLt:
-        r = _mm256_and_si256(_mm256_cmpgt_epi64(y, x), ones);
-        break;
-      case CmpOp::kLe:
-        r = _mm256_andnot_si256(_mm256_cmpgt_epi64(x, y), ones);
-        break;
-      case CmpOp::kGt:
-        r = _mm256_and_si256(_mm256_cmpgt_epi64(x, y), ones);
-        break;
-      case CmpOp::kGe:
-        r = _mm256_andnot_si256(_mm256_cmpgt_epi64(y, x), ones);
-        break;
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out01 + i), r);
-  }
-  if (i < n) scalar::CmpI64(op, a + i, b + i, n - i, out01 + i);
+  CmpI64Body(op, a, b, n, out01);
 }
 
 __attribute__((target("avx2"))) std::size_t CompactNonZeroI64(
@@ -653,36 +496,28 @@ void ShardIndexU64(const std::uint64_t* hashes, std::size_t n,
 }
 
 void AddF64(const double* a, const double* b, std::size_t n, double* out) {
-#if defined(FWDECAY_SIMD_X86)
-  if (g_dispatch.arch == Arch::kAvx2) return avx2::AddF64(a, b, n, out);
-#elif defined(FWDECAY_SIMD_NEON)
+#if defined(FWDECAY_SIMD_NEON)
   if (g_dispatch.arch == Arch::kNeon) return neon::AddF64(a, b, n, out);
 #endif
   scalar::AddF64(a, b, n, out);
 }
 
 void SubF64(const double* a, const double* b, std::size_t n, double* out) {
-#if defined(FWDECAY_SIMD_X86)
-  if (g_dispatch.arch == Arch::kAvx2) return avx2::SubF64(a, b, n, out);
-#elif defined(FWDECAY_SIMD_NEON)
+#if defined(FWDECAY_SIMD_NEON)
   if (g_dispatch.arch == Arch::kNeon) return neon::SubF64(a, b, n, out);
 #endif
   scalar::SubF64(a, b, n, out);
 }
 
 void MulF64(const double* a, const double* b, std::size_t n, double* out) {
-#if defined(FWDECAY_SIMD_X86)
-  if (g_dispatch.arch == Arch::kAvx2) return avx2::MulF64(a, b, n, out);
-#elif defined(FWDECAY_SIMD_NEON)
+#if defined(FWDECAY_SIMD_NEON)
   if (g_dispatch.arch == Arch::kNeon) return neon::MulF64(a, b, n, out);
 #endif
   scalar::MulF64(a, b, n, out);
 }
 
 void DivF64(const double* a, const double* b, std::size_t n, double* out) {
-#if defined(FWDECAY_SIMD_X86)
-  if (g_dispatch.arch == Arch::kAvx2) return avx2::DivF64(a, b, n, out);
-#elif defined(FWDECAY_SIMD_NEON)
+#if defined(FWDECAY_SIMD_NEON)
   if (g_dispatch.arch == Arch::kNeon) return neon::DivF64(a, b, n, out);
 #endif
   scalar::DivF64(a, b, n, out);
@@ -690,17 +525,11 @@ void DivF64(const double* a, const double* b, std::size_t n, double* out) {
 
 void AddI64(const std::int64_t* a, const std::int64_t* b, std::size_t n,
             std::int64_t* out) {
-#if defined(FWDECAY_SIMD_X86)
-  if (g_dispatch.arch == Arch::kAvx2) return avx2::AddI64(a, b, n, out);
-#endif
   scalar::AddI64(a, b, n, out);
 }
 
 void SubI64(const std::int64_t* a, const std::int64_t* b, std::size_t n,
             std::int64_t* out) {
-#if defined(FWDECAY_SIMD_X86)
-  if (g_dispatch.arch == Arch::kAvx2) return avx2::SubI64(a, b, n, out);
-#endif
   scalar::SubI64(a, b, n, out);
 }
 

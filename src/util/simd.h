@@ -12,6 +12,13 @@
 // differential oracle (tests/simd_test.cc) and the forced-scalar CI leg
 // runs the whole engine through them.
 //
+// A kernel's AVX2 arm is either compiled from the same loop as its scalar
+// arm (one always_inline body, built twice) or, for the index-emitting
+// kernels GCC does not vectorize, written in intrinsics. The elementwise
+// arithmetic has no AVX2 arm: its baseline arm is already packed SSE2.
+// An AVX2 arm never calls out of its own body, so it never returns to
+// baseline code with the upper YMM state dirty (analyze.py avx2-call).
+//
 // Bit-exactness discipline: vector arms may only reorder *independent*
 // lanes. Elementwise IEEE-754 add/sub/mul/div/compare are exact per
 // lane, so they vectorize; ordered reductions and libm calls stay with
@@ -66,10 +73,9 @@ void GroupHashCombineI64(const void* words, std::size_t n,
 
 /// Batch-partition kernel for shard routing (DESIGN.md §14.1): out[i] is
 /// exactly HashU64(hashes[i], seed) % num_shards — the group hash
-/// remixed under an independent seed, reduced to a shard index. The
-/// AVX2 arm vectorizes the power-of-two case (the reduction is a lane
-/// mask); non-power-of-two shard counts take the scalar modulo.
-/// num_shards must be > 0.
+/// remixed under an independent seed, reduced to a shard index. A
+/// power-of-two count reduces with a mask, which vectorizes; other
+/// counts keep the 64-bit modulo. num_shards must be > 0.
 void ShardIndexU64(const std::uint64_t* hashes, std::size_t n,
                    std::uint64_t seed, std::uint32_t num_shards,
                    std::uint32_t* out);
