@@ -145,6 +145,19 @@ class ValueColumn {
   std::vector<double> f64_;
 };
 
+/// A key word's *order word* (DESIGN.md §13.1): unsigned < over order
+/// words is the group-key order. An int64 word gets its sign bit flipped,
+/// so unsigned < is signed <. A double's bit pattern becomes ~w when its
+/// sign is set and w ^ 2^63 otherwise, so unsigned < is IEEE totalOrder
+/// (std::strong_order): -NaN < -inf < ... < -0.0 < +0.0 < ... < +inf <
+/// +NaN, NaN payloads included. The map is a bijection, so equal order
+/// words are equal keys.
+inline std::uint64_t OrderWord(ValueColumn::Rep rep, std::uint64_t word) {
+  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+  if (rep == ValueColumn::Rep::kI64) return word ^ kSign;
+  return (word & kSign) != 0 ? ~word : word ^ kSign;
+}
+
 }  // namespace fwdecay::dsms
 
 #endif  // FWDECAY_DSMS_COLUMN_H_

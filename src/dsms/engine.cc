@@ -5,7 +5,6 @@
 #include <bit>
 #include <cctype>
 #include <cmath>
-#include <compare>
 #include <cstdio>
 #include <cstring>
 #include <span>
@@ -77,20 +76,17 @@ bool WordsEqual(const std::uint64_t* a, const std::uint64_t* b,
   return std::equal(a, a + arity, b);
 }
 
-// Strict total order, column by column: signed < on int64 columns, IEEE
+// The key order: unsigned lexicographic order of the keys' order words
+// (column.h OrderWord), i.e. signed < on int64 columns and IEEE
 // totalOrder on double columns (-NaN < -inf < ... < -0.0 < +0.0 < ... <
-// +inf < +NaN). Finish, snapshots, the shed tie-break and the pipeline's
-// k-way merge all sort by it.
+// +inf < +NaN), column by column. The shed tie-break compares two keys
+// with it; Finish, snapshots and the pipeline sort records of the same
+// order words (QueryExecution::KeyOrder).
 bool WordsLess(const std::vector<ExprType>& types, const std::uint64_t* a,
                const std::uint64_t* b) {
   for (std::size_t g = 0; g < types.size(); ++g) {
     if (a[g] == b[g]) continue;
-    if (types[g] == ExprType::kI64) {
-      return static_cast<std::int64_t>(a[g]) <
-             static_cast<std::int64_t>(b[g]);
-    }
-    return std::strong_order(std::bit_cast<double>(a[g]),
-                             std::bit_cast<double>(b[g])) < 0;
+    return OrderWord(types[g], a[g]) < OrderWord(types[g], b[g]);
   }
   return false;
 }
@@ -103,6 +99,16 @@ bool RowKeyEquals(const std::vector<ValueColumn>& key_cols, std::size_t row,
     if (key_cols[g].word(row) != key[g]) return false;
   }
   return true;
+}
+
+// The key word `order_word` is the order word of (column.h OrderWord's
+// inverse).
+std::uint64_t KeyWord(ExprType type, std::uint64_t order_word) {
+  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+  if (type == ExprType::kI64 || (order_word & kSign) != 0) {
+    return order_word ^ kSign;
+  }
+  return ~order_word;
 }
 
 // A key column's value as it leaves the engine in a result row.
@@ -611,8 +617,9 @@ struct QueryExecution::LowSlot {
 // words and states) for the next admission. Tombstone-free: removal
 // backward-shifts the probe chain, so layout is a pure function of the
 // insertion sequence — but no observable order ever reads the layout
-// (Finish/CheckpointBytes sort by WordsLess, and the shed victim is a
-// deterministic (weight, WordsLess) minimum).
+// (Finish/CheckpointBytes walk it but sort what they emit by key order
+// words, and the shed victim is a deterministic (weight, WordsLess)
+// minimum).
 struct QueryExecution::HighTable {
   std::vector<std::uint64_t> hashes;  // slot -> cached key hash
   std::vector<Group*> slots;          // slot -> shell, nullptr = empty
@@ -730,6 +737,26 @@ struct QueryExecution::HighTable {
     free_shells.push_back(g);
   }
 
+  // Calls visit(slot, group) for every group, in slot order: one
+  // sequential pass over the slot array. The visits themselves are
+  // random accesses, so each is prefetched: the shell kShellAhead slots
+  // ahead, and its block (key words, then states) kBlockAhead slots
+  // ahead, by when the shell has arrived.
+  template <class Visit>
+  void ForEach(const Visit& visit) const {
+    constexpr std::size_t kShellAhead = 16;
+    constexpr std::size_t kBlockAhead = 8;
+    const std::size_t cap = slots.size();
+    for (std::size_t s = 0; s < cap; ++s) {
+      if (s + kShellAhead < cap) __builtin_prefetch(slots[s + kShellAhead]);
+      if (s + kBlockAhead < cap && slots[s + kBlockAhead] != nullptr) {
+        __builtin_prefetch(slots[s + kBlockAhead]->key);
+        __builtin_prefetch(slots[s + kBlockAhead]->states);
+      }
+      if (slots[s] != nullptr) visit(s, *slots[s]);
+    }
+  }
+
   // Releases every group and empties the table; slot arrays, shells and
   // arena chunks are all retained for the next window.
   void Clear() {
@@ -764,6 +791,70 @@ struct QueryExecution::HighTable {
       if (old_slots[s] != nullptr) InsertNoGrow(old_hashes[s], old_slots[s]);
     }
   }
+};
+
+// Records in key order (DESIGN.md §13.1): each record is one group key's
+// order words (column.h OrderWord), then a payload index — the offset of
+// the group's aggregate cells, or its table slot. Sort() is an LSD radix
+// sort, one byte per pass from the last column's low byte to the first
+// column's high byte, skipping every byte that is equal across all
+// records. Each pass is a stable counting sort, so the records end in
+// unsigned lexicographic order of their order words: WordsLess order.
+// Keys are distinct, so none tie.
+class QueryExecution::KeyOrder {
+ public:
+  explicit KeyOrder(const std::vector<ExprType>& types)
+      : types_(types), stride_(types.size() + 1) {}
+
+  void Add(const std::uint64_t* key, std::size_t payload) {
+    for (std::size_t g = 0; g < types_.size(); ++g) {
+      records_.push_back(OrderWord(types_[g], key[g]));
+    }
+    records_.push_back(payload);
+  }
+
+  void Sort() {
+    const std::size_t n = size();
+    if (n < 2) return;
+    std::vector<std::uint64_t> out(records_.size());
+    for (std::size_t g = types_.size(); g-- > 0;) {
+      // The bits of column g that differ between some two records.
+      std::uint64_t varying = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        varying |= records_[i * stride_ + g] ^ records_[g];
+      }
+      for (unsigned shift = 0; shift < 64; shift += 8) {
+        if (((varying >> shift) & 0xff) == 0) continue;
+        std::size_t at[256] = {};
+        for (std::size_t i = 0; i < n; ++i) {
+          ++at[(records_[i * stride_ + g] >> shift) & 0xff];
+        }
+        std::size_t sum = 0;
+        for (std::size_t& a : at) sum += std::exchange(a, sum);
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::uint64_t* rec = &records_[i * stride_];
+          const std::size_t to = at[(rec[g] >> shift) & 0xff]++;
+          std::copy_n(rec, stride_, &out[to * stride_]);
+        }
+        records_.swap(out);
+      }
+    }
+  }
+
+  std::size_t size() const { return records_.size() / stride_; }
+  // Record i's order words and payload; after Sort(), record i is the
+  // i-th in key order.
+  const std::uint64_t* words(std::size_t i) const {
+    return &records_[i * stride_];
+  }
+  std::size_t payload(std::size_t i) const {
+    return static_cast<std::size_t>(records_[i * stride_ + stride_ - 1]);
+  }
+
+ private:
+  const std::vector<ExprType>& types_;
+  const std::size_t stride_;  // order words + payload
+  std::vector<std::uint64_t> records_;
 };
 
 QueryExecution::QueryExecution(const CompiledQuery* plan)
@@ -1247,55 +1338,84 @@ void QueryExecution::Reset() {
   flushed_tuples_shed_ = 0;
 }
 
-std::vector<const QueryExecution::Group*> QueryExecution::SortedGroups()
-    const {
-  std::vector<const Group*> groups;
-  groups.reserve(high_group_count_);
-  for (const Group* g : high_->slots) {
-    if (g != nullptr) groups.push_back(g);
-  }
-  std::sort(groups.begin(), groups.end(),
-            [this](const Group* a, const Group* b) {
-              return WordsLess(plan_->key_types_, a->key, b->key);
-            });
-  return groups;
-}
-
 ResultSet QueryExecution::Finish() {
   // Flush remaining low-level partial groups.
   FlushLowLevel();
   // Publish the tail counter deltas (including the evictions the flush
   // above just produced) before results are read.
   FlushMetrics();
-  return BuildResult(SortedGroups());
+  std::vector<Value> cells;
+  KeyOrder order(plan_->key_types_);
+  WalkGroups(&cells, &order);
+  return OrderedResult(cells, &order);
 }
 
-ResultSet QueryExecution::BuildResult(
-    const std::vector<const Group*>& groups) const {
-  ResultSet result;
-  for (const auto& out : plan_->outputs_) result.columns.push_back(out.column_name);
-
+void QueryExecution::WalkGroups(std::vector<Value>* cells,
+                                KeyOrder* order) const {
   const AggStateLayout& layout = plan_->agg_layout_;
   const std::vector<ExprType>& key_types = plan_->key_types_;
-  std::vector<Value> agg_values(layout.num_slots());
   std::vector<Value> key_values(key_types.size());
-  for (const Group* g : groups) {
+  cells->reserve(cells->size() + high_group_count_ * layout.num_slots());
+  high_->ForEach([&](std::size_t, const Group& g) {
+    const std::size_t at = cells->size();
     for (std::size_t slot = 0; slot < layout.num_slots(); ++slot) {
-      agg_values[slot] = layout.State(g->states, slot)->Finalize();
+      cells->push_back(layout.State(g.states, slot)->Finalize());
     }
+    if (plan_->having_ != nullptr) {
+      for (std::size_t k = 0; k < key_types.size(); ++k) {
+        key_values[k] = WordValue(key_types[k], g.key[k]);
+      }
+      if (!EvalPostPredicate(*plan_->having_,
+                             std::span<const Value>(*cells).subspan(at),
+                             key_values)) {
+        cells->resize(at);
+        return;
+      }
+    }
+    order->Add(g.key, at);
+  });
+}
+
+ResultSet QueryExecution::OrderedResult(const std::vector<Value>& cells,
+                                        KeyOrder* order) const {
+  ResultSet result;
+  for (const auto& out : plan_->outputs_) {
+    result.columns.push_back(out.column_name);
+  }
+  // Rows are built, and so allocated, in key order: keys from the
+  // records' order words, aggregates from the cells, which are read in
+  // that order and so prefetched a few records ahead. A bare key or
+  // aggregate output is copied; any other output is evaluated.
+  order->Sort();
+  const std::vector<ExprType>& key_types = plan_->key_types_;
+  const std::size_t num_slots = plan_->agg_layout_.num_slots();
+  constexpr std::size_t kCellsAhead = 8;
+  std::vector<Value> key_values(key_types.size());
+  result.rows.reserve(order->size());
+  for (std::size_t i = 0; i < order->size(); ++i) {
+    if (i + kCellsAhead < order->size() && num_slots > 0) {
+      const Value* ahead = cells.data() + order->payload(i + kCellsAhead);
+      __builtin_prefetch(ahead);
+      __builtin_prefetch(ahead + num_slots - 1);
+    }
+    const std::uint64_t* words = order->words(i);
     for (std::size_t k = 0; k < key_types.size(); ++k) {
-      key_values[k] = WordValue(key_types[k], g->key[k]);
+      key_values[k] = WordValue(key_types[k], KeyWord(key_types[k], words[k]));
     }
-    if (plan_->having_ != nullptr &&
-        !EvalPostPredicate(*plan_->having_, agg_values, key_values)) {
-      continue;
-    }
-    std::vector<Value> row;
+    const std::span<const Value> aggs(cells.data() + order->payload(i),
+                                      num_slots);
+    std::vector<Value>& row = result.rows.emplace_back();
     row.reserve(plan_->outputs_.size());
     for (const auto& out : plan_->outputs_) {
-      row.push_back(EvalPostExpr(*out.post, agg_values, key_values));
+      const Expr& e = *out.post;
+      if (e.kind == Expr::Kind::kAggRef) {
+        row.push_back(aggs[static_cast<std::size_t>(e.agg_index)]);
+      } else if (e.kind == Expr::Kind::kGroupRef) {
+        row.push_back(key_values[static_cast<std::size_t>(e.group_index)]);
+      } else {
+        row.push_back(EvalPostExpr(e, aggs, key_values));
+      }
     }
-    result.rows.push_back(std::move(row));
   }
 
   // ORDER BY (stable, lexicographic over the listed columns); the rows
@@ -1454,10 +1574,15 @@ bool QueryExecution::CheckpointBytes(std::vector<std::uint8_t>* out,
   // High groups in deterministic key order: snapshots of equal states
   // are byte-identical regardless of table history (insertion order,
   // rehashes, and backward-shift deletions never reach the wire).
-  const std::vector<const Group*> groups = SortedGroups();
-  payload.WriteU32(static_cast<std::uint32_t>(groups.size()));
-  for (const Group* g : groups) {
-    if (!SerializeGroup(*g, &payload, error)) return false;
+  KeyOrder order(plan_->key_types_);
+  high_->ForEach(
+      [&order](std::size_t s, const Group& g) { order.Add(g.key, s); });
+  order.Sort();
+  payload.WriteU32(static_cast<std::uint32_t>(order.size()));
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    if (!SerializeGroup(*high_->slots[order.payload(i)], &payload, error)) {
+      return false;
+    }
   }
 
   const std::vector<std::uint8_t>& body = payload.bytes();
@@ -1799,40 +1924,24 @@ ResultSet PipelinedQueryExecution::Finish() {
   finished_ = true;
   // Each shard flushes its low level under its own policy (so per-shard
   // shedding bounds apply through the flush, exactly as in the
-  // single-thread Finish) and sorts its groups by key. Shard key spaces
-  // are disjoint, so a k-way merge of the sorted lists is the order the
-  // single-thread Finish sorts into, and every group is finalized where
-  // it lives — no aggregate Merge, no FP reassociation, no re-shedding
-  // (Section VI-B). HAVING, ORDER BY and LIMIT then apply once.
-  std::vector<std::vector<const QueryExecution::Group*>> sorted;
-  sorted.reserve(shards_.size());
-  std::size_t total = 0;
+  // single-thread Finish) and walks its table into cells and key records.
+  // Shard key spaces are disjoint, so ordering every shard's records by
+  // their order words is the order the single-thread Finish sorts into,
+  // and every group is finalized where it lives — no aggregate Merge, no
+  // FP reassociation, no re-shedding (Section VI-B). HAVING applies per
+  // group in the walk; ORDER BY and LIMIT then apply once.
+  std::vector<Value> cells;
+  QueryExecution::KeyOrder order(plan_->key_types_);
   for (auto& shard : shards_) {
     shard->exec->FlushLowLevel();
     // Publish the tail deltas now that the shard has quiesced, so a
     // scrape right after Finish() sees counts matching the result set
     // instead of lagging by up to kMetricsFlushPeriod batches.
     shard->exec->FlushMetrics();
-    sorted.push_back(shard->exec->SortedGroups());
-    total += sorted.back().size();
+    shard->exec->WalkGroups(&cells, &order);
   }
-  std::vector<const QueryExecution::Group*> merged;
-  merged.reserve(total);
-  std::vector<std::size_t> next(sorted.size(), 0);
-  while (merged.size() < total) {
-    std::size_t best = sorted.size();
-    for (std::size_t s = 0; s < sorted.size(); ++s) {
-      if (next[s] == sorted[s].size()) continue;
-      if (best == sorted.size() ||
-          WordsLess(plan_->key_types_, sorted[s][next[s]]->key,
-                    sorted[best][next[best]]->key)) {
-        best = s;
-      }
-    }
-    merged.push_back(sorted[best][next[best]++]);
-  }
-  // Every shard runs the same plan, so any shard finalizes any group.
-  return shards_.front()->exec->BuildResult(merged);
+  // Every shard runs the same plan, so any shard builds the rows.
+  return shards_.front()->exec->OrderedResult(cells, &order);
 }
 
 std::uint64_t PipelinedQueryExecution::SumQuiesced(

@@ -272,12 +272,19 @@ class QueryExecution {
   // Destroys every group's states and empties both levels; blocks,
   // shells and slot arrays are retained.
   void ReleaseAllGroups();
-  // High-level groups in key order (WordsLess: Finish, snapshots, the
-  // pipeline's k-way merge).
-  std::vector<const Group*> SortedGroups() const;
-  // Finalizes `groups` (already in key order) into the result table:
-  // HAVING per group, then ORDER BY and LIMIT over the surviving rows.
-  ResultSet BuildResult(const std::vector<const Group*>& groups) const;
+  // Records of group-key order words, radix-sorted into key order
+  // (Finish, snapshots, the pipeline's Finish).
+  class KeyOrder;
+  // One walk of the high table in slot order: appends each group's
+  // aggregates, finalized once, to *cells; drops them again if HAVING
+  // rejects the group, and otherwise appends the key's record (payload:
+  // the group's first cell) to *order.
+  void WalkGroups(std::vector<Value>* cells, KeyOrder* order) const;
+  // The result table: sorts *order, builds each group's row in key
+  // order from its record and cells, then applies ORDER BY (stable, so
+  // key order breaks ties) and LIMIT.
+  ResultSet OrderedResult(const std::vector<Value>& cells,
+                          KeyOrder* order) const;
   void EvictToHigh(LowSlot& slot);
   double ForwardWeight(double ts) const;
   void ShedLowestWeightGroup();
@@ -402,8 +409,9 @@ inline constexpr std::uint64_t kShardRouteSeed = 0x5ca1ab1e0ddba11ULL;
 /// is owned wholly by one shard and receives its updates in stream
 /// order. Finish() runs off the hot path: it quiesces the pipeline
 /// (flush partial sub-batches, signal stop, join workers), flushes each
-/// shard's low level and k-way merges the shards' key-sorted, disjoint
-/// group sets into one result. Forward decay needs no rescaling on
+/// shard's low level, walks each shard's table once, orders the union of
+/// the shards' disjoint groups by their key order words and builds one
+/// result in that order. Forward decay needs no rescaling on
 /// merge (Section VI-B), so for single-level plans the result is
 /// bit-identical to the single-threaded reference, and for two-level
 /// plans to single-thread runs over the per-shard streams

@@ -369,8 +369,8 @@ bool EvalPredicate(const Expr& e, const Packet& p) {
   return Truthy(EvalExpr(e, p));
 }
 
-Value EvalPostExpr(const Expr& e, const std::vector<Value>& agg_values,
-                   const std::vector<Value>& group_key) {
+Value EvalPostExpr(const Expr& e, std::span<const Value> agg_values,
+                   std::span<const Value> group_key) {
   return EvalRow(e, [&](const Expr& leaf) {
     if (leaf.kind == Expr::Kind::kAggRef) {
       FWDECAY_CHECK(leaf.agg_index >= 0 &&
@@ -391,8 +391,8 @@ Value EvalPostExpr(const Expr& e, const std::vector<Value>& agg_values,
   });
 }
 
-bool EvalPostPredicate(const Expr& e, const std::vector<Value>& agg_values,
-                       const std::vector<Value>& group_key) {
+bool EvalPostPredicate(const Expr& e, std::span<const Value> agg_values,
+                       std::span<const Value> group_key) {
   return Truthy(EvalPostExpr(e, agg_values, group_key));
 }
 

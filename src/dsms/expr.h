@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -119,12 +120,12 @@ bool EvalPredicate(const Expr& e, const Packet& p);
 /// are not allowed (the planner replaced every bindable one). Supports
 /// the full operator set including comparisons and logic, so it also
 /// evaluates HAVING predicates.
-Value EvalPostExpr(const Expr& e, const std::vector<Value>& agg_values,
-                   const std::vector<Value>& group_key);
+Value EvalPostExpr(const Expr& e, std::span<const Value> agg_values,
+                   std::span<const Value> group_key);
 
 /// Truthiness of a post-aggregation predicate (HAVING).
-bool EvalPostPredicate(const Expr& e, const std::vector<Value>& agg_values,
-                       const std::vector<Value>& group_key);
+bool EvalPostPredicate(const Expr& e, std::span<const Value> agg_values,
+                       std::span<const Value> group_key);
 
 /// Reusable buffer pool for the batch evaluators. Intermediate value
 /// columns and index vectors are acquired per expression node and

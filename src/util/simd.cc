@@ -8,7 +8,6 @@
 
 #if defined(__x86_64__)
 #define FWDECAY_SIMD_X86 1
-#include <immintrin.h>
 #endif
 #if defined(__aarch64__)
 #define FWDECAY_SIMD_NEON 1
@@ -256,42 +255,19 @@ std::size_t CompactNonZeroF64(const double* vals, std::uint32_t* sel,
 // ---------------------------------------------------------------------------
 // AVX2 arms (x86-64, runtime-gated on cpuid; compiled with a per-function
 // target attribute so the rest of the library keeps the baseline ISA).
-// An AVX2 arm never calls out of its own body: it either inlines its
-// kernel's one body, which the compiler vectorizes for AVX2, or is written
-// in intrinsics and finishes its remainder inline. A call into baseline
+// An AVX2 arm never calls out of its own body: it inlines its kernel's
+// one body, which the compiler vectorizes for AVX2. A call into baseline
 // code would leave the upper YMM state dirty (GCC emits no vzeroupper
 // before a tail jump), and every legacy-SSE instruction after it pays for
-// that. scripts/analyze.py (rule avx2-call) enforces this.
+// that. scripts/analyze.py (rule avx2-call) enforces this. The
+// index-emitting kernels (FilterByteEq, CompactNonZeroI64/F64) have no
+// vector arm: GCC does not vectorize them, and hand-written movemask arms
+// measured no end-to-end win over the scalar loops.
 // ---------------------------------------------------------------------------
 
 #if defined(FWDECAY_SIMD_X86)
 
 namespace avx2 {
-
-// The movemask idioms below stay in intrinsics: GCC does not vectorize
-// an index-emitting loop.
-__attribute__((target("avx2"))) std::size_t FilterByteEq(
-    const std::uint8_t* bytes, std::uint8_t target, std::size_t n,
-    std::uint32_t* out_sel) {
-  std::size_t k = 0;
-  std::size_t i = 0;
-  const __m256i t = _mm256_set1_epi8(static_cast<char>(target));
-  for (; i + 32 <= n; i += 32) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bytes + i));
-    std::uint32_t m = static_cast<std::uint32_t>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi8(x, t)));
-    while (m != 0) {
-      out_sel[k++] = static_cast<std::uint32_t>(
-          i + static_cast<std::uint32_t>(__builtin_ctz(m)));
-      m &= m - 1;
-    }
-  }
-  for (; i < n; ++i) {
-    if (bytes[i] == target) out_sel[k++] = static_cast<std::uint32_t>(i);
-  }
-  return k;
-}
 
 __attribute__((target("avx2"))) void GroupHashI64(const void* words,
                                                   std::size_t n,
@@ -326,50 +302,6 @@ __attribute__((target("avx2"))) void CmpI64(CmpOp op, const std::int64_t* a,
                                             std::size_t n,
                                             std::int64_t* out01) {
   CmpI64Body(op, a, b, n, out01);
-}
-
-__attribute__((target("avx2"))) std::size_t CompactNonZeroI64(
-    const std::int64_t* vals, std::uint32_t* sel, std::size_t n) {
-  std::size_t k = 0;
-  std::size_t i = 0;
-  const __m256i zero = _mm256_setzero_si256();
-  for (; i + 4 <= n; i += 4) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vals + i));
-    std::uint32_t m =
-        static_cast<std::uint32_t>(_mm256_movemask_pd(
-            _mm256_castsi256_pd(_mm256_cmpeq_epi64(x, zero)))) ^ 0xFu;
-    while (m != 0) {
-      sel[k++] = sel[i + static_cast<std::uint32_t>(__builtin_ctz(m))];
-      m &= m - 1;
-    }
-  }
-  for (; i < n; ++i) {
-    if (vals[i] != 0) sel[k++] = sel[i];
-  }
-  return k;
-}
-
-__attribute__((target("avx2"))) std::size_t CompactNonZeroF64(
-    const double* vals, std::uint32_t* sel, std::size_t n) {
-  std::size_t k = 0;
-  std::size_t i = 0;
-  const __m256d zero = _mm256_setzero_pd();
-  for (; i + 4 <= n; i += 4) {
-    const __m256d x = _mm256_loadu_pd(vals + i);
-    // EQ_OQ is true only for ±0.0; NaN compares false, i.e. truthy —
-    // exactly the scalar `v != 0.0` predicate, complemented.
-    std::uint32_t m = static_cast<std::uint32_t>(_mm256_movemask_pd(
-                          _mm256_cmp_pd(x, zero, _CMP_EQ_OQ))) ^ 0xFu;
-    while (m != 0) {
-      sel[k++] = sel[i + static_cast<std::uint32_t>(__builtin_ctz(m))];
-      m &= m - 1;
-    }
-  }
-  for (; i < n; ++i) {
-    if (vals[i] != 0.0) sel[k++] = sel[i];
-  }
-  return k;
 }
 
 }  // namespace avx2
@@ -453,11 +385,6 @@ void CmpF64(CmpOp op, const double* a, const double* b, std::size_t n,
 
 std::size_t FilterByteEq(const std::uint8_t* bytes, std::uint8_t target,
                          std::size_t n, std::uint32_t* out_sel) {
-#if defined(FWDECAY_SIMD_X86)
-  if (g_dispatch.arch == Arch::kAvx2) {
-    return avx2::FilterByteEq(bytes, target, n, out_sel);
-  }
-#endif
   return scalar::FilterByteEq(bytes, target, n, out_sel);
 }
 
@@ -553,21 +480,11 @@ void CmpI64(CmpOp op, const std::int64_t* a, const std::int64_t* b,
 
 std::size_t CompactNonZeroI64(const std::int64_t* vals, std::uint32_t* sel,
                               std::size_t n) {
-#if defined(FWDECAY_SIMD_X86)
-  if (g_dispatch.arch == Arch::kAvx2) {
-    return avx2::CompactNonZeroI64(vals, sel, n);
-  }
-#endif
   return scalar::CompactNonZeroI64(vals, sel, n);
 }
 
 std::size_t CompactNonZeroF64(const double* vals, std::uint32_t* sel,
                               std::size_t n) {
-#if defined(FWDECAY_SIMD_X86)
-  if (g_dispatch.arch == Arch::kAvx2) {
-    return avx2::CompactNonZeroF64(vals, sel, n);
-  }
-#endif
   return scalar::CompactNonZeroF64(vals, sel, n);
 }
 

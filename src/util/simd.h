@@ -12,10 +12,11 @@
 // differential oracle (tests/simd_test.cc) and the forced-scalar CI leg
 // runs the whole engine through them.
 //
-// A kernel's AVX2 arm is either compiled from the same loop as its scalar
-// arm (one always_inline body, built twice) or, for the index-emitting
-// kernels GCC does not vectorize, written in intrinsics. The elementwise
-// arithmetic has no AVX2 arm: its baseline arm is already packed SSE2.
+// A kernel's AVX2 arm is compiled from the same loop as its scalar arm
+// (one always_inline body, built twice). The elementwise arithmetic has
+// no AVX2 arm: its baseline arm is already packed SSE2. Nor do the
+// index-emitting kernels (FilterByteEq, CompactNonZero*), which GCC does
+// not vectorize: their scalar loop is the only arm.
 // An AVX2 arm never calls out of its own body, so it never returns to
 // baseline code with the upper YMM state dirty (analyze.py avx2-call).
 //

@@ -8,8 +8,8 @@
 // the scalar loops they replaced.
 //
 // Lengths cover the remainder-loop seams of both vector widths: 0, 1,
-// lane−1 / lane / lane+1 for 2-lane NEON and 4-lane AVX2 doubles, the
-// 32-byte AVX2 chunk of FilterByteEq, and a long unaligned 1023 tail.
+// lane−1 / lane / lane+1 for 2-lane NEON and 4-lane AVX2 doubles, 32
+// bytes, and a long unaligned 1023 tail.
 //
 // When the build runs under FWDECAY_FORCE_SCALAR=1 (the forced-scalar
 // CI leg) the dispatched arm *is* the oracle and the differentials
@@ -316,7 +316,7 @@ TEST(SimdDifferential, FilterByteEq) {
     std::uint64_t s = 0xc000 + n;
     for (std::size_t i = 0; i < n; ++i) {
       // Dense hits on a small alphabet so runs of matches and misses
-      // both occur within one 32-byte AVX2 chunk.
+      // both occur within a few bytes.
       bytes[i] = static_cast<std::uint8_t>(SplitMix64(&s) & 3);
     }
     for (const std::uint8_t target : {std::uint8_t{0}, std::uint8_t{2},
