@@ -332,11 +332,6 @@ RELAXED_ALLOWED = {
     "src/util/metrics.cc",
     "src/util/sched.h",
     "src/util/sched.cc",
-    # SPSC ring own-cursor loads and quiesced-only accessors; the
-    # publish/recycle edges themselves are release/acquire (DESIGN.md
-    # §14.1) and tests/spsc_ring_test.cc explores them under the
-    # weak-memory model in every build.
-    "src/util/spsc_ring.h",
     # UDAF state-seed allocator (uniqueness needs only RMW atomicity).
     "src/dsms/udafs.cc",
 }

@@ -39,7 +39,7 @@ REQUIRED_SECTIONS = [
     ("DESIGN.md", r"^### 13\.3 Arena-backed group shells"),
     ("DESIGN.md", r"^### 13\.4 SIMD kernels with runtime dispatch"),
     ("DESIGN.md", r"^## 14\. Shared-nothing parallel ingest pipeline"),
-    ("DESIGN.md", r"^### 14\.1 The SPSC ring and its memory-order contract"),
+    ("DESIGN.md", r"^### 14\.1 The handoff queue and its contract"),
     ("DESIGN.md", r"^### 14\.3 Ownership-transfer rules"),
     ("DESIGN.md", r"^### 14\.4 Why the merge at Finish\(\) is bit-exact"),
     ("DESIGN.md", r"^### 14\.5 Core pinning policy"),

@@ -46,7 +46,7 @@ FWDECAY_SIMD="${FWDECAY_SIMD:-on}"
 FWDECAY_SCHED="${FWDECAY_SCHED:-OFF}"
 FWDECAY_SERVER="${FWDECAY_SERVER:-OFF}"
 # FWDECAY_SCHED_SEED / FWDECAY_SCHED_REPLAY are read by sched_test and
-# spsc_ring_test at runtime; being exported here is all the passthrough
+# pipeline_test at runtime; being exported here is all the passthrough
 # they need.
 export FWDECAY_SCHED_SEED="${FWDECAY_SCHED_SEED:-}"
 export FWDECAY_SCHED_REPLAY="${FWDECAY_SCHED_REPLAY:-}"

@@ -1,7 +1,6 @@
 #include "dsms/engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cctype>
 #include <cmath>
@@ -13,13 +12,14 @@
 
 #include "core/decay.h"
 #include "util/arena.h"
+#include "util/bounded_queue.h"
 #include "util/bytes.h"
 #include "util/check.h"
 #include "util/crc32c.h"
 #include "util/fault_fs.h"
 #include "util/hash.h"
+#include "util/sched.h"
 #include "util/simd.h"
-#include "util/spsc_ring.h"
 
 namespace fwdecay::dsms {
 
@@ -1755,9 +1755,9 @@ bool QueryExecution::RestoreBytes(const std::uint8_t* data, std::size_t size,
 
 struct PipelinedQueryExecution::Shard {
   // Router -> worker: full sub-batches; ownership moves with the batch.
-  SpscRing<PacketBatch> to_worker;
+  BoundedQueue<PacketBatch> to_worker;
   // Worker -> router: consumed batches, Clear()'d for reuse.
-  SpscRing<PacketBatch> recycle;
+  BoundedQueue<PacketBatch> recycle;
   std::unique_ptr<QueryExecution> exec;
   // Router-side gather under construction (not yet published).
   PacketBatch pending;
@@ -1783,22 +1783,19 @@ PipelinedQueryExecution::PipelinedQueryExecution(const CompiledQuery& plan,
     shard->exec->UseShardMetrics(s);
     shards_.push_back(std::move(shard));
   }
-  // Spawn last: a worker only touches its own (fully constructed) shard
-  // plus stop_, and the spawn itself synchronizes-with the worker body.
+  // Spawn last: a worker only touches its own (fully constructed) shard,
+  // and the spawn itself synchronizes-with the worker body.
   for (auto& shard : shards_) {
     shard->worker = sched::Thread([this, s = shard.get()] { WorkerLoop(*s); });
   }
 }
 
 PipelinedQueryExecution::~PipelinedQueryExecution() {
-  if (!quiesced_) {
-    // Abandoned without Finish(): stop the workers without flushing the
-    // partial sub-batches. The ring destructors drain what remains.
-    stop_.store(true, std::memory_order_release);
-    for (auto& shard : shards_) {
-      if (shard->worker.Joinable()) shard->worker.Join();
-    }
-  }
+  if (quiesced_) return;
+  // Abandoned without Finish(): drop the partial sub-batches; each worker
+  // consumes what is already queued, then exits.
+  for (auto& shard : shards_) shard->pending.Clear();
+  Quiesce();
 }
 
 void PipelinedQueryExecution::Consume(const PacketBatch& batch) {
@@ -1837,7 +1834,7 @@ void PipelinedQueryExecution::Consume(const PacketBatch& batch) {
 
   // Stage 2 — gather each shard's rows (stream order preserved) into
   // that shard's pending sub-batch; full sub-batches transfer whole
-  // through the SPSC ring. Partial fills stay pending across Consume()
+  // through the shard's queue. Partial fills stay pending across Consume()
   // calls and are flushed by Quiesce().
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const auto& rows = shard_rows_[s];
@@ -1858,12 +1855,12 @@ void PipelinedQueryExecution::Consume(const PacketBatch& batch) {
 void PipelinedQueryExecution::DispatchPending(Shard& shard) {
   if (shard.pending.empty()) return;
   while (!shard.to_worker.TryPush(std::move(shard.pending))) {
-    // Backpressure: the shard's ring is full; let its worker run. The
+    // Backpressure: the shard's queue is full; let its worker run. The
     // failed TryPush leaves `pending` untouched.
     if (sched::InScheduledRegion()) {
       sched::Yield();
     } else {
-      // fwdecay: hotpath-cold(backpressure spin runs only when the bounded ring is full)
+      // fwdecay: hotpath-cold(backpressure wait runs only when the bounded queue is full)
       std::this_thread::yield();
     }
   }
@@ -1875,28 +1872,15 @@ void PipelinedQueryExecution::DispatchPending(Shard& shard) {
 
 void PipelinedQueryExecution::WorkerLoop(Shard& shard) {
   PacketBatch batch(1);
-  for (;;) {
-    if (!shard.to_worker.TryPop(&batch)) {
-      // stop_ is release-stored after the final DispatchPending, so a
-      // true load followed by one more empty pop proves no batch can
-      // still arrive.
-      if (stop_.load(std::memory_order_acquire)) {
-        if (!shard.to_worker.TryPop(&batch)) break;
-      } else {
-        if (sched::InScheduledRegion()) {
-          sched::Yield();
-        } else {
-          std::this_thread::yield();
-        }
-        continue;
-      }
-    }
+  // Pop parks the worker until the router hands over a batch, and
+  // returns false once the queue is closed and drained.
+  while (shard.to_worker.Pop(&batch)) {
     // The router already applied the plan's filter to every row.
     shard.exec->ConsumeFiltered(batch, /*protocol_filter=*/0,
                                 /*where=*/nullptr);
     batch.Clear();
     // Offer the cleared batch back to the router; dropping it when the
-    // recycle ring is full is fine (the router allocates a fresh one).
+    // recycle queue is full is fine (the router allocates a fresh one).
     (void)shard.recycle.TryPush(std::move(batch));
   }
 }
@@ -1905,15 +1889,17 @@ void PipelinedQueryExecution::SetOverloadPolicy(const OverloadPolicy& policy) {
   FWDECAY_CHECK_MSG(packets_offered_ == 0,
                     "SetOverloadPolicy must precede the first Consume()");
   // No worker has received a batch yet, so no worker touches its exec;
-  // the first ring publish orders this write before any worker read.
+  // the first handoff's lock orders this write before any worker read.
   for (auto& shard : shards_) shard->exec->SetOverloadPolicy(policy);
 }
 
 void PipelinedQueryExecution::Quiesce() {
   if (quiesced_) return;
   quiesced_ = true;
-  for (auto& shard : shards_) DispatchPending(*shard);
-  stop_.store(true, std::memory_order_release);
+  for (auto& shard : shards_) {
+    DispatchPending(*shard);
+    shard->to_worker.Close();
+  }
   for (auto& shard : shards_) shard->worker.Join();
 }
 

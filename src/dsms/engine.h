@@ -18,7 +18,6 @@
 #include "dsms/value.h"
 #include "util/bytes.h"
 #include "util/metrics.h"
-#include "util/sched.h"
 
 // Query compilation and execution for the mini DSMS.
 //
@@ -398,40 +397,44 @@ inline constexpr std::uint64_t kShardRouteSeed = 0x5ca1ab1e0ddba11ULL;
 /// the group keys, partitions the surviving rows by the remixed group
 /// hash (simd::ShardIndexU64 under kShardRouteSeed), gathers each
 /// shard's rows into a per-shard sub-batch, and transfers that batch
-/// *whole* — by move, through a bounded SPSC ring — to the shard's
-/// worker thread. Each worker owns its QueryExecution outright: after
-/// construction no shard state is touched by two threads, so the ingest
-/// path has no locks at all. Consumed batches flow back to the router
-/// on a second SPSC ring for reuse, making the steady state
-/// allocation-free end to end.
+/// *whole* — by move, through a BoundedQueue (util/bounded_queue.h) —
+/// to the shard's worker thread, which parks while its queue is empty.
+/// Each worker owns its QueryExecution outright: after construction no
+/// shard state is touched by two threads, so the only lock on the ingest
+/// path is the queue's, taken once per sub-batch. Consumed batches flow
+/// back to the router on a second queue for reuse, making the steady
+/// state allocation-free end to end.
 ///
 /// Because a group's key always hashes to the same shard, every group
 /// is owned wholly by one shard and receives its updates in stream
 /// order. Finish() runs off the hot path: it quiesces the pipeline
-/// (flush partial sub-batches, signal stop, join workers), flushes each
-/// shard's low level, walks each shard's table once, orders the union of
-/// the shards' disjoint groups by their key order words and builds one
-/// result in that order. Forward decay needs no rescaling on
+/// (flush partial sub-batches, close the queues, join workers), flushes
+/// each shard's low level, walks each shard's table once, orders the
+/// union of the shards' disjoint groups by their key order words and
+/// builds one result in that order. Forward decay needs no rescaling on
 /// merge (Section VI-B), so for single-level plans the result is
 /// bit-identical to the single-threaded reference, and for two-level
 /// plans to single-thread runs over the per-shard streams
-/// (tests/spsc_ring_test.cc asserts both, the first also under schedule
+/// (tests/pipeline_test.cc asserts both, the first also under schedule
 /// exploration). With an OverloadPolicy installed each shard bounds its
 /// own table, so the pipeline retains at most num_shards * max_groups
 /// groups.
 ///
 /// Threading contract: Consume(), Quiesce(), Finish() and every
 /// accessor, packets_consumed() included, belong to ONE router thread
-/// (the SPSC rings are single-producer/single-consumer by construction,
-/// and the offered-packet count is a plain router-thread counter); the
-/// shard-summed stats are valid once Quiesce() has run.
+/// (it is the only producer on each shard's queue and the only consumer
+/// of its recycle queue, and the offered-packet count is a plain
+/// router-thread counter); the shard-summed stats are valid once
+/// Quiesce() has run. Destroying the pipeline without Finish() drops
+/// the partial sub-batches and joins the workers once they have drained
+/// their queues.
 class PipelinedQueryExecution {
  public:
   struct Options {
     std::size_t num_shards = 2;
-    /// Slots per shard ring, a power of two >= 2. Bounds in-flight
-    /// memory at ~2 * ring_capacity * batch bytes per shard and sets
-    /// how far the router can run ahead before backpressure.
+    /// Slots per shard queue (0 counts as 1). Bounds in-flight memory
+    /// at ~2 * ring_capacity * batch bytes per shard and sets how far
+    /// the router can run ahead before backpressure.
     std::size_t ring_capacity = 64;
     /// Rows per gathered sub-batch handed to a worker.
     std::size_t batch_capacity = PacketBatch::kDefaultCapacity;
@@ -451,12 +454,12 @@ class PipelinedQueryExecution {
 
   /// Installs the policy on every shard (each bounds its own table, so
   /// the total bound is num_shards * max_groups). Must be called before
-  /// the first Consume(): the ring handoff publishes it to the workers.
+  /// the first Consume(): the queue handoff publishes it to the workers.
   void SetOverloadPolicy(const OverloadPolicy& policy);
 
-  /// Drains the pipeline: flushes partial sub-batches, signals stop,
-  /// joins the workers and freezes the shard-summed stats. Idempotent;
-  /// Finish() calls it implicitly.
+  /// Drains the pipeline: flushes partial sub-batches, closes the
+  /// queues, joins the workers and freezes the shard-summed stats.
+  /// Idempotent; Finish() calls it implicitly.
   void Quiesce();
 
   /// Quiesces, then merges the disjoint shard states in key order and
@@ -480,7 +483,7 @@ class PipelinedQueryExecution {
   void CheckInvariants() const;
 
  private:
-  struct Shard;  // rings + worker + owned QueryExecution (engine.cc)
+  struct Shard;  // queues + worker + owned QueryExecution (engine.cc)
 
   void DispatchPending(Shard& shard);
   void WorkerLoop(Shard& shard);
@@ -490,7 +493,6 @@ class PipelinedQueryExecution {
   const CompiledQuery* plan_;
   Options options_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  sched::Atomic<bool> stop_{false};
   bool quiesced_ = false;
   bool finished_ = false;
   std::uint64_t packets_offered_ = 0;  // router-thread counter

@@ -40,45 +40,12 @@ std::string LabelForTenant(const std::string& name) {
 }  // namespace
 
 // --------------------------------------------------------------------
-// IngestQueue
-
-IngestQueue::IngestQueue(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(capacity, 1)) {}
-
-bool IngestQueue::TryPush(std::unique_ptr<PendingBatch> item) {
-  {
-    MutexLock lock(mu_);
-    if (items_.size() >= capacity_) return false;
-    items_.push_back(std::move(item));
-  }
-  ready_.release();
-  return true;
-}
-
-std::unique_ptr<PendingBatch> IngestQueue::PopWait(int timeout_ms) {
-  if (!ready_.try_acquire_for(std::chrono::milliseconds(timeout_ms))) {
-    return nullptr;
-  }
-  MutexLock lock(mu_);
-  // The semaphore count never exceeds the number of queued items, so
-  // a successful acquire guarantees one is present.
-  std::unique_ptr<PendingBatch> item = std::move(items_.front());
-  items_.pop_front();
-  return item;
-}
-
-std::size_t IngestQueue::depth() const {
-  MutexLock lock(mu_);
-  return items_.size();
-}
-
-// --------------------------------------------------------------------
 // Daemon: construction, metrics
 
 Daemon::Daemon(DaemonOptions options)
     : options_(std::move(options)),
       snaps_(options_.data_dir, options_.snapshot_retain),
-      queue_(std::make_unique<IngestQueue>(options_.queue_capacity)) {
+      queue_(options_.queue_capacity) {
   auto& reg = metrics::MetricsRegistry::Instance();
   m_.connections_total = reg.GetCounter(
       "fwdecay_server_connections_total", "Client connections accepted.");
@@ -451,7 +418,7 @@ void Daemon::Stop() {
 
   // 2. Drain: every queued batch is journaled and applied before the
   //    apply thread exits (no push can race this — producers are gone).
-  stop_apply_.store(true);
+  queue_.Close();
   if (apply_thread_.joinable()) apply_thread_.join();
 
   // 3. Quiesce the periodic checkpointer, then write the clean
@@ -647,15 +614,11 @@ ApplyResult Daemon::ApplyOne(PendingBatch* item) {
 }
 
 void Daemon::ApplyLoop() {
-  for (;;) {
-    std::unique_ptr<PendingBatch> item = queue_->PopWait(50);
-    m_.queue_depth->Set(static_cast<double>(queue_->depth()));
-    if (item == nullptr) {
-      // Producers are joined before stop_apply_ is set, so an empty
-      // queue here means fully drained.
-      if (stop_apply_.load() && queue_->depth() == 0) break;
-      continue;
-    }
+  // Pop parks until a batch arrives, and returns false once Stop() has
+  // closed the queue and every queued batch has been applied.
+  std::unique_ptr<PendingBatch> item;
+  while (queue_.Pop(&item)) {
+    m_.queue_depth->Set(static_cast<double>(queue_.depth()));
     if (options_.apply_delay_ms > 0) {
       std::this_thread::sleep_for(
           std::chrono::milliseconds(options_.apply_delay_ms));
@@ -983,7 +946,7 @@ std::vector<std::uint8_t> Daemon::HandleIngest(const Frame& frame,
   }
   const std::uint64_t client_seq = item->client_seq;
   std::future<ApplyResult> done = item->done.get_future();
-  if (!queue_->TryPush(std::move(item))) {
+  if (!queue_.TryPush(std::move(item))) {
     // Bounded queue full: explicit backpressure, bounded memory.
     {
       MutexLock lock(mu_);
@@ -992,9 +955,9 @@ std::vector<std::uint8_t> Daemon::HandleIngest(const Frame& frame,
     m_.backpressure->Increment();
     *type = MsgType::kBusy;
     return EncodeBusy(client_seq,
-                      static_cast<std::uint32_t>(queue_->depth()));
+                      static_cast<std::uint32_t>(queue_.depth()));
   }
-  m_.queue_depth->Set(static_cast<double>(queue_->depth()));
+  m_.queue_depth->Set(static_cast<double>(queue_.depth()));
   if (done.wait_for(std::chrono::milliseconds(kAckWaitMs)) !=
       std::future_status::ready) {
     return EncodeError(ErrCode::kInternal,
@@ -1068,7 +1031,7 @@ std::vector<std::uint8_t> Daemon::HandleStats(MsgType* type) {
     stats.queries = static_cast<std::uint32_t>(queries_.size());
     stats.tenants = static_cast<std::uint32_t>(tenants_.size());
   }
-  stats.queue_depth = static_cast<std::uint32_t>(queue_->depth());
+  stats.queue_depth = static_cast<std::uint32_t>(queue_.depth());
   *type = MsgType::kStatsOk;
   return EncodeStatsOk(stats);
 }

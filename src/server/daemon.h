@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <map>
 #include <memory>
@@ -19,6 +18,7 @@
 #include "server/net.h"
 #include "server/snapshot.h"
 #include "server/tenant.h"
+#include "util/bounded_queue.h"
 #include "util/metrics.h"
 #include "util/thread_annotations.h"
 
@@ -70,33 +70,6 @@ struct PendingBatch {
   dsms::PacketBatch batch{1};
   std::uint64_t client_seq = 0;
   std::promise<ApplyResult> done;
-};
-
-/// Bounded MPSC queue between connection threads and the apply thread.
-/// TryPush never blocks: a full queue is reported to the caller, which
-/// turns it into a kBusy reply — backpressure is explicit, memory is
-/// bounded.
-class IngestQueue {
- public:
-  explicit IngestQueue(std::size_t capacity);
-
-  /// False when the queue is at capacity (the item is untouched).
-  bool TryPush(std::unique_ptr<PendingBatch> item);
-
-  /// Waits up to timeout_ms for an item; nullptr on timeout.
-  std::unique_ptr<PendingBatch> PopWait(int timeout_ms);
-
-  std::size_t depth() const;
-  std::size_t capacity() const { return capacity_; }
-
- private:
-  const std::size_t capacity_;
-  // Signals item availability; the deque itself stays mutex-guarded
-  // (fwdecay::Mutex carries the capability annotation, and a counting
-  // semaphore — unlike a condition variable — composes with it).
-  std::counting_semaphore<> ready_{0};
-  mutable Mutex mu_;
-  std::deque<std::unique_ptr<PendingBatch>> items_ FWDECAY_GUARDED_BY(mu_);
 };
 
 struct DaemonOptions {
@@ -271,7 +244,10 @@ class Daemon {
   std::map<std::string, TenantState> tenants_ FWDECAY_GUARDED_BY(mu_);
   std::vector<std::unique_ptr<QueryEntry>> queries_ FWDECAY_GUARDED_BY(mu_);
 
-  std::unique_ptr<IngestQueue> queue_;
+  // Connection threads -> apply thread. TryPush never blocks: a full
+  // queue becomes a kBusy reply, so backpressure is explicit and memory
+  // bounded. Stop() closes it once the producers are joined.
+  BoundedQueue<std::unique_ptr<PendingBatch>> queue_;
 
   Listener listener_;
   Listener metrics_listener_;
@@ -280,7 +256,6 @@ class Daemon {
   std::vector<std::unique_ptr<Connection>> connections_;
 
   std::atomic<bool> stop_accept_{false};
-  std::atomic<bool> stop_apply_{false};
   std::atomic<bool> stop_http_{false};
   // Released by Stop to interrupt the checkpoint thread's sleep.
   std::binary_semaphore checkpoint_stop_{0};

@@ -56,9 +56,9 @@
 // tests can explore fixtures in any build. The FWDECAY_SCHED compile
 // definition additionally reroutes the library's own primitives —
 // fwdecay::Mutex (util/thread_annotations.h) and the sched::Atomic<T>
-// alias adopted by util/metrics.h and the pipelined engine — through
+// alias adopted by util/metrics.h — through
 // the model, so Explore() can drive real library paths (the DecayedRate
-// delta-flush publish, PipelinedQueryExecution's router -> ring ->
+// delta-flush publish, PipelinedQueryExecution's router -> queue ->
 // worker -> Finish() merge) through interleavings and reorderings TSan
 // never executes. With FWDECAY_SCHED off (the default), sched::Atomic is a
 // zero-cost transparent std::atomic wrapper and fwdecay::Mutex is a
@@ -383,7 +383,7 @@ class PlainAtomic {
   std::atomic<T> real_;
 };
 
-/// The alias library code adopts (util/metrics.h, dsms/engine.h): a
+/// The alias library code adopts (util/metrics.h): a
 /// plain atomic by default, the schedule-explored model under
 /// -DFWDECAY_SCHED=ON.
 #if defined(FWDECAY_SCHED)

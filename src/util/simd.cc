@@ -9,10 +9,6 @@
 #if defined(__x86_64__)
 #define FWDECAY_SIMD_X86 1
 #endif
-#if defined(__aarch64__)
-#define FWDECAY_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
 
 namespace fwdecay::simd {
 
@@ -34,8 +30,6 @@ DispatchState Detect() {
   if (s.forced) return s;
 #if defined(FWDECAY_SIMD_X86)
   if (__builtin_cpu_supports("avx2")) s.arch = Arch::kAvx2;
-#elif defined(FWDECAY_SIMD_NEON)
-  s.arch = Arch::kNeon;
 #endif
   return s;
 }
@@ -49,7 +43,6 @@ Arch ActiveArch() { return g_dispatch.arch; }
 const char* ActiveArchName() {
   switch (g_dispatch.arch) {
     case Arch::kAvx2: return "avx2";
-    case Arch::kNeon: return "neon";
     case Arch::kScalar: return "scalar";
   }
   return "scalar";
@@ -309,77 +302,6 @@ __attribute__((target("avx2"))) void CmpI64(CmpOp op, const std::int64_t* a,
 #endif  // FWDECAY_SIMD_X86
 
 // ---------------------------------------------------------------------------
-// NEON arms (aarch64 baseline — no runtime probe needed). Only the f64
-// elementwise and compare kernels have native arms; the index-emitting
-// and 64-bit-multiply kernels fall through to scalar (DESIGN.md §13.4
-// records the full dispatch matrix).
-// ---------------------------------------------------------------------------
-
-#if defined(FWDECAY_SIMD_NEON)
-
-namespace neon {
-
-// Lane-wise complement of an all-ones/all-zeros compare mask (there is
-// no 64-bit vmvn; the 32-bit form is equivalent on such masks).
-inline uint64x2_t NotMask(uint64x2_t m) {
-  return vreinterpretq_u64_u32(vmvnq_u32(vreinterpretq_u32_u64(m)));
-}
-
-void AddF64(const double* a, const double* b, std::size_t n, double* out) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_f64(out + i, vaddq_f64(vld1q_f64(a + i), vld1q_f64(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] + b[i];
-}
-void SubF64(const double* a, const double* b, std::size_t n, double* out) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_f64(out + i, vsubq_f64(vld1q_f64(a + i), vld1q_f64(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] - b[i];
-}
-void MulF64(const double* a, const double* b, std::size_t n, double* out) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_f64(out + i, vmulq_f64(vld1q_f64(a + i), vld1q_f64(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] * b[i];
-}
-void DivF64(const double* a, const double* b, std::size_t n, double* out) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_f64(out + i, vdivq_f64(vld1q_f64(a + i), vld1q_f64(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] / b[i];
-}
-
-void CmpF64(CmpOp op, const double* a, const double* b, std::size_t n,
-            std::int64_t* out01) {
-  const uint64x2_t ones = vdupq_n_u64(1);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t x = vld1q_f64(a + i);
-    const float64x2_t y = vld1q_f64(b + i);
-    uint64x2_t m;
-    switch (op) {
-      case CmpOp::kEq: m = vceqq_f64(x, y); break;
-      case CmpOp::kNe: m = NotMask(vceqq_f64(x, y)); break;
-      case CmpOp::kLt: m = vcltq_f64(x, y); break;
-      case CmpOp::kLe: m = NotMask(vcgtq_f64(x, y)); break;
-      case CmpOp::kGt: m = vcgtq_f64(x, y); break;
-      case CmpOp::kGe: m = NotMask(vcltq_f64(x, y)); break;
-    }
-    vst1q_s64(out01 + i, vreinterpretq_s64_u64(vandq_u64(m, ones)));
-  }
-  if (i < n) scalar::CmpF64(op, a + i, b + i, n - i, out01 + i);
-}
-
-}  // namespace neon
-
-#endif  // FWDECAY_SIMD_NEON
-
-// ---------------------------------------------------------------------------
 // Dispatched entry points
 // ---------------------------------------------------------------------------
 
@@ -423,30 +345,18 @@ void ShardIndexU64(const std::uint64_t* hashes, std::size_t n,
 }
 
 void AddF64(const double* a, const double* b, std::size_t n, double* out) {
-#if defined(FWDECAY_SIMD_NEON)
-  if (g_dispatch.arch == Arch::kNeon) return neon::AddF64(a, b, n, out);
-#endif
   scalar::AddF64(a, b, n, out);
 }
 
 void SubF64(const double* a, const double* b, std::size_t n, double* out) {
-#if defined(FWDECAY_SIMD_NEON)
-  if (g_dispatch.arch == Arch::kNeon) return neon::SubF64(a, b, n, out);
-#endif
   scalar::SubF64(a, b, n, out);
 }
 
 void MulF64(const double* a, const double* b, std::size_t n, double* out) {
-#if defined(FWDECAY_SIMD_NEON)
-  if (g_dispatch.arch == Arch::kNeon) return neon::MulF64(a, b, n, out);
-#endif
   scalar::MulF64(a, b, n, out);
 }
 
 void DivF64(const double* a, const double* b, std::size_t n, double* out) {
-#if defined(FWDECAY_SIMD_NEON)
-  if (g_dispatch.arch == Arch::kNeon) return neon::DivF64(a, b, n, out);
-#endif
   scalar::DivF64(a, b, n, out);
 }
 
@@ -464,8 +374,6 @@ void CmpF64(CmpOp op, const double* a, const double* b, std::size_t n,
             std::int64_t* out01) {
 #if defined(FWDECAY_SIMD_X86)
   if (g_dispatch.arch == Arch::kAvx2) return avx2::CmpF64(op, a, b, n, out01);
-#elif defined(FWDECAY_SIMD_NEON)
-  if (g_dispatch.arch == Arch::kNeon) return neon::CmpF64(op, a, b, n, out01);
 #endif
   scalar::CmpF64(op, a, b, n, out01);
 }

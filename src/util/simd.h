@@ -6,7 +6,7 @@
 
 // Runtime-dispatched SIMD kernels for the batched ingest hot path
 // (DESIGN.md §13.4). The instruction set is detected once at startup
-// (AVX2 on x86-64, NEON on aarch64, scalar otherwise); every kernel also
+// (AVX2 on x86-64, scalar otherwise); every kernel also
 // ships a scalar arm that is compiled unconditionally and kept
 // *bit-exact* with the vector arms — the scalar implementations are the
 // differential oracle (tests/simd_test.cc) and the forced-scalar CI leg
@@ -16,7 +16,9 @@
 // (one always_inline body, built twice). The elementwise arithmetic has
 // no AVX2 arm: its baseline arm is already packed SSE2. Nor do the
 // index-emitting kernels (FilterByteEq, CompactNonZero*), which GCC does
-// not vectorize: their scalar loop is the only arm.
+// not vectorize: their scalar loop is the only arm. Off x86-64 every
+// kernel runs its scalar loop, left to the compiler to vectorize for the
+// baseline ISA (ASIMD on aarch64), as SSE2 is on x86-64.
 // An AVX2 arm never calls out of its own body, so it never returns to
 // baseline code with the upper YMM state dirty (analyze.py avx2-call).
 //
@@ -31,12 +33,12 @@
 
 namespace fwdecay::simd {
 
-enum class Arch { kScalar, kAvx2, kNeon };
+enum class Arch { kScalar, kAvx2 };
 
 /// The arm every dispatched kernel below routes to; fixed at startup.
 Arch ActiveArch();
 
-/// "scalar" | "avx2" | "neon": the active arm's name.
+/// "scalar" | "avx2": the active arm's name.
 const char* ActiveArchName();
 
 /// True if FWDECAY_FORCE_SCALAR pinned the dispatch to scalar.

@@ -12,7 +12,7 @@
 //
 // The fixtures use sched::Model* types directly, so they run the real
 // model in EVERY build. The pipeline's schedule-explored differential
-// lives with the ring it drives, in tests/spsc_ring_test.cc.
+// lives with the other pipeline tests, in tests/pipeline_test.cc.
 //
 // Env knob (scripts/reproduce.sh passes it through):
 //   FWDECAY_SCHED_REPLAY  FWSCHED1 token: deterministically re-run that

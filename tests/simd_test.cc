@@ -8,7 +8,7 @@
 // the scalar loops they replaced.
 //
 // Lengths cover the remainder-loop seams of both vector widths: 0, 1,
-// lane−1 / lane / lane+1 for 2-lane NEON and 4-lane AVX2 doubles, 32
+// lane−1 / lane / lane+1 for 2-lane SSE2 and 4-lane AVX2 doubles, 32
 // bytes, and a long unaligned 1023 tail.
 //
 // When the build runs under FWDECAY_FORCE_SCALAR=1 (the forced-scalar
@@ -167,9 +167,6 @@ TEST(SimdDispatch, ArchNameMatchesArch) {
       break;
     case simd::Arch::kAvx2:
       EXPECT_STREQ(simd::ActiveArchName(), "avx2");
-      break;
-    case simd::Arch::kNeon:
-      EXPECT_STREQ(simd::ActiveArchName(), "neon");
       break;
   }
 }
